@@ -44,8 +44,9 @@ class OperatorValue:
     """F(-uA) as a matrix (dense or diagonal) plus its quadrature error claim.
 
     On shift backends the operator is a weight combination of powers of the
-    one-cell shift; shift_weights keeps that structure alive so norms use
-    O(n) matvecs instead of dense factorizations.
+    one-cell shift; shift_weights keeps that structure alive so norms can
+    first split the offsets by their gcd into independent chains, then take
+    a dense SVD of one chain up to size 2048 and ``svds`` above that.
     """
 
     matrix: np.ndarray | None
@@ -138,10 +139,11 @@ def _shift_opnorm(n: int, weights: dict) -> float:
         return _shift_opnorm(m, reduced)
     if n <= 2048:
         return float(np.linalg.norm(_shift_matrix(n, live), 2))
+    # svds hands over x of shape (n,) or (n, 1); the shifts index a flat vector
     lop = LinearOperator(
         (n, n),
-        matvec=lambda x: _shift_apply(n, live, np.asarray(x, dtype=complex)),
-        rmatvec=lambda x: _shift_apply_adj(n, live, np.asarray(x, dtype=complex)),
+        matvec=lambda x: _shift_apply(n, live, np.ravel(np.asarray(x, dtype=complex))),
+        rmatvec=lambda x: _shift_apply_adj(n, live, np.ravel(np.asarray(x, dtype=complex))),
         dtype=complex,
     )
     s = svds(lop, k=1, return_singular_vectors=False, tol=1e-9)
@@ -159,21 +161,12 @@ def _piece_poly_integral(coeffs, a: float, b: float) -> complex:
 def _shift_piece_weights(backend: NilpotentShift, piece, u: float) -> dict:
     """Exact weights w_k with int p(t) T(ut) dt = sum_k w_k S^k on the shift model.
 
-    T(ut) equals the k-cell shift exactly on round(u t n) = k, so the piece
-    splits at t = (k + 1/2) / (u n) and each fragment integrates in closed form.
+    T(ut) is constant on each interval of ``constancy_intervals`` at scale u,
+    so the piece integrates there in closed form.
     """
-    n = backend.dim
     weights: dict[int, complex] = {}
-    a, b = piece.a, piece.b
-    k = int(round(u * a * n))
-    t = a
-    while t < b - 1e-15:
-        t1 = min((k + 0.5) / (u * n), b)
-        if k < n:  # k >= n is past the horizon, T = 0
-            w = _piece_poly_integral(piece.coeffs, t, t1)
-            weights[k] = weights.get(k, 0.0) + w
-        t = t1
-        k += 1
+    for t0, t1, k in backend.constancy_intervals(piece.a, piece.b, scale=u):
+        weights[k] = weights.get(k, 0.0) + _piece_poly_integral(piece.coeffs, t0, t1)
     return weights
 
 
@@ -223,34 +216,43 @@ def func_calc(
         M += w * backend.materialize(u * t)
     budget = 0.0
     for piece in mu.pieces:
-        fine = _gl_piece(backend, piece, u, gl_order)
-        coarse = _gl_piece(backend, piece, u, max(2, gl_order // 2))
+        fine, coarse = (
+            sum(w * piece(t) * backend.materialize(u * t)
+                for t, w in zip(*_gauss_legendre(piece.a, piece.b, order)))
+            for order in (gl_order, max(2, gl_order // 2))
+        )
         M += fine
         budget += op_norm(fine - coarse)
     return OperatorValue(M, None, prov, budget)
 
 
-def _gl_piece(backend, piece, u: float, order: int) -> np.ndarray:
+def _gauss_legendre(a: float, b: float, order: int = _DEFAULT_GL_ORDER):
+    """Nodes and weights of the order-point Gauss-Legendre rule on [a, b]."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
-    a, b = piece.a, piece.b
-    ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    scale = 0.5 * (b - a)
-    n = backend.dim
-    M = np.zeros((n, n), dtype=complex)
-    for t, w in zip(ts, wts):
-        M += scale * w * piece(t) * backend.materialize(u * t)
-    return M
+    half = 0.5 * (b - a)
+    return half * nodes + 0.5 * (a + b), half * wts
 
 
 # ---------------------------------------------------------------------------
 # resolvents
 
 
-def _exp_integral(lam: complex, t0: float, t1: float) -> complex:
-    """int_t0^t1 e^{lam t} dt in closed form."""
+def _exp_integral(lam: complex, t0, t1):
+    """int_t0^t1 e^{lam t} dt in closed form; t0 and t1 may be arrays."""
     if lam == 0:
         return t1 - t0
     return (np.exp(lam * t1) - np.exp(lam * t0)) / lam
+
+
+def _shift_exp_column(backend: NilpotentShift, lam: complex, hi: float) -> np.ndarray:
+    """c_k = int e^{lam t} dt over the part of [0, hi] where T(t) is the k-cell shift."""
+    t0, t1 = [], []
+    for a, b, _ in backend.constancy_intervals(0.0, hi):
+        t0.append(a)
+        t1.append(b)
+    col = np.zeros(backend.dim, dtype=complex)
+    col[: len(t0)] = _exp_integral(lam, np.array(t0), np.array(t1))
+    return col
 
 
 def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np.ndarray:
@@ -263,13 +265,8 @@ def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np
     """
     lam = complex(lam)
     if isinstance(backend, NilpotentShift):
-        n = backend.dim
-        col = np.zeros(n, dtype=complex)
-        for k in range(n):
-            t0 = max(0.0, (k - 0.5) / n)
-            t1 = min(1.0, (k + 0.5) / n)
-            col[k] = -_exp_integral(lam, t0, t1)
-        return toeplitz(col, np.zeros(n, dtype=complex))
+        col = -_shift_exp_column(backend, lam, backend.nilpotent_horizon)
+        return toeplitz(col, np.zeros(backend.dim, dtype=complex))
 
     if isinstance(backend, DiagonalSemigroup):
         gap = float(np.min(backend.lambdas.real)) - lam.real
@@ -298,15 +295,9 @@ def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np
     )
 
 
-def _panel_integral(backend, lam: complex, a: float, b: float, order: int = 32) -> np.ndarray:
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    scale = 0.5 * (b - a)
-    n = backend.dim
-    M = np.zeros((n, n), dtype=complex)
-    for t, w in zip(ts, wts):
-        M += scale * w * np.exp(lam * t) * backend.materialize(t)
-    return M
+def _panel_integral(backend, lam: complex, a: float, b: float) -> np.ndarray:
+    return sum(w * np.exp(lam * t) * backend.materialize(t)
+               for t, w in zip(*_gauss_legendre(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +352,8 @@ class LemmaReport:
 
 def _shift_kernel(backend: NilpotentShift, tau: float, lam: complex) -> np.ndarray:
     """K(tau, lam) = int_0^tau e^{lam (v - tau)} T(v) dv, cell-exact."""
-    n = backend.dim
-    col = np.zeros(n, dtype=complex)
-    phase = np.exp(-lam * tau)
-    for k in range(n):
-        t0 = max(0.0, (k - 0.5) / n)
-        t1 = min(tau, (k + 0.5) / n)
-        if t1 <= t0:
-            break
-        col[k] = phase * _exp_integral(lam, t0, t1)
-    return toeplitz(col, np.zeros(n, dtype=complex))
+    col = np.exp(-lam * tau) * _shift_exp_column(backend, lam, tau)
+    return toeplitz(col, np.zeros(backend.dim, dtype=complex))
 
 
 def _kernel(backend, tau: float, lam: complex) -> np.ndarray:
@@ -418,13 +401,9 @@ def lemma_24_check(
         correction = np.zeros((backend.dim, backend.dim), dtype=complex)
         for t, w in mu.atoms:
             correction += w * _kernel(backend, t, lam)
-        if mu.pieces:
-            nodes, wts = np.polynomial.legendre.leggauss(gl_order)
-            for piece in mu.pieces:
-                a, b = piece.a, piece.b
-                ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-                for t, w in zip(ts, wts):
-                    correction += 0.5 * (b - a) * w * piece(t) * _kernel(backend, t, lam)
+        for piece in mu.pieces:
+            for t, w in zip(*_gauss_legendre(piece.a, piece.b, gl_order)):
+                correction += w * piece(t) * _kernel(backend, t, lam)
         residual = op_norm(lhs_op - correction)
         worst_residual = max(worst_residual, residual)
     return LemmaReport(tuple(rows), worst_residual, Fop.quadrature_budget)

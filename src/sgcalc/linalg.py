@@ -72,9 +72,10 @@ def power_opnorm(
     n = M.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
+    MH = M.conj().T
     sigma = 0.0
     for it in range(1, max_iter + 1):
-        w = M.conj().T @ (M @ v)
+        w = MH @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return PowerNormResult(0.0, it, True)

@@ -135,18 +135,6 @@ class CompactDistribution:
         return all(m.is_real for m in self.components)
 
 
-@dataclass(frozen=True)
-class LaplaceValue:
-    """A single evaluation of an entire Laplace transform."""
-
-    argument: complex
-    value: complex
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("transform value must be finite")
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -314,10 +302,6 @@ def _poly_interval_moment(p: Piece, j: int) -> complex:
         n = j + k + 1
         total += ck * (p.b**n - p.a**n) / n
     return total
-
-
-def laplace_value(mu: CompactMeasure, z: complex) -> LaplaceValue:
-    return LaplaceValue(argument=complex(z), value=laplace(mu, complex(z)))
 
 
 def laplace_distribution(phi: CompactDistribution, z):

@@ -65,7 +65,9 @@ class NilpotentShift(SemigroupBackend):
 
     Times are rounded to the grid {k/n}; off-grid requests are honored but
     counted in ``offgrid_roundings`` so sweeps can certify they stayed
-    quadrature-exact.
+    quadrature-exact.  The cell rule (T(t) is the k-cell shift on
+    [(k - 1/2)/n, (k + 1/2)/n)) lives only here: in ``offset`` for single
+    times and in ``constancy_intervals`` for every integral over t.
     """
 
     quasinilpotent = True
@@ -91,19 +93,19 @@ class NilpotentShift(SemigroupBackend):
             return np.zeros((self.dim, self.dim), dtype=complex)
         return np.eye(self.dim, k=-k, dtype=complex)
 
-    def constancy_intervals(self, lo: float, hi: float):
-        """Yield (t0, t1, k) with T(t) = shift-by-k constant on [t0, t1) in [lo, hi].
+    def constancy_intervals(self, lo: float, hi: float, scale: float = 1.0):
+        """Yield (t0, t1, k) with T(scale * t) = shift-by-k on [t0, t1) in [lo, hi].
 
-        The rounding model makes T piecewise constant with breakpoints at
-        (k + 1/2) / n; intervals beyond the horizon report k = dim (zero).
+        The single home of the shift model's breakpoints, which sit at
+        t = (k + 1/2) / (scale * n); cell-exact integrals over t are sums over
+        these intervals.  The intervals stop at the horizon, past which T = 0.
         """
         n = self.dim
-        k = int(round(lo * n))
+        k = int(round(scale * lo * n))
         t = lo
-        while t < hi - 1e-15:
-            upper = (k + 0.5) / n
-            t1 = min(upper, hi)
-            yield t, t1, min(k, n)
+        while t < hi - 1e-15 and k < n:
+            t1 = min((k + 0.5) / (scale * n), hi)
+            yield t, t1, k
             t = t1
             k += 1
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgcalc.calculus import (
+    OperatorValue,
+    _shift_kernel,
     ep_calc,
     empirical_eta,
     func_calc,
@@ -25,6 +27,7 @@ from sgcalc.linalg import op_norm
 from sgcalc.measures import (
     CompactDistribution,
     CompactMeasure,
+    Piece,
     convolve,
     dirac,
     from_atoms,
@@ -150,6 +153,56 @@ class TestResolvent:
         Rz, Rw = resolvent(sg, z), resolvent(sg, w)
         res = op_norm(Rz - Rw - (w - z) * (Rz @ Rw))
         assert res / (op_norm(Rz) * op_norm(Rw)) < 0.05
+
+
+def _midpoint_sum(sg, f, a, b, scale=1.0, nodes=200_000):
+    """Brute-force sum_i h f(t_i) T(scale t_i) over the midpoints t_i of [a, b].
+
+    Each node is materialized afresh (``_materialize`` bypasses the cache,
+    which would otherwise keep one matrix per node).  T jumps at about ten
+    cell breakpoints, so the sum is accurate to about 10 h max|f|.
+    """
+    h = (b - a) / nodes
+    ts = a + h * (np.arange(nodes) + 0.5)
+    M = np.zeros((sg.dim, sg.dim), dtype=complex)
+    for t, ft in zip(ts, f(ts)):
+        M += h * ft * sg._materialize(scale * t)
+    return M
+
+
+class TestShiftCellExactOracle:
+    """Cell-exact shift integrals against a midpoint sum of materialize."""
+
+    LAM = 1.3 - 0.7j
+
+    def test_piece_weights_at_offgrid_scale(self):
+        sg = nilpotent_shift(8)
+        piece = Piece(0.3, 3.0, (1.0, -0.5))  # crosses the horizon at t = 1/u
+        u = 0.37
+        op = func_calc(sg, CompactMeasure(pieces=(piece,)), u)
+        ref = _midpoint_sum(sg, piece, piece.a, piece.b, scale=u)
+        assert np.max(np.abs(op.to_dense() - ref)) < 1e-4
+
+    def test_resolvent_off_zero(self):
+        sg = nilpotent_shift(8)
+        ref = -_midpoint_sum(sg, lambda t: np.exp(self.LAM * t), 0.0, 1.0)
+        assert np.max(np.abs(resolvent(sg, self.LAM) - ref)) < 1e-4
+
+    def test_kernel_at_offgrid_tau(self):
+        sg = nilpotent_shift(8)
+        tau = 0.61
+        ref = _midpoint_sum(sg, lambda v: np.exp(self.LAM * (v - tau)), 0.0, tau)
+        assert np.max(np.abs(_shift_kernel(sg, tau, self.LAM) - ref)) < 1e-4
+
+
+class TestShiftOpnorm:
+    def test_svds_route_above_dense_cap(self):
+        # offsets with gcd 1 keep the full size 2049, past the dense-SVD cap
+        n = 2049
+        op = OperatorValue(None, None, (), 0.0,
+                           shift_weights={0: 1.0, 1: -1.0, 3: 0.25j}, dim=n)
+        ref = np.linalg.norm(op.to_dense(), 2)
+        assert abs(op.norm() - ref) <= 1e-12 * ref
 
 
 class TestEpCalc:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -123,14 +124,15 @@ class TestCurveCommand:
         assert summary["delta"] > 0
 
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize(
-        "name", ["lemma24", "lemma27", "resolvent_check"]
+        "name", sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
     )
     def test_config_runs_clean(self, tmp_path, name):
-        import pathlib
-
-        cfg_path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        cfg_path = CONFIG_DIR / f"{name}.json"
         out = tmp_path / name
         assert main(["run", "--config", str(cfg_path), "--output", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())

@@ -48,10 +48,16 @@ class TestNilpotentShift:
 
     def test_constancy_intervals_match_materialization(self):
         sg = nilpotent_shift(8)
-        for t0, t1, k in sg.constancy_intervals(0.0, 1.2):
-            mid = 0.5 * (t0 + t1)
-            expected = np.eye(8, k=-k) if k < 8 else np.zeros((8, 8))
-            assert np.array_equal(sg.materialize(mid), expected)
+        # both ranges run past the horizon, where the intervals stop
+        for lo, hi, scale in [(0.0, 1.2, 1.0), (0.3, 3.0, 0.37)]:
+            intervals = list(sg.constancy_intervals(lo, hi, scale=scale))
+            assert intervals[0][0] == lo
+            assert not sg.materialize(scale * intervals[-1][1]).any()
+            for (_, end, _), (start, _, _) in zip(intervals, intervals[1:]):
+                assert end == start
+            for t0, t1, k in intervals:
+                mid = 0.5 * (t0 + t1)
+                assert np.array_equal(sg.materialize(scale * mid), np.eye(8, k=-k))
 
     def test_offgrid_requests_are_recorded(self):
         sg = nilpotent_shift(10)
