@@ -20,7 +20,6 @@ import numpy as np
 from . import calculus, complexfn, semigroups, spectral
 from .errors import ConfigError, SgcalcError
 from .measures import (
-    CompactDistribution,
     distribution_from_dict,
     from_atoms,
     indicator,
@@ -61,10 +60,8 @@ class RunConfig:
     tolerances: dict = dataclasses.field(default_factory=dict)
 
 
-_COMMANDS = (
-    "sweep", "symmetrized-sweep", "curve", "lemma24", "lemma27",
-    "resolvent-check", "idempotents", "sharpness", "verify-all",
-)
+# The shipped check registry: `verify-all` runs every config here.
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "configs"
 
 
 def _parse_measure(spec):
@@ -160,7 +157,7 @@ def load_config(path: str, output=None, seed=None) -> RunConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     command = raw.get("command")
-    if command not in _COMMANDS:
+    if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
     cfg = RunConfig(
         command=command,
@@ -222,40 +219,38 @@ def _write_json(path: Path, payload):
 # command implementations
 
 
-def _sweep_rows_csv(rows):
-    return [(r.u, r.norm_F, r.rho_F, r.ray_max_value, r.margin) for r in rows]
+def _sweep_summary(rows, cfg: RunConfig, out: Path, **extra):
+    """Write sweep.csv and gate the rows.
+
+    With ``tolerances.min_margin`` every row must lie above it; without it
+    the sweep passes on a positive prefix (eta > 0).
+    """
+    _write_csv(out / "sweep.csv", ("u", "norm_F", "rho_F", "ray_max", "margin"),
+               [(r.u, r.norm_F, r.rho_F, r.ray_max_value, r.margin) for r in rows])
+    eta = calculus.empirical_eta(rows)
+    floor = cfg.tolerances.get("min_margin")
+    passed = eta > 0 if floor is None else all(r.margin > floor for r in rows)
+    return {
+        "eta": eta,
+        "min_margin": min(r.margin for r in rows),
+        "rows": len(rows),
+        "passed": bool(passed),
+        **extra,
+    }
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path):
     backend = _build_backend(cfg.backend)
-    grid = _build_u_grid(cfg.u_grid, backend)
-    rows = calculus.sweep(backend, cfg.measure, grid)
-    _write_csv(out / "sweep.csv", ("u", "norm_F", "rho_F", "ray_max", "margin"),
-               _sweep_rows_csv(rows))
-    eta = calculus.empirical_eta(rows)
-    positive = all(r.margin > 0 for r in rows if r.u <= eta)
-    return {
-        "eta": eta,
-        "min_margin": min(r.margin for r in rows),
-        "max_quadrature_budget": max(r.quadrature_budget for r in rows),
-        "rows": len(rows),
-        "passed": bool(positive and eta > 0),
-    }
+    rows = calculus.sweep(backend, cfg.measure, _build_u_grid(cfg.u_grid, backend))
+    return _sweep_summary(rows, cfg, out, max_quadrature_budget=max(
+        r.quadrature_budget for r in rows))
 
 
 def _cmd_symmetrized_sweep(cfg: RunConfig, out: Path):
     backend = _build_backend(cfg.backend)
-    grid = _build_u_grid(cfg.u_grid, backend)
-    rows = calculus.symmetrized_sweep(backend, cfg.measure, grid)
-    _write_csv(out / "sweep.csv", ("u", "norm_F", "rho_F", "ray_max", "margin"),
-               _sweep_rows_csv(rows))
-    eta = calculus.empirical_eta(rows)
-    return {
-        "eta": eta,
-        "min_margin": min(r.margin for r in rows),
-        "rows": len(rows),
-        "passed": bool(eta > 0),
-    }
+    rows = calculus.symmetrized_sweep(backend, cfg.measure,
+                                      _build_u_grid(cfg.u_grid, backend))
+    return _sweep_summary(rows, cfg, out)
 
 
 def _cmd_curve(cfg: RunConfig, out: Path):
@@ -272,51 +267,48 @@ def _cmd_curve(cfg: RunConfig, out: Path):
         "f_a0_abs": curve.f_a0_abs,
         "cond2_margin": curve.cond2_margin,
         "vertices": len(curve.full_vertices),
-        "passed": bool(curve.delta > 0 and curve.cond2_margin > 0),
+        "passed": bool(curve.delta > 0 and curve.cond2_margin > 0
+                       and cfg.tolerances.get("m", curve.m) == curve.m),
     }
     _write_json(out / "curve.json", summary)
     return summary
+
+
+def _lemma_summary(cfg: RunConfig, out: Path, report, **extra):
+    """Write <command>.json; the check itself raises if a bound fails, so the
+    gate left here is the decomposition identity residual."""
+    tol = float(cfg.tolerances.get("identity_residual", 1e-7))
+    passed = bool(report.identity_residual <= tol)
+    payload = {
+        "rows": [
+            {"lambda": lam, "lhs": lhs, "bound": bound, "margin": margin}
+            for lam, lhs, bound, margin in report.rows
+        ],
+        "identity_residual": report.identity_residual,
+        "passed": passed,
+        **extra,
+    }
+    _write_json(out / f"{cfg.command}.json", payload)
+    return {
+        "max_lhs": report.max_lhs,
+        "identity_residual": report.identity_residual,
+        "passed": passed,
+    }
 
 
 def _cmd_lemma24(cfg: RunConfig, out: Path):
     backend = _build_backend(cfg.backend)
     grid = cfg.lambda_grid or _default_lambda_grid()
     report = calculus.lemma_24_check(backend, cfg.measure, grid)
-    payload = {
-        "rows": [
-            {"lambda": lam, "lhs": lhs, "bound": bound, "margin": margin}
-            for lam, lhs, bound, margin in report.rows
-        ],
-        "identity_residual": report.identity_residual,
-        "quadrature_budget": report.quadrature_budget,
-        "passed": True,
-    }
-    _write_json(out / "lemma24.json", payload)
-    return {
-        "max_lhs": report.max_lhs,
-        "identity_residual": report.identity_residual,
-        "passed": True,
-    }
+    return _lemma_summary(cfg, out, report,
+                          quadrature_budget=report.quadrature_budget)
 
 
 def _cmd_lemma27(cfg: RunConfig, out: Path):
     backend = _build_backend(cfg.backend)
     grid = cfg.lambda_grid or _default_lambda_grid(avoid_integers=True)
-    report = calculus.lemma_27_check(backend, cfg.distribution, grid)
-    payload = {
-        "rows": [
-            {"lambda": lam, "lhs": lhs, "bound": bound, "margin": margin}
-            for lam, lhs, bound, margin in report.rows
-        ],
-        "identity_residual": report.identity_residual,
-        "passed": True,
-    }
-    _write_json(out / "lemma27.json", payload)
-    return {
-        "max_lhs": report.max_lhs,
-        "identity_residual": report.identity_residual,
-        "passed": True,
-    }
+    return _lemma_summary(
+        cfg, out, calculus.lemma_27_check(backend, cfg.distribution, grid))
 
 
 def _cmd_resolvent_check(cfg: RunConfig, out: Path):
@@ -370,7 +362,8 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
          ).gamma_k0_vertices],
     )
     return {"passed": payload["passed"], "m": m, "u": u,
-            "rho": crit.rows[0].rho, "sup_ray": crit.rows[0].sup_ray}
+            "rho": crit.rows[0].rho, "sup_ray": crit.rows[0].sup_ray,
+            "min_distance": cert.min_distance}
 
 
 def _cmd_sharpness(cfg: RunConfig, out: Path):
@@ -411,78 +404,38 @@ def _default_lambda_grid(avoid_integers: bool = False):
     return pts[:20]
 
 
+def _cmd_renormalization(cfg: RunConfig, out: Path):
+    if not cfg.t_grid:
+        raise ConfigError("renormalization needs a t_grid")
+    report = semigroups.feller_renorm(_build_backend(cfg.backend), cfg.t_grid,
+                                      seed=cfg.seed)
+    return {
+        "contraction_margin": report.contraction_margin,
+        "commutant_ok": report.commutant_ok,
+        "passed": bool(report.contraction_margin >= -1e-6 and report.commutant_ok),
+    }
+
+
 def _cmd_verify_all(cfg: RunConfig, out: Path):
-    """Run the shipped check suite; mirrors the per-command artifacts."""
-    shift = semigroups.nilpotent_shift(512)
-    results = {}
+    """Run every config in CONFIG_DIR, in sorted order, as ``sgcalc run`` does.
 
-    rows = calculus.sweep(shift, NAMED_MEASURES["delta-difference"](),
-                          [k / 512 for k in range(1, 256)])
-    results["sweep-flagship"] = {
-        "min_margin": min(r.margin for r in rows),
-        "passed": all(r.margin > 0.1 for r in rows),
-    }
-
-    for name in ("four-atom", "step"):
-        rows = calculus.sweep(shift, NAMED_MEASURES[name](),
-                              [k / 512 for k in range(1, 65)])
-        results[f"sweep-{name}"] = {
-            "min_margin": min(r.margin for r in rows),
-            "max_quadrature_budget": max(r.quadrature_budget for r in rows),
-            "passed": all(r.margin > 0 for r in rows),
-        }
-
-    report = calculus.lemma_24_check(
-        shift, NAMED_MEASURES["delta-difference"](), _default_lambda_grid()
-    )
-    results["lemma24"] = {
-        "max_lhs": report.max_lhs,
-        "identity_residual": report.identity_residual,
-        "passed": bool(report.max_lhs <= 3 + 1e-6
-                       and report.identity_residual <= 1e-7),
-    }
-
-    rows = calculus.symmetrized_sweep(
-        shift, NAMED_MEASURES["twisted-delta-difference"](),
-        [k / 512 for k in range(1, 129)],
-    )
-    results["symmetrized-sweep"] = {
-        "min_margin": min(r.margin for r in rows),
-        "passed": all(r.margin > 0 for r in rows),
-    }
-
-    curve = complexfn.jordan_curve(
-        complexfn.as_transform(NAMED_MEASURES["delta-difference"]()),
-        complexfn.ray_max(NAMED_MEASURES["delta-difference"]()),
-    )
-    results["curve"] = {
-        "delta": curve.delta,
-        "m": curve.m,
-        "cond2_margin": curve.cond2_margin,
-        "passed": bool(curve.delta > 0 and curve.m == 2 and curve.cond2_margin > 0),
-    }
-
-    diag = semigroups.diagonal_semigroup(np.arange(1, 201))
-    charset = spectral.character_set(diag)
-    cert = spectral.separation_certificate(
-        charset, NAMED_MEASURES["delta-difference"](), 1e-3, 150
-    )
-    results["separation"] = {"min_distance": cert.min_distance,
-                             "passed": cert.passed}
-
-    renorm = semigroups.feller_renorm(
-        semigroups.riemann_liouville(256), [k / 64 for k in range(1, 65)]
-    )
-    results["renormalization"] = {
-        "contraction_margin": renorm.contraction_margin,
-        "passed": bool(renorm.contraction_margin >= -1e-6 and renorm.commutant_ok),
-    }
-
-    passed = all(v["passed"] for v in results.values())
-    payload = {"checks": results, "passed": passed}
-    _write_json(out / "verify_all.json", payload)
-    return {"passed": passed,
-            "failed": [k for k, v in results.items() if not v["passed"]]}
+    Each check is named by its file stem and writes to out/<stem>/; a check
+    that raises is recorded as failed and the rest still run.
+    """
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    if not paths:
+        raise ConfigError(f"no check configs in {CONFIG_DIR}")
+    checks = {}
+    for path in paths:
+        check = load_config(str(path), output=out / path.stem)
+        if check.command == "verify-all":
+            raise ConfigError(f"{path.name}: verify-all cannot be a check")
+        run(check)
+        checks[path.stem] = json.loads((check.output / "summary.json").read_text())
+    failed = [name for name, summary in checks.items() if not summary["passed"]]
+    _write_json(out / "verify_all.json",
+                {"checks": checks, "passed": not failed, "failed": failed})
+    return {"passed": not failed, "failed": failed}
 
 
 _DISPATCH = {
@@ -494,6 +447,7 @@ _DISPATCH = {
     "resolvent-check": _cmd_resolvent_check,
     "idempotents": _cmd_idempotents,
     "sharpness": _cmd_sharpness,
+    "renormalization": _cmd_renormalization,
     "verify-all": _cmd_verify_all,
 }
 
@@ -518,7 +472,7 @@ def main(argv=None) -> int:
         prog="sgcalc",
         description="semigroup functional-calculus checks and sweeps",
     )
-    parser.add_argument("command", choices=_COMMANDS + ("run",),
+    parser.add_argument("command", choices=(*_DISPATCH, "run"),
                         help="subcommand, or 'run' to take it from the config")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--output", help="output directory")

@@ -2,9 +2,13 @@
 
 Each test covers one headline guarantee of the toolkit at desk scale and
 prints a single machine-greppable PASS/FAIL line; the suite as a whole is
-the release criterion.
+the release criterion.  The shipped checks in configs/ run once, through
+`sgcalc verify-all`; tests that gate on their numbers read that run's
+artifacts instead of recomputing them.
 """
 
+import csv
+import json
 import math
 import subprocess
 import sys
@@ -14,15 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgcalc.calculus import (
-    ep_calc,
-    func_calc,
-    lemma_24_check,
-    lemma_27_check,
-    sweep,
-    symmetrized_sweep,
-)
-from sgcalc.cli import NAMED_MEASURES, _default_lambda_grid
+from sgcalc.calculus import ep_calc, func_calc, lemma_27_check, sweep
+from sgcalc.cli import CONFIG_DIR, NAMED_MEASURES, _default_lambda_grid, main
 from sgcalc.complexfn import as_transform, babylem_radius, jordan_curve, ray_max
 from sgcalc.measures import (
     CompactDistribution,
@@ -30,12 +27,7 @@ from sgcalc.measures import (
     laplace,
     laplace_distribution,
 )
-from sgcalc.semigroups import (
-    diagonal_semigroup,
-    feller_renorm,
-    nilpotent_shift,
-    riemann_liouville,
-)
+from sgcalc.semigroups import diagonal_semigroup, nilpotent_shift
 from sgcalc.spectral import (
     bounded_generator_check,
     build_idempotents,
@@ -48,12 +40,38 @@ from sgcalc.spectral import (
 D12 = NAMED_MEASURES["delta-difference"]()
 FOUR = NAMED_MEASURES["four-atom"]()
 STEP = NAMED_MEASURES["step"]()
-TWISTED = NAMED_MEASURES["twisted-delta-difference"]()
 
 
 def _report(tag: str, ok: bool, detail: str):
     print(f"[acceptance] {tag}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{tag}: {detail}"
+
+
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    """Output directory of one `sgcalc verify-all` run over configs/."""
+    out = tmp_path_factory.mktemp("verify_all")
+    main(["verify-all", "--output", str(out)])
+    return out
+
+
+def _json(path: Path) -> dict:
+    return json.loads(path.read_text())
+
+
+def _sweep_csv(path: Path) -> dict:
+    """Columns of a sweep.csv, parsed back to floats."""
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: [float(r[key]) for r in rows] for key in rows[0]}
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_registry_check(verify_all, stem):
+    summary = _json(verify_all / stem / "summary.json")
+    assert _json(verify_all / "verify_all.json")["checks"][stem] == summary
+    _report(f"registry {stem}", summary["passed"] is True,
+            summary.get("detail", f"gate in configs/{stem}.json"))
 
 
 def test_01_flagship_lower_estimate_sweep():
@@ -76,47 +94,53 @@ def test_01_flagship_lower_estimate_sweep():
     )
 
 
-def test_02_sweep_generality_atoms_and_density():
-    sg = nilpotent_shift(512)
+def test_02_sweep_generality_atoms_and_density(verify_all):
+    four = _sweep_csv(verify_all / "sweep-four-atom" / "sweep.csv")
+    step = _sweep_csv(verify_all / "sweep-step" / "sweep.csv")
+    budget = _json(verify_all / "sweep-step" / "summary.json")["max_quadrature_budget"]
     us = [k / 512 for k in range(1, 65)]  # u <= 1/8
-    rows4 = sweep(sg, FOUR, us)
-    rows_step = sweep(sg, STEP, us)
-    budget = max(r.quadrature_budget for r in rows_step)
     ok = (
-        all(r.margin > 0 for r in rows4)
-        and all(r.margin > 0 for r in rows_step)
+        four["u"] == us
+        and step["u"] == us
+        and all(m > 0 for m in four["margin"])
+        and all(m > 0 for m in step["margin"])
         and budget < 1e-8
     )
     _report(
         "02 sweep generality",
         ok,
-        f"four-atom min margin {min(r.margin for r in rows4):.4f}, "
-        f"step min margin {min(r.margin for r in rows_step):.4f}, "
+        f"four-atom min margin {min(four['margin']):.4f}, "
+        f"step min margin {min(step['margin']):.4f}, "
         f"budget {budget:.2e}",
     )
 
 
-def test_03_resolvent_difference_bound():
-    sg = nilpotent_shift(512)
-    grid = _default_lambda_grid()
+def test_03_resolvent_difference_bound(verify_all):
+    rep = _json(verify_all / "lemma24" / "lemma24.json")
+    grid = [complex(r["lambda"]["re"], r["lambda"]["im"]) for r in rep["rows"]]
     assert len(grid) == 20
     assert all(l.real >= 0 and abs(l) <= 5 for l in grid)
-    rep = lemma_24_check(sg, D12, grid)
-    ok = rep.max_lhs <= 3 + 1e-6 and rep.identity_residual <= 1e-7
+    max_lhs = max(r["lhs"] for r in rep["rows"])
+    ok = max_lhs <= 3 + 1e-6 and rep["identity_residual"] <= 1e-7
     _report(
         "03 resolvent-difference bound",
         ok,
-        f"max lhs {rep.max_lhs:.4f} <= 3, identity residual "
-        f"{rep.identity_residual:.2e}",
+        f"max lhs {max_lhs:.4f} <= 3, identity residual "
+        f"{rep['identity_residual']:.2e}",
     )
 
 
-def test_04_symmetrized_sweep_complex_measure():
-    sg = nilpotent_shift(512)
-    us = [k / 512 for k in range(1, 129)]  # u <= 1/4
-    rows = symmetrized_sweep(sg, TWISTED, us, path_tol=1e-9)
-    min_margin = min(r.margin for r in rows)
-    ok = min_margin > 0
+def test_04_symmetrized_sweep_complex_measure(verify_all):
+    # symmetrized_sweep raises unless both paths agree to 1e-9, and a raise
+    # is recorded in the summary as a failed check
+    summary = _json(verify_all / "symmetrized-sweep" / "summary.json")
+    rows = _sweep_csv(verify_all / "symmetrized-sweep" / "sweep.csv")
+    min_margin = min(rows["margin"])
+    ok = (
+        "error" not in summary
+        and rows["u"] == [k / 512 for k in range(1, 129)]  # u <= 1/4
+        and min_margin > 0
+    )
     _report(
         "04 symmetrized sweep",
         ok,
@@ -279,12 +303,12 @@ def test_10_distribution_calculus_and_order_p_bound():
     )
 
 
-def test_11_renormalization_harness():
-    rep = feller_renorm(riemann_liouville(256), [k / 64 for k in range(1, 65)])
-    ok = rep.contraction_margin >= -1e-6 and rep.commutant_ok
+def test_11_renormalization_harness(verify_all):
+    rep = _json(verify_all / "renormalization" / "summary.json")
+    ok = rep["contraction_margin"] >= -1e-6 and rep["commutant_ok"]
     _report(
         "11 renormalization",
         ok,
-        f"contraction margin {rep.contraction_margin:.4f}, commutant checks "
-        f"{'ok' if rep.commutant_ok else 'violated'}",
+        f"contraction margin {rep['contraction_margin']:.4f}, commutant checks "
+        f"{'ok' if rep['commutant_ok'] else 'violated'}",
     )

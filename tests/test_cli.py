@@ -1,8 +1,6 @@
 import json
-import pathlib
 
-import pytest
-
+from sgcalc import cli
 from sgcalc.cli import main
 
 
@@ -11,7 +9,7 @@ def _write_config(path, payload):
     return str(path)
 
 
-def _sweep_config(tmp_path, **overrides):
+def _sweep_config(tmp_path, name="config.json", **overrides):
     payload = {
         "command": "sweep",
         "measure": "delta-difference",
@@ -19,7 +17,7 @@ def _sweep_config(tmp_path, **overrides):
         "u_grid": {"kind": "grid-aligned", "count": 31},
     }
     payload.update(overrides)
-    return _write_config(tmp_path / "config.json", payload)
+    return _write_config(tmp_path / name, payload)
 
 
 class TestConfigErrors:
@@ -124,16 +122,56 @@ class TestCurveCommand:
         assert summary["delta"] > 0
 
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+class TestGates:
+    def test_min_margin_gate(self, tmp_path):
+        out = tmp_path / "free"
+        assert main(["run", "--config", _sweep_config(tmp_path), "--output", str(out)]) == 0
+        achieved = json.loads((out / "summary.json").read_text())["min_margin"]
+        for floor, code in ((achieved - 0.01, 0), (achieved + 0.01, 1)):
+            cfg = _sweep_config(tmp_path, tolerances={"min_margin": floor})
+            out = tmp_path / f"floor{code}"
+            assert main(["run", "--config", cfg, "--output", str(out)]) == code
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["passed"] is (code == 0)
 
-
-class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name", sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
-    )
-    def test_config_runs_clean(self, tmp_path, name):
-        cfg_path = CONFIG_DIR / f"{name}.json"
-        out = tmp_path / name
-        assert main(["run", "--config", str(cfg_path), "--output", str(out)]) == 0
+    def test_lemma24_identity_residual_gate(self, tmp_path):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {
+                "command": "lemma24",
+                "measure": "delta-difference",
+                "backend": {"kind": "nilpotent_shift", "n": 64},
+                "tolerances": {"identity_residual": 1e-30},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 1
         summary = json.loads((out / "summary.json").read_text())
-        assert summary.get("passed", True) is True
+        assert summary["passed"] is False
+        assert summary["identity_residual"] > 1e-30
+        assert json.loads((out / "lemma24.json").read_text())["passed"] is False
+
+
+class TestVerifyAll:
+    def test_failing_check_is_recorded_and_the_rest_run(self, tmp_path, monkeypatch):
+        registry = tmp_path / "configs"
+        registry.mkdir()
+        _sweep_config(registry, "a-good.json")
+        # dirac measure has nonzero mass: this check raises
+        _sweep_config(registry, "b-bad.json",
+                      measure={"atoms": [{"t": 1.0, "re": 1.0, "im": 0.0}]})
+        monkeypatch.setattr(cli, "CONFIG_DIR", registry)
+        out = tmp_path / "out"
+        assert main(["verify-all", "--output", str(out)]) == 1
+        payload = json.loads((out / "verify_all.json").read_text())
+        assert payload["passed"] is False
+        assert payload["failed"] == ["b-bad"]
+        assert payload["checks"]["a-good"]["passed"] is True
+        assert payload["checks"]["b-bad"]["error"] == "MassNotZeroError"
+        assert (out / "a-good" / "sweep.csv").exists()
+
+    def test_empty_or_missing_registry_exits_2(self, tmp_path, monkeypatch):
+        for registry in (tmp_path, tmp_path / "missing"):
+            monkeypatch.setattr(cli, "CONFIG_DIR", registry)
+            assert main(["verify-all", "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "verify_all.json").exists()
