@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.linalg import eigvals_banded, toeplitz
 
 from .complexfn import as_transform, ray_max
 from .errors import (
@@ -44,9 +43,10 @@ class OperatorValue:
     """F(-uA) as a matrix (dense or diagonal) plus its quadrature error claim.
 
     On shift backends the operator is a weight combination of powers of the
-    one-cell shift; shift_weights keeps that structure alive so norms can
-    first split the offsets by their gcd into independent chains, then take
-    a dense SVD of one chain up to size 2048 and ``svds`` above that.
+    one-cell shift; shift_weights keeps that structure alive, so ``norm``
+    splits the offsets by their gcd into independent chains and takes the
+    largest eigenvalue of the banded Gram matrix of one chain, at any size
+    and without forming the matrix (see ``_shift_opnorm``).
     """
 
     matrix: np.ndarray | None
@@ -65,7 +65,7 @@ class OperatorValue:
             return self.matrix
         if self.diag is not None:
             return np.diag(self.diag)
-        return _shift_matrix(self.dim, self.shift_weights)
+        return _lower_toeplitz(_shift_column(self.dim, self.shift_weights))
 
     def norm(self) -> float:
         if self.is_diag:
@@ -99,33 +99,16 @@ class OperatorValue:
         return OperatorValue(self.to_dense() @ other.to_dense(), None, prov, budget)
 
 
-def _shift_apply(n: int, weights: dict, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(n, dtype=complex)
-    for k, w in weights.items():
-        if k == 0:
-            out += w * x
-        elif k < n:
-            out[k:] += w * x[:-k]
-    return out
-
-
-def _shift_apply_adj(n: int, weights: dict, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(n, dtype=complex)
-    for k, w in weights.items():
-        if k == 0:
-            out += np.conj(w) * x
-        elif k < n:
-            out[:-k] += np.conj(w) * x[k:]
-    return out
-
-
 def _shift_opnorm(n: int, weights: dict) -> float:
-    """Largest singular value of sum_k w_k S^k.
+    """Largest singular value of T = sum_k w_k S^k on C^n, from a Gram band.
 
-    When every offset is a multiple of g the coordinates split into g
-    independent chains of length at most ceil(n/g), and singular-value
-    interlacing puts the norm on the longest chain; so the SVD runs on a
-    ceil(n/g)-sized matrix instead of the full n.
+    Offsets that share a gcd g split into g independent chains, and
+    interlacing puts the norm on the longest, of length ceil(n/g).  With k0
+    the smallest live offset, dropping the partial isometry S^k0 leaves the
+    m = n - k0 section T' with first column c_j = w_(k0+j), j = 0..b.  Its
+    Gram matrix has half-bandwidth b and, by prefix sums over s,
+    (T'^H T')[j+d, j] = sum_{s=d}^{min(b, m-1-j)} conj(c_(s-d)) c_s, so
+    ||T|| = sqrt(lambda_max) of a banded matrix; T itself is never formed.
     """
     live = {k: w for k, w in weights.items() if k < n and w != 0}
     if not live:
@@ -137,17 +120,19 @@ def _shift_opnorm(n: int, weights: dict) -> float:
         m = -(-n // g)
         reduced = {k // g: w for k, w in live.items()}
         return _shift_opnorm(m, reduced)
-    if n <= 2048:
-        return float(np.linalg.norm(_shift_matrix(n, live), 2))
-    # svds hands over x of shape (n,) or (n, 1); the shifts index a flat vector
-    lop = LinearOperator(
-        (n, n),
-        matvec=lambda x: _shift_apply(n, live, np.ravel(np.asarray(x, dtype=complex))),
-        rmatvec=lambda x: _shift_apply_adj(n, live, np.ravel(np.asarray(x, dtype=complex))),
-        dtype=complex,
-    )
-    s = svds(lop, k=1, return_singular_vectors=False, tol=1e-9)
-    return float(s[0])
+    k0 = min(live)
+    m = n - k0
+    b = max(live) - k0
+    c = _shift_column(b + 1, {k - k0: w for k, w in live.items()})
+    if not np.any(c.imag):
+        c = c.real
+    band = np.zeros((b + 1, m), dtype=c.dtype)
+    j = np.arange(m)
+    for d in range(b + 1):
+        prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
+        band[d, : m - d] = prefix[np.minimum(b, m - 1 - j[: m - d]) - d]
+    lam = eigvals_banded(band, lower=True, select="i", select_range=(m - 1, m - 1))
+    return math.sqrt(max(float(lam[0]), 0.0))
 
 
 def _piece_poly_integral(coeffs, a: float, b: float) -> complex:
@@ -170,12 +155,18 @@ def _shift_piece_weights(backend: NilpotentShift, piece, u: float) -> dict:
     return weights
 
 
-def _shift_matrix(n: int, weights: dict) -> np.ndarray:
+def _shift_column(n: int, weights: dict) -> np.ndarray:
+    """First column of sum_k w_k S^k on C^n."""
     col = np.zeros(n, dtype=complex)
     for k, w in weights.items():
         if k < n:
             col[k] = col[k] + w
-    return toeplitz(col, np.zeros(n, dtype=complex))
+    return col
+
+
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column col."""
+    return toeplitz(col, np.zeros(len(col), dtype=complex))
 
 
 def func_calc(
@@ -265,8 +256,7 @@ def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np
     """
     lam = complex(lam)
     if isinstance(backend, NilpotentShift):
-        col = -_shift_exp_column(backend, lam, backend.nilpotent_horizon)
-        return toeplitz(col, np.zeros(backend.dim, dtype=complex))
+        return _lower_toeplitz(-_shift_exp_column(backend, lam, backend.nilpotent_horizon))
 
     if isinstance(backend, DiagonalSemigroup):
         gap = float(np.min(backend.lambdas.real)) - lam.real
@@ -351,14 +341,14 @@ class LemmaReport:
 
 
 def _shift_kernel(backend: NilpotentShift, tau: float, lam: complex) -> np.ndarray:
-    """K(tau, lam) = int_0^tau e^{lam (v - tau)} T(v) dv, cell-exact."""
-    col = np.exp(-lam * tau) * _shift_exp_column(backend, lam, tau)
-    return toeplitz(col, np.zeros(backend.dim, dtype=complex))
+    """First column of K(tau, lam) = int_0^tau e^{lam (v - tau)} T(v) dv, cell-exact.
+
+    K is lower-triangular Toeplitz on the shift model, so the column is all of it.
+    """
+    return np.exp(-lam * tau) * _shift_exp_column(backend, lam, tau)
 
 
 def _kernel(backend, tau: float, lam: complex) -> np.ndarray:
-    if isinstance(backend, NilpotentShift):
-        return _shift_kernel(backend, tau, lam)
     K = _panel_integral(backend, lam, 0.0, tau)
     return np.exp(-lam * tau) * K
 
@@ -374,10 +364,19 @@ def lemma_24_check(
 
     Also recomputes the left side through the independent decomposition
     F(lam) R(lam) + int K(t, lam) dmu(t) and reports the worst residual.
+    On the shift model F(-A), R(lam) and K(t, lam) are lower-triangular
+    Toeplitz, so both sides are formed as first columns (products become
+    truncated convolutions) and made dense only for their norms.
     """
     if not (backend.quasinilpotent and backend.contractive):
         raise ValueError("bound requires a quasinilpotent contraction semigroup")
     Fop = func_calc(backend, mu, 1.0, gl_order=gl_order)
+    shift = isinstance(backend, NilpotentShift)
+    if shift:
+        f = _shift_column(backend.dim, Fop.shift_weights)
+        kernel, as_matrix = _shift_kernel, _lower_toeplitz
+    else:
+        kernel, as_matrix = _kernel, np.asarray
     bound = tv_moment(mu, 1)
     rows = []
     worst_residual = 0.0
@@ -385,10 +384,14 @@ def lemma_24_check(
         lam = complex(lam)
         if lam.real < -1e-12:
             raise ValueError("grid must lie in the closed right half-plane")
-        R = resolvent(backend, lam)
         F_lam = laplace(mu, lam)
-        lhs_op = Fop.to_dense() @ R - F_lam * R
-        lhs = op_norm(lhs_op)
+        if shift:
+            r = -_shift_exp_column(backend, lam, backend.nilpotent_horizon)  # R(lam)
+            lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
+        else:
+            R = resolvent(backend, lam)
+            lhs_op = Fop.to_dense() @ R - F_lam * R
+        lhs = op_norm(as_matrix(lhs_op))
         margin = bound + tol + Fop.quadrature_budget - lhs
         if margin < 0:
             raise BoundViolationError(
@@ -398,13 +401,13 @@ def lemma_24_check(
             )
         rows.append((lam, lhs, bound, margin))
 
-        correction = np.zeros((backend.dim, backend.dim), dtype=complex)
+        correction = np.zeros(lhs_op.shape, dtype=complex)
         for t, w in mu.atoms:
-            correction += w * _kernel(backend, t, lam)
+            correction += w * kernel(backend, t, lam)
         for piece in mu.pieces:
             for t, w in zip(*_gauss_legendre(piece.a, piece.b, gl_order)):
-                correction += w * piece(t) * _kernel(backend, t, lam)
-        residual = op_norm(lhs_op - correction)
+                correction += w * piece(t) * kernel(backend, t, lam)
+        residual = op_norm(as_matrix(lhs_op - correction))
         worst_residual = max(worst_residual, residual)
     return LemmaReport(tuple(rows), worst_residual, Fop.quadrature_budget)
 

@@ -198,7 +198,9 @@ class DiagonalSemigroup(SemigroupBackend):
         return np.diag(self.diagonal(t))
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        return self.diagonal(t) * np.asarray(vec, dtype=complex)
+        vec = np.asarray(vec, dtype=complex)
+        d = self.diagonal(t)
+        return (d[:, None] if vec.ndim == 2 else d) * vec
 
 
 class MultiplicationC0(DiagonalSemigroup):
@@ -284,32 +286,29 @@ def feller_renorm(
 
     rng = np.random.default_rng(seed)
     n = backend.dim
-    vectors = {}
-    step = max(1, n // 8)
-    for i in range(0, n, step):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        vectors[f"e{i}"] = e
-    for j in range(n_random):
+    basis = range(0, n, max(1, n // 8))
+    tags = [f"e{i}" for i in basis] + [f"r{j}" for j in range(n_random)]
+    X = np.zeros((n, len(tags)), dtype=complex)
+    X[basis, range(len(basis))] = 1.0
+    for j in range(len(basis), len(tags)):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        vectors[f"r{j}"] = v / np.linalg.norm(v)
+        X[:, j] = v / np.linalg.norm(v)
+
+    def profile(t_list, Y):
+        """Row i holds ||T(t_i) y|| for every column y of Y (T(0) = I)."""
+        return np.array([np.linalg.norm(backend.apply(t, Y) if t > 0 else Y, axis=0)
+                         for t in t_list])
 
     # norms ||T(kh) x|| for k = 0..2K cover both ||x||_1 and ||T(s)x||_1
-    ext = [k * h for k in range(0, 2 * K + 1)]
-
-    norm1_samples = {}
+    prof = profile([k * h for k in range(0, 2 * K + 1)], X)
+    n1 = np.max(prof[: K + 1], axis=0)
+    norm1_samples = {tag: float(v) for tag, v in zip(tags, n1)}
+    live = n1 > 0
     margin = math.inf
-    profiles = {}
-    for tag, x in vectors.items():
-        prof = np.array([np.linalg.norm(backend.apply(t, x)) if t > 0
-                         else np.linalg.norm(x) for t in ext])
-        profiles[tag] = (x, prof)
-        n1 = float(np.max(prof[: K + 1]))
-        norm1_samples[tag] = n1
+    if np.any(live):
         for j in range(1, K + 1):  # s = j*h
-            shifted = float(np.max(prof[j : j + K + 1]))
-            if n1 > 0:
-                margin = min(margin, 1.0 - shifted / n1)
+            shifted = np.max(prof[j : j + K + 1, live], axis=0)
+            margin = min(margin, float(np.min(1.0 - shifted / n1[live])))
 
     if probe_operators is None:
         t_mid = times[len(times) // 2]
@@ -323,15 +322,9 @@ def feller_renorm(
     for tag, R in probe_operators:
         full = op_norm(R)
         est = 0.0
-        for vtag, (x, _prof) in profiles.items():
-            n1 = norm1_samples[vtag]
-            if n1 == 0:
-                continue
-            Rx = R @ x
-            rx_prof = [np.linalg.norm(Rx)] + [
-                np.linalg.norm(backend.apply(t, Rx)) for t in times
-            ]
-            est = max(est, float(np.max(rx_prof)) / n1)
+        if np.any(live):
+            rx_prof = profile([0.0] + times, R @ X[:, live])
+            est = float(np.max(rx_prof / n1[live]))
         checks.append((tag, est, full))
 
     return RenormReport(

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.linalg import toeplitz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgcalc.calculus import (
     OperatorValue,
+    _gauss_legendre,
     _shift_kernel,
     ep_calc,
     empirical_eta,
@@ -18,6 +20,7 @@ from sgcalc.calculus import (
     sweep,
     symmetrized_sweep,
 )
+from sgcalc.cli import NAMED_MEASURES
 from sgcalc.errors import (
     DivergentIntegralError,
     MassNotZeroError,
@@ -192,12 +195,55 @@ class TestShiftCellExactOracle:
         sg = nilpotent_shift(8)
         tau = 0.61
         ref = _midpoint_sum(sg, lambda v: np.exp(self.LAM * (v - tau)), 0.0, tau)
-        assert np.max(np.abs(_shift_kernel(sg, tau, self.LAM) - ref)) < 1e-4
+        K = toeplitz(_shift_kernel(sg, tau, self.LAM), np.zeros(8))
+        assert np.max(np.abs(K - ref)) < 1e-4
+
+
+def _shift_op(weights: dict, n: int) -> OperatorValue:
+    return OperatorValue(None, None, (), 0.0, shift_weights=weights, dim=n)
+
+
+def _sweep_op(measure: str, k: int) -> OperatorValue:
+    return func_calc(nilpotent_shift(512), NAMED_MEASURES[measure](), k / 512)
+
+
+def _full_band(n: int) -> OperatorValue:
+    rng = np.random.default_rng(4)
+    return _shift_op(dict(enumerate(rng.normal(size=n) + 1j * rng.normal(size=n))), n)
+
+
+_OPNORM_CASES = {
+    "real": lambda: _shift_op({1: 1.0, 2: -0.5, 6: 0.3}, 50),
+    "complex": lambda: _shift_op({2: 1.0, 3: -0.5j, 5: 0.25 + 0.1j}, 50),
+    "offset-0": lambda: _shift_op({0: 1.0, 1: -1.0, 3: 0.25j}, 60),
+    "single-offset": lambda: _shift_op({1: 2.0 - 1j}, 40),
+    "gcd-chain": lambda: _shift_op({3: 1.0, 6: -1.0, 12: 0.5j}, 40),
+    "full-band": lambda: _full_band(64),
+}
+_OPNORM_CASES.update({
+    f"{measure}-u{k}": (lambda measure=measure, k=k: _sweep_op(measure, k))
+    for measure in ("step", "four-atom", "delta-difference")
+    for k in (1, 2, 17, 33, 64)
+})
 
 
 class TestShiftOpnorm:
+    @pytest.mark.parametrize("case", sorted(_OPNORM_CASES))
+    def test_banded_gram_matches_dense_svd(self, case):
+        op = _OPNORM_CASES[case]()
+        ref = np.linalg.norm(op.to_dense(), 2)
+        assert abs(op.norm() - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_second_difference_closed_form(self, n):
+        # ||S - S^2|| on C^n is ||I - S|| on C^(n-1) = 2 cos(pi / (2n - 1)); at
+        # n = 65536 a dense complex n x n matrix would need 64 GiB
+        op = _shift_op({1: 1.0, 2: -1.0}, n)
+        assert op.norm() == pytest.approx(2 * math.cos(math.pi / (2 * n - 1)), rel=1e-12)
+
     def test_svds_route_above_dense_cap(self):
-        # offsets with gcd 1 keep the full size 2049, past the dense-SVD cap
+        # offsets with gcd 1 keep the full size 2049, past the 2048 cap where
+        # an svds route used to take over; the banded route has no cap
         n = 2049
         op = OperatorValue(None, None, (), 0.0,
                            shift_weights={0: 1.0, 1: -1.0, 3: 0.25j}, dim=n)
@@ -262,6 +308,31 @@ class TestLemma24:
         rep = lemma_24_check(sg, STEP, [0.0, 1.0 + 1.0j])
         assert rep.identity_residual < 1e-10
         assert all(r[3] > 0 for r in rep.rows)
+
+    @pytest.mark.parametrize("mu", [
+        from_atoms([(0.25, 1.0), (0.5, -1.0)]),
+        from_atoms([(0.25, 1.0), (0.5, -1.0)]) + indicator(0.1, 0.3, 0.5),
+    ], ids=["atoms", "atoms-and-density"])
+    def test_column_form_matches_dense_products(self, mu):
+        # support inside the horizon, so F(-A) != 0 and the convolution is live
+        sg = nilpotent_shift(64)
+        lams = [0.0, 1.0, 2.0 + 1.0j, 0.5 - 3.0j]
+        F = func_calc(sg, mu, 1.0).to_dense()
+        assert np.any(F)
+        lhs_ref, res_ref = [], 0.0
+        for lam in lams:
+            R = resolvent(sg, lam)
+            lhs_op = F @ R - laplace(mu, lam) * R
+            terms = list(mu.atoms) + [(t, w * piece(t)) for piece in mu.pieces
+                                      for t, w in zip(*_gauss_legendre(piece.a, piece.b))]
+            correction = sum(w * toeplitz(_shift_kernel(sg, t, lam), np.zeros(64))
+                             for t, w in terms)
+            lhs_ref.append(op_norm(lhs_op))
+            res_ref = max(res_ref, op_norm(lhs_op - correction))
+        rep = lemma_24_check(sg, mu, lams)
+        for row, ref in zip(rep.rows, lhs_ref):
+            assert row[1] == pytest.approx(ref, rel=1e-12)
+        assert rep.identity_residual == pytest.approx(res_ref, abs=1e-12)
 
     def test_rejects_non_contractive(self):
         with pytest.raises(ValueError):

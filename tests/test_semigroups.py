@@ -137,6 +137,14 @@ class TestDiagonalSemigroup:
         assert np.allclose(sg.diagonal(t), np.exp(-lam * t), atol=1e-15)
         assert np.allclose(sg.materialize(t), np.diag(np.exp(-lam * t)), atol=1e-15)
 
+    def test_apply_broadcasts_over_columns(self):
+        sg = diagonal_semigroup(np.linspace(0.1, 5.0, 20) + 0.3j)
+        X = np.random.default_rng(1).normal(size=(20, 5))
+        Y = sg.apply(0.7, X)
+        assert Y.shape == (20, 5)
+        for j in range(5):
+            assert np.array_equal(Y[:, j], sg.apply(0.7, X[:, j]))
+
     def test_apply_avoids_densification(self):
         n = 100_000  # beyond the dense materialization cap
         sg = diagonal_semigroup(np.linspace(0.1, 5.0, n))
@@ -176,7 +184,48 @@ class TestMultiplicationC0:
             multiplication_c0(5)
 
 
+def _per_vector_renorm(backend, times, n_random, seed=0):
+    """feller_renorm's samples, margin and commutant estimates, one vector at a time."""
+    rng = np.random.default_rng(seed)
+    n, K, h = backend.dim, len(times), times[0]
+    vectors = {}
+    for i in range(0, n, max(1, n // 8)):
+        vectors[f"e{i}"] = np.eye(n, dtype=complex)[i]
+    for j in range(n_random):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vectors[f"r{j}"] = v / np.linalg.norm(v)
+    norm1, margin = {}, np.inf
+    for tag, x in vectors.items():
+        prof = [np.linalg.norm(backend.apply(k * h, x)) if k else np.linalg.norm(x)
+                for k in range(2 * K + 1)]
+        norm1[tag] = max(prof[: K + 1])
+        for j in range(1, K + 1):
+            margin = min(margin, 1.0 - max(prof[j : j + K + 1]) / norm1[tag])
+    t_mid = times[K // 2]
+    probes = [backend.materialize(t_mid), backend.materialize(times[-1]),
+              backend.materialize(t_mid) @ backend.materialize(t_mid)]
+    ests = []
+    for R in probes:
+        ests.append(max(
+            max([np.linalg.norm(R @ x)] + [np.linalg.norm(backend.apply(t, R @ x))
+                                           for t in times]) / norm1[tag]
+            for tag, x in vectors.items()))
+    return norm1, margin, ests
+
+
 class TestFellerRenorm:
+    def test_batched_probes_match_per_vector_reference(self):
+        sg = riemann_liouville(64)
+        times = [k / 32 for k in range(1, 33)]
+        rep = feller_renorm(sg, times, n_random=8)
+        norm1, margin, ests = _per_vector_renorm(sg, times, n_random=8)
+        assert rep.norm1_samples.keys() == norm1.keys()
+        for tag, v in norm1.items():
+            assert rep.norm1_samples[tag] == pytest.approx(v, rel=1e-13)
+        assert rep.contraction_margin == pytest.approx(margin, abs=1e-13)
+        for (_, est, _), ref in zip(rep.commutant_bound_checks, ests, strict=True):
+            assert est == pytest.approx(ref, rel=1e-13)
+
     def test_shift_is_already_contractive(self):
         sg = nilpotent_shift(64)
         rep = feller_renorm(sg, [k / 64 for k in range(1, 33)], n_random=8)
