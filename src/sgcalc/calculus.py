@@ -126,12 +126,18 @@ def _shift_opnorm(n: int, weights: dict) -> float:
     c = _shift_column(b + 1, {k - k0: w for k, w in live.items()})
     if not np.any(c.imag):
         c = c.real
-    band = np.zeros((b + 1, m), dtype=c.dtype)
+    # Fortran order, so LAPACK reduces the band in place: the band is the only
+    # array of size (b + 1) m, and the peak memory of a call is that one array.
+    band = np.zeros((m, b + 1), dtype=c.dtype).T
     j = np.arange(m)
     for d in range(b + 1):
         prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
         band[d, : m - d] = prefix[np.minimum(b, m - 1 - j[: m - d]) - d]
-    lam = eigvals_banded(band, lower=True, select="i", select_range=(m - 1, m - 1))
+    # |G[i, j]| <= sqrt(G[i, i] G[j, j]): a finite diagonal bounds the band
+    if not np.isfinite(band[0]).all():
+        raise ValueError("shift weights give a non-finite Gram matrix")
+    lam = eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False,
+                         select="i", select_range=(m - 1, m - 1))
     return math.sqrt(max(float(lam[0]), 0.0))
 
 

@@ -250,6 +250,15 @@ class TestShiftOpnorm:
         ref = np.linalg.norm(op.to_dense(), 2)
         assert abs(op.norm() - ref) <= 1e-12 * ref
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_weight_raises(self, bad):
+        # LAPACK reduces the band unchecked and in place; the Gram diagonal
+        # is checked instead
+        op = _shift_op({1: 1.0, 3: bad}, 16)
+        with pytest.raises(ValueError, match="non-finite"):
+            op.norm()
+
 
 class TestEpCalc:
     def test_order_zero_reduces_to_func_calc(self):
