@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, toeplitz
+from scipy.linalg import eigvals_banded
 
-from .complexfn import as_transform, ray_max
+from .complexfn import ray_max
 from .errors import (
     BoundViolationError,
     DivergentIntegralError,
@@ -33,9 +33,18 @@ from .measures import (
     mass,
     tv_moment,
 )
-from .semigroups import DiagonalSemigroup, NilpotentShift, SemigroupBackend
+from .semigroups import (
+    DiagonalSemigroup,
+    NilpotentShift,
+    SemigroupBackend,
+    _lower_toeplitz,
+)
 
 _DEFAULT_GL_ORDER = 32
+_BOUND_SLACK = 1e-6  # added to the right side of the lemma 2.4 and 2.7 bounds
+_RESOLVENT_TAIL_TOL = 1e-12
+_MASS_TOL = 1e-12
+_PATH_TOL = 1e-9
 
 
 @dataclass
@@ -170,23 +179,18 @@ def _shift_column(n: int, weights: dict) -> np.ndarray:
     return col
 
 
-def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column col."""
-    return toeplitz(col, np.zeros(len(col), dtype=complex))
-
-
 def func_calc(
     backend: SemigroupBackend,
     mu: CompactMeasure,
     u: float,
-    gl_order: int = _DEFAULT_GL_ORDER,
     force_generic: bool = False,
 ) -> OperatorValue:
     """F(-uA) = int_0^inf T(u xi) dmu(xi).
 
     Atoms contribute weight * T(u t) exactly.  Density pieces are exact on
     shift and diagonal backends; elsewhere each piece gets Gauss-Legendre of
-    order gl_order, with the budget taken from a half-order comparison.
+    order _DEFAULT_GL_ORDER, with the budget taken from a half-order
+    comparison.
     """
     if u <= 0:
         raise ValueError("scale u must be positive")
@@ -216,7 +220,7 @@ def func_calc(
         fine, coarse = (
             sum(w * piece(t) * backend.materialize(u * t)
                 for t, w in zip(*_gauss_legendre(piece.a, piece.b, order)))
-            for order in (gl_order, max(2, gl_order // 2))
+            for order in (_DEFAULT_GL_ORDER, _DEFAULT_GL_ORDER // 2)
         )
         M += fine
         budget += op_norm(fine - coarse)
@@ -252,13 +256,14 @@ def _shift_exp_column(backend: NilpotentShift, lam: complex, hi: float) -> np.nd
     return col
 
 
-def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np.ndarray:
+def resolvent(backend: SemigroupBackend, lam: complex) -> np.ndarray:
     """(A + lam I)^{-1} = -int_0^inf e^{lam t} T(t) dt.
 
     Shift backends integrate e^{lam t} exactly against the piecewise-constant
     t -> T(t); diagonal backends use the scalar closed form (convergent for
     Re lam below the spectral abscissa); other backends use composite
-    Gauss-Legendre panels extended until the tail is provably below tol.
+    Gauss-Legendre panels extended until the tail is provably below
+    _RESOLVENT_TAIL_TOL.
     """
     lam = complex(lam)
     if isinstance(backend, NilpotentShift):
@@ -272,9 +277,6 @@ def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np
             )
         return np.diag(1.0 / (lam - backend.lambdas))
 
-    if backend.nilpotent_horizon is not None:
-        return -_panel_integral(backend, lam, 0.0, backend.nilpotent_horizon)
-
     # open-ended integral: extend panels until the decay certifies the tail
     n = backend.dim
     M = np.zeros((n, n), dtype=complex)
@@ -284,7 +286,7 @@ def resolvent(backend: SemigroupBackend, lam: complex, tol: float = 1e-12) -> np
         M += _panel_integral(backend, lam, t, t + h)
         t += h
         tail_factor = op_norm(backend.materialize(t)) * math.exp(max(lam.real, 0.0) * t)
-        if tail_factor < tol and t >= 2.0:
+        if tail_factor < _RESOLVENT_TAIL_TOL and t >= 2.0:
             return -M
     raise DivergentIntegralError(
         f"resolvent integral did not converge by t = {t:.1f} for lam = {lam}"
@@ -300,12 +302,7 @@ def _panel_integral(backend, lam: complex, a: float, b: float) -> np.ndarray:
 # distribution (order-p) calculus
 
 
-def ep_calc(
-    backend: SemigroupBackend,
-    phi: CompactDistribution,
-    u: float,
-    **kw,
-) -> OperatorValue:
+def ep_calc(backend: SemigroupBackend, phi: CompactDistribution, u: float) -> OperatorValue:
     """F(-uA) = sum_j (uA)^j G_j(-uA) for a distribution phi = (mu_0 .. mu_p)."""
     prov = (type(backend).__name__, f"order-{phi.order} distribution", u)
     if isinstance(backend, DiagonalSemigroup):
@@ -323,7 +320,7 @@ def ep_calc(
             power = power @ (u * A)
         if mu_j.is_zero:
             continue
-        Gj = func_calc(backend, mu_j, u, **kw)
+        Gj = func_calc(backend, mu_j, u)
         M += power @ Gj.to_dense()
         budget += op_norm(power) * Gj.quadrature_budget
     return OperatorValue(M, None, prov, budget)
@@ -359,13 +356,7 @@ def _kernel(backend, tau: float, lam: complex) -> np.ndarray:
     return np.exp(-lam * tau) * K
 
 
-def lemma_24_check(
-    backend: SemigroupBackend,
-    mu: CompactMeasure,
-    lam_grid,
-    tol: float = 1e-6,
-    gl_order: int = _DEFAULT_GL_ORDER,
-) -> LemmaReport:
+def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> LemmaReport:
     """Check ||(F(-A) - F(lam) I)(A + lam I)^{-1}|| <= int t d|mu|(t) on a grid.
 
     Also recomputes the left side through the independent decomposition
@@ -376,7 +367,7 @@ def lemma_24_check(
     """
     if not (backend.quasinilpotent and backend.contractive):
         raise ValueError("bound requires a quasinilpotent contraction semigroup")
-    Fop = func_calc(backend, mu, 1.0, gl_order=gl_order)
+    Fop = func_calc(backend, mu, 1.0)
     shift = isinstance(backend, NilpotentShift)
     if shift:
         f = _shift_column(backend.dim, Fop.shift_weights)
@@ -398,7 +389,7 @@ def lemma_24_check(
             R = resolvent(backend, lam)
             lhs_op = Fop.to_dense() @ R - F_lam * R
         lhs = op_norm(as_matrix(lhs_op))
-        margin = bound + tol + Fop.quadrature_budget - lhs
+        margin = bound + _BOUND_SLACK + Fop.quadrature_budget - lhs
         if margin < 0:
             raise BoundViolationError(
                 f"resolvent-difference bound failed at lam = {lam}",
@@ -411,7 +402,7 @@ def lemma_24_check(
         for t, w in mu.atoms:
             correction += w * kernel(backend, t, lam)
         for piece in mu.pieces:
-            for t, w in zip(*_gauss_legendre(piece.a, piece.b, gl_order)):
+            for t, w in zip(*_gauss_legendre(piece.a, piece.b)):
                 correction += w * piece(t) * kernel(backend, t, lam)
         residual = op_norm(as_matrix(lhs_op - correction))
         worst_residual = max(worst_residual, residual)
@@ -427,12 +418,8 @@ def _matrix_power_table(A: np.ndarray, Ainv: np.ndarray, lo: int, hi: int) -> di
     return table
 
 
-def lemma_27_check(
-    backend: SemigroupBackend,
-    phi: CompactDistribution,
-    lam_grid,
-    tol: float = 1e-6,
-) -> LemmaReport:
+def lemma_27_check(backend: SemigroupBackend, phi: CompactDistribution,
+                   lam_grid) -> LemmaReport:
     """Order-p resolvent-difference bound for a distribution phi = (mu_0 .. mu_p).
 
     Checks ||(F(-A) - F(lam) I) A^{-p} (A + lam I)^{-1}|| against
@@ -476,7 +463,7 @@ def lemma_27_check(
             bound += d[m] * sum(
                 abs(lam) ** k * op_norm(powers[m - 1 - k - p]) for k in range(m)
             )
-        margin = bound + tol + Fop.quadrature_budget - lhs
+        margin = bound + _BOUND_SLACK + Fop.quadrature_budget - lhs
         if margin < 0:
             raise BoundViolationError(
                 f"order-p resolvent bound failed at lam = {lam}",
@@ -511,13 +498,13 @@ class SweepRow:
     quadrature_budget: float = 0.0
 
 
-def _require_mass_zero(mu: CompactMeasure, tol: float = 1e-12):
+def _require_mass_zero(mu: CompactMeasure):
     m = mass(mu)
-    if abs(m) > tol:
+    if abs(m) > _MASS_TOL:
         raise MassNotZeroError(f"measure has mass {m:.3g}, lower estimate needs 0")
 
 
-def sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid, **kw) -> list[SweepRow]:
+def sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> list[SweepRow]:
     """Lower-estimate sweep: per u compare ||F(-uA)|| with max_{x>=0} |F(x)|.
 
     Requires a real zero-mass measure and a quasinilpotent backend; the margin
@@ -531,7 +518,7 @@ def sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid, **kw) -> list[S
     ray = ray_max(mu)
     rows = []
     for u in sorted(float(u) for u in u_grid):
-        op = func_calc(backend, mu, u, **kw)
+        op = func_calc(backend, mu, u)
         norm_F = op.norm()
         rho_F = op.spectral_radius()
         rows.append(SweepRow(u, norm_F, rho_F, ray.value, norm_F - ray.value,
@@ -550,13 +537,7 @@ def empirical_eta(rows: list[SweepRow]) -> float:
     return eta
 
 
-def symmetrized_sweep(
-    backend: SemigroupBackend,
-    mu: CompactMeasure,
-    u_grid,
-    path_tol: float = 1e-9,
-    **kw,
-) -> list[SweepRow]:
+def symmetrized_sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> list[SweepRow]:
     """Symmetrized sweep: ||F(-uA) Ftilde(-uA)|| against (sup_x |F(x)|)^2.
 
     Ftilde is the transform of the reflected-conjugate measure; the direct
@@ -569,12 +550,12 @@ def symmetrized_sweep(
     ray2 = ray_max(nu)
     rows = []
     for u in sorted(float(u) for u in u_grid):
-        left = func_calc(backend, mu, u, **kw)
-        right = func_calc(backend, mu_bar, u, **kw)
+        left = func_calc(backend, mu, u)
+        right = func_calc(backend, mu_bar, u)
         prod = left.matmul(right)
         direct = prod.norm()
-        via_conv = func_calc(backend, nu, u, **kw).norm()
-        if abs(direct - via_conv) > path_tol * max(1.0, direct):
+        via_conv = func_calc(backend, nu, u).norm()
+        if abs(direct - via_conv) > _PATH_TOL * max(1.0, direct):
             raise BoundViolationError(
                 "product path and convolution path disagree",
                 argument=u,

@@ -343,7 +343,7 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
     m = cfg.m if cfg.m is not None else crit.rows[0].window_m
     if m is None:
         raise ConfigError("no slice fits the separation window at this u")
-    cert = spectral.separation_certificate(charset, cfg.measure, u, m)
+    cert, curve = spectral.separation_certificate(charset, cfg.measure, u, m)
     t_grid = cfg.t_grid or (1e-3,)
     bg_rows = spectral.bounded_generator_check(backend, chain, t_grid)
     payload = {
@@ -354,13 +354,8 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
         "passed": bool(crit.all_strict and chain.exhaustive and cert.passed),
     }
     _write_json(out / "idempotents.json", payload)
-    _write_csv(
-        out / "certificate_curve.csv", ("re", "im"),
-        [(z.real, z.imag) for z in
-         complexfn.separation_curve(
-             complexfn.as_transform(cfg.measure), u, charset.radii[m]
-         ).gamma_k0_vertices],
-    )
+    _write_csv(out / "certificate_curve.csv", ("re", "im"),
+               [(z.real, z.imag) for z in curve.gamma_k0_vertices])
     return {"passed": payload["passed"], "m": m, "u": u,
             "rho": crit.rows[0].rho, "sup_ray": crit.rows[0].sup_ray,
             "min_distance": cert.min_distance}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,41 +131,34 @@ class SeparationCurve:
     r_window: float = 0.0
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Resolution controls for the level-set flood fill."""
-
-    nx: int = 256
-    ny: int = 256
-    x_max: float | None = None
-    y_max: float | None = None
-    max_refinements: int = 4
-    seg_samples: int = 1000
-
-
 # ---------------------------------------------------------------------------
 # ray maximum
 
+_RAY_DECAY_FLOOR = 1e-9  # window ends where the decay bound drops below this * tv0
+_RAY_GRID_POINTS = 4096
+_GOLDEN_ITERS = 90
 
-def ray_max(source, decay_floor: float = 1e-9, grid_points: int = 4096) -> RayMaximum:
+
+def ray_max(source) -> RayMaximum:
     """Locate alpha >= 0 maximizing |F| on the positive ray.
 
     The window [0, X] is grown until the decay bound falls below
-    decay_floor times the best value seen, then the grid optimum is refined
-    by golden-section search.
+    _RAY_DECAY_FLOOR times the total variation, then the grid optimum is
+    refined by golden-section search.
     """
     F = as_transform(source)
+    floor = _RAY_DECAY_FLOOR * max(F.tv0, 1e-300)
 
     x_hi = max(4.0 * F.support_max, 1.0)
     for _ in range(60):
-        if F.decay_bound(x_hi) < decay_floor * max(F.tv0, 1e-300):
+        if F.decay_bound(x_hi) < floor:
             break
         x_hi *= 1.5
 
-    xs = np.linspace(0.0, x_hi, grid_points)
+    xs = np.linspace(0.0, x_hi, _RAY_GRID_POINTS)
     vals = np.abs(F(xs))
     best = float(np.max(vals))
-    if best < decay_floor * max(F.tv0, 1e-300):
+    if best < floor:
         raise AllZeroError("transform is numerically zero on the sampled ray")
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
@@ -182,13 +175,13 @@ def ray_max(source, decay_floor: float = 1e-9, grid_points: int = 4096) -> RayMa
     return RayMaximum(alpha=float(alpha), value=float(value), sign_flipped=sign_flipped)
 
 
-def _golden_max(f, lo, hi, iters: int = 90):
+def _golden_max(f, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -205,15 +198,19 @@ def _golden_max(f, lo, hi, iters: int = 90):
 # ---------------------------------------------------------------------------
 # Taylor coefficients and vanishing order
 
+_TAYLOR_NODES = 256
+_ORDER_TOL = 1e-9
+_MAX_ORDER = 12
 
-def taylor_coefficients(F, alpha: float, radius: float, count: int, nodes: int = 256):
+
+def taylor_coefficients(F, alpha: float, radius: float, count: int):
     """Taylor coefficients of F at alpha via trapezoidal contour integrals.
 
     Exponentially accurate for entire functions; avoids the cancellation of
     high-order finite differences.
     """
     F = as_transform(F)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    theta = 2.0 * np.pi * np.arange(_TAYLOR_NODES) / _TAYLOR_NODES
     ring = alpha + radius * np.exp(1j * theta)
     vals = F(ring)
     coeffs = []
@@ -223,23 +220,20 @@ def taylor_coefficients(F, alpha: float, radius: float, count: int, nodes: int =
     return coeffs
 
 
-def vanishing_order(
-    F, alpha: float, radius: float | None = None, tol: float = 1e-9, max_order: int = 12
-):
+def vanishing_order(F, alpha: float):
     """Smallest k >= 1 with F^{(k)}(alpha) != 0, plus the Taylor coefficient.
 
     Returns (m, F^{(m)}(alpha) / m!).
     """
     F = as_transform(F)
-    if radius is None:
-        radius = max(alpha / 4.0, 0.05)
-    coeffs = taylor_coefficients(F, alpha, radius, max_order + 1)
+    radius = max(alpha / 4.0, 0.05)
+    coeffs = taylor_coefficients(F, alpha, radius, _MAX_ORDER + 1)
     scale_ref = max(abs(c) * radius**k for k, c in enumerate(coeffs))
-    for k in range(1, max_order + 1):
-        if abs(coeffs[k]) * radius**k > tol * max(scale_ref, 1.0):
+    for k in range(1, _MAX_ORDER + 1):
+        if abs(coeffs[k]) * radius**k > _ORDER_TOL * max(scale_ref, 1.0):
             return k, coeffs[k]
     raise OrderNotFoundError(
-        f"no Taylor coefficient above tolerance up to order {max_order}"
+        f"no Taylor coefficient above tolerance up to order {_MAX_ORDER}"
     )
 
 
@@ -254,41 +248,41 @@ class RadiusPair:
     delta_circle: float
 
 
-def babylem_radius(
-    F,
-    margin: float = 1e-3,
-    circle_samples: int = 1024,
-    candidates: int = 140,
-) -> RadiusPair:
-    """Radii r < R with sup_{|z|<=r} |F| < min_{|z|=R} |F| - margin.
+_CIRCLE_MARGIN = 1e-3
+_CIRCLE_SAMPLES = 1024
+_CIRCLE_CANDIDATES = 140
+
+
+def babylem_radius(F) -> RadiusPair:
+    """Radii r < R with sup_{|z|<=r} |F| < min_{|z|=R} |F| - _CIRCLE_MARGIN.
 
     Scans candidate circles for one staying well away from zeros of F, then
     grows r from 0 while the boundary maximum (= the disk sup, by the maximum
     principle) stays below the certified circle minimum.
     """
     F = as_transform(F)
-    theta = 2.0 * np.pi * np.arange(circle_samples) / circle_samples
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     ring = np.exp(1j * theta)
 
     best_R, best_delta = None, 0.0
-    for R in np.geomspace(1e-2, 50.0, candidates):
+    for R in np.geomspace(1e-2, 50.0, _CIRCLE_CANDIDATES):
         dmin = float(np.min(np.abs(F(R * ring))))
         if dmin > best_delta:
             best_R, best_delta = float(R), dmin
-    if best_R is None or best_delta <= margin:
+    if best_R is None or best_delta <= _CIRCLE_MARGIN:
         raise NoCircleFoundError("no candidate circle avoids the zeros of F")
 
     # re-certify the chosen circle at higher angular density
-    theta_fine = 2.0 * np.pi * np.arange(4 * circle_samples) / (4 * circle_samples)
+    theta_fine = 2.0 * np.pi * np.arange(4 * _CIRCLE_SAMPLES) / (4 * _CIRCLE_SAMPLES)
     delta_circle = float(np.min(np.abs(F(best_R * np.exp(1j * theta_fine)))))
-    if delta_circle <= margin:
+    if delta_circle <= _CIRCLE_MARGIN:
         raise NoCircleFoundError("chosen circle failed the dense re-check")
 
     r_found = 0.0
     sup_inside = 0.0
     for r in np.linspace(best_R / 500.0, best_R, 500):
         sup_inside = max(sup_inside, float(np.max(np.abs(F(r * ring[::4])))))
-        if sup_inside < delta_circle - margin:
+        if sup_inside < delta_circle - _CIRCLE_MARGIN:
             r_found = float(r)
         else:
             break
@@ -300,13 +294,12 @@ def babylem_radius(
 # ---------------------------------------------------------------------------
 # Jordan curve construction
 
+_GRID_CELLS = 256  # starting cells per axis of the flood-fill grid
+_GRID_REFINEMENTS = 4
+_SEGMENT_SAMPLES = 1000
 
-def jordan_curve(
-    F,
-    ray: RayMaximum,
-    grid: GridParams = GridParams(),
-    min_axis_height: float = 0.0,
-) -> JordanCurve:
+
+def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurve:
     """Constructive version of the upper-half-plane separation curve.
 
     The level region U = {|F| > |F(a0)|} is explored by flood fill on a
@@ -321,7 +314,7 @@ def jordan_curve(
     m, _coeff = vanishing_order(F, alpha)
 
     # --- a1 and the condition (i) fit
-    seg_n = grid.seg_samples
+    seg_n = _SEGMENT_SAMPLES
     rho = max(alpha / 4.0, 0.05)
     a1 = None
     delta = 0.0
@@ -355,12 +348,11 @@ def jordan_curve(
     f_a0 = float(seg_vals[i0])
 
     # --- flood fill for the component V of a1 in {|F| > |F(a0)|}
-    x_max = grid.x_max if grid.x_max is not None else 3.0 * max(alpha, 1.0)
-    y_max = grid.y_max if grid.y_max is not None else 6.0 * max(alpha, 1.0)
-    y_max = max(y_max, 2.0 * min_axis_height + 1e-9)
-    nx, ny = grid.nx, grid.ny
+    x_max = 3.0 * max(alpha, 1.0)
+    y_max = max(6.0 * max(alpha, 1.0), 2.0 * min_axis_height + 1e-9)
+    nx = ny = _GRID_CELLS
 
-    for refinement in range(grid.max_refinements + 1):
+    for _ in range(_GRID_REFINEMENTS + 1):
         result = _flood_fill_curve(
             F, alpha, a1, f_a0=f_a0,
             nx=nx, ny=ny, x_max=x_max, y_max=y_max,
@@ -513,7 +505,10 @@ def _simplify_path(points, seg_ok):
     return out
 
 
-def _segments_intersect(p1, p2, q1, q2, eps=1e-12):
+_CROSS_EPS = 1e-12
+
+
+def _segments_intersect(p1, p2, q1, q2):
     def cross(o, a, b):
         return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
@@ -521,6 +516,7 @@ def _segments_intersect(p1, p2, q1, q2, eps=1e-12):
     d2 = cross(q1, q2, p2)
     d3 = cross(p1, p2, q1)
     d4 = cross(p1, p2, q2)
+    eps = _CROSS_EPS
     if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
         (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
     ):
@@ -555,8 +551,6 @@ def separation_curve(
     u: float,
     R_m: float,
     ray: RayMaximum | None = None,
-    grid: GridParams = GridParams(),
-    radii: RadiusPair | None = None,
 ) -> SeparationCurve:
     """Curve joining alpha/u on the real axis to v_k on the imaginary axis,
     with |v_k| > R_m and |F(u z)| >= |F(alpha)| along the path.
@@ -566,15 +560,14 @@ def separation_curve(
     resolution independent of u.
     """
     F = as_transform(F)
-    if radii is None:
-        radii = babylem_radius(F)
+    radii = babylem_radius(F)
     if u * R_m >= radii.r:
         raise WindowViolationError(
             f"window violated: u*R_m = {u * R_m:.6g} >= r = {radii.r:.6g}"
         )
     if ray is None:
         ray = ray_max(F)
-    curve = jordan_curve(F, ray, grid=grid, min_axis_height=u * R_m)
+    curve = jordan_curve(F, ray, min_axis_height=u * R_m)
     gamma0 = (
         [complex(curve.alpha)]
         + list(curve.gamma1_vertices)

@@ -23,6 +23,13 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+_SEED = 0  # start vectors of every power iteration
+_POWER_TOL = 1e-10
+_POWER_MAX_ITER = 2000
+_EIG_RESTARTS = 4
+_EIG_ITERS = 400
+_DISAGREEMENT_TOL = 1e-6
+
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a degree-13 Pade core."""
@@ -60,39 +67,34 @@ class PowerNormResult:
     converged: bool
 
 
-def power_opnorm(
-    M: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> PowerNormResult:
+def power_opnorm(M: np.ndarray) -> PowerNormResult:
     """Largest singular value by power iteration on M*M with a random start."""
     M = np.asarray(M, dtype=complex)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     n = M.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
     MH = M.conj().T
     sigma = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         w = MH @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return PowerNormResult(0.0, it, True)
         new_sigma = math.sqrt(nw)
         v = w / nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= _POWER_TOL * max(new_sigma, 1e-300):
             return PowerNormResult(new_sigma, it, True)
         sigma = new_sigma
-    return PowerNormResult(sigma, max_iter, False)
+    return PowerNormResult(sigma, _POWER_MAX_ITER, False)
 
 
-def op_norm(M: np.ndarray, tol: float = 1e-10, seed: int = 0) -> float:
+def op_norm(M: np.ndarray) -> float:
     """Operator 2-norm; power iteration with an SVD fallback on non-convergence."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    res = power_opnorm(M, tol=tol, max_iter=2000, seed=seed)
+    res = power_opnorm(M)
     if res.converged:
         return res.value
     return float(np.linalg.norm(M, 2))
@@ -136,17 +138,17 @@ def gelfand_estimate(M: np.ndarray, max_squarings: int = 8):
     return ests
 
 
-def power_eig_estimate(M: np.ndarray, restarts: int = 4, iters: int = 400, seed: int = 0):
+def power_eig_estimate(M: np.ndarray):
     """Dominant-eigenvalue modulus via power iteration with random restarts."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     best = 0.0
-    for _ in range(restarts):
+    for _ in range(_EIG_RESTARTS):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         lam = 0.0
-        for _ in range(iters):
+        for _ in range(_EIG_ITERS):
             w = M @ v
             nw = np.linalg.norm(w)
             if nw == 0.0:
@@ -167,19 +169,14 @@ class SpectralRadiusResult:
     exact_path: str | None = None
 
 
-def spectral_radius_detail(
-    M: np.ndarray,
-    disagreement_tol: float = 1e-6,
-    max_squarings: int | None = None,
-    seed: int = 0,
-) -> SpectralRadiusResult:
+def spectral_radius_detail(M: np.ndarray) -> SpectralRadiusResult:
     """Dual-route spectral radius.
 
     Exact short-circuits for diagonal and triangular matrices (eigenvalues
     are on the diagonal); otherwise power iteration is cross-checked against
     the norm-of-powers limit.  Small matrices get extra squarings because the
     k <= 8 truncation of the limit converges too slowly to cross-check at
-    disagreement_tol.
+    _DISAGREEMENT_TOL.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -192,20 +189,19 @@ def spectral_radius_detail(
         v = float(np.max(np.abs(np.diagonal(M))))
         return SpectralRadiusResult(v, v, v, True, exact_path="triangular")
 
-    if max_squarings is None:
-        max_squarings = 48 if n <= 128 else max(8, int(math.ceil(math.log2(max(n, 2)))))
-    p = power_eig_estimate(M, seed=seed)
+    max_squarings = 48 if n <= 128 else max(8, int(math.ceil(math.log2(max(n, 2)))))
+    p = power_eig_estimate(M)
     g_list = gelfand_estimate(M, max_squarings=max_squarings)
     g = g_list[-1]
     scale_ref = max(1.0, p, g)
-    consistent = abs(p - g) <= disagreement_tol * scale_ref
+    consistent = abs(p - g) <= _DISAGREEMENT_TOL * scale_ref
     value = g if g_list[-1] == 0.0 or not consistent else 0.5 * (p + g)
     return SpectralRadiusResult(value, p, g, consistent)
 
 
-def spectral_radius(M: np.ndarray, strict: bool = False, **kw) -> float:
+def spectral_radius(M: np.ndarray, strict: bool = False) -> float:
     """Spectral radius as a float; strict=True raises when the two routes disagree."""
-    res = spectral_radius_detail(M, **kw)
+    res = spectral_radius_detail(M)
     if strict and not res.consistent:
         raise InconsistentEstimatesError(
             "power-iteration and norm-of-powers spectral radius estimates disagree",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -462,13 +462,6 @@ def measure_from_dict(d: dict) -> CompactMeasure:
         for p in d.get("pieces", [])
     )
     return CompactMeasure(atoms, pieces)
-
-
-def distribution_to_dict(phi: CompactDistribution) -> dict:
-    return {
-        "order": phi.order,
-        "components": [measure_to_dict(m) for m in phi.components],
-    }
 
 
 def distribution_from_dict(d: dict) -> CompactDistribution:

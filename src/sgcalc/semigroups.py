@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from .errors import NotQuasinilpotentError
@@ -29,7 +30,6 @@ class SemigroupBackend(ABC):
     dim: int
     quasinilpotent: bool = False
     contractive: bool = False
-    nilpotent_horizon: float | None = None
     is_diagonal: bool = False
 
     def __init__(self, dim: int):
@@ -58,6 +58,11 @@ class SemigroupBackend(ABC):
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return self.materialize(t) @ np.asarray(vec, dtype=complex)
+
+
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column col."""
+    return toeplitz(col, np.zeros(len(col), dtype=complex))
 
 
 class NilpotentShift(SemigroupBackend):
@@ -137,25 +142,18 @@ class RiemannLiouville(SemigroupBackend):
         # h^t (j+1)^t - j^t over Gamma(t+1), in log space for stability
         powers = j**t
         w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(h) - gammaln(t + 1.0))
-        M = np.zeros((n, n), dtype=complex)
-        idx = np.arange(n)
-        for d in range(n):
-            M[idx[d:], idx[d:] - d] = w[d]
-        return M
+        return _lower_toeplitz(w)
 
 
 class MatrixSemigroup(SemigroupBackend):
     """Bounded-generator testbed: T(t) = exp(tA)."""
 
-    def __init__(self, A: np.ndarray, quasinilpotent: bool = False,
-                 contractive: bool = False):
+    def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("generator must be square")
         super().__init__(A.shape[0])
         self._A = A
-        self.quasinilpotent = quasinilpotent
-        self.contractive = contractive
 
     @property
     def generator(self) -> np.ndarray:
@@ -181,10 +179,6 @@ class DiagonalSemigroup(SemigroupBackend):
 
     def diagonal(self, t: float) -> np.ndarray:
         return np.exp(-self.lambdas * t)
-
-    @property
-    def generator_diagonal(self) -> np.ndarray:
-        return -self.lambdas
 
     @property
     def generator(self) -> np.ndarray:
@@ -229,8 +223,8 @@ def riemann_liouville(n: int) -> RiemannLiouville:
     return RiemannLiouville(n)
 
 
-def matrix_semigroup(A, **kw) -> MatrixSemigroup:
-    return MatrixSemigroup(A, **kw)
+def matrix_semigroup(A) -> MatrixSemigroup:
+    return MatrixSemigroup(A)
 
 
 def diagonal_semigroup(lambdas) -> DiagonalSemigroup:
@@ -266,7 +260,6 @@ class RenormReport:
 def feller_renorm(
     backend: SemigroupBackend,
     probe_times,
-    probe_operators=None,
     n_random: int = 16,
     seed: int = 0,
 ) -> RenormReport:
@@ -310,13 +303,12 @@ def feller_renorm(
             shifted = np.max(prof[j : j + K + 1, live], axis=0)
             margin = min(margin, float(np.min(1.0 - shifted / n1[live])))
 
-    if probe_operators is None:
-        t_mid = times[len(times) // 2]
-        probe_operators = [
-            ("T(t_mid)", backend.materialize(t_mid)),
-            ("T(t_max)", backend.materialize(times[-1])),
-            ("T(t_mid)^2", backend.materialize(t_mid) @ backend.materialize(t_mid)),
-        ]
+    t_mid = times[len(times) // 2]
+    probe_operators = [
+        ("T(t_mid)", backend.materialize(t_mid)),
+        ("T(t_max)", backend.materialize(times[-1])),
+        ("T(t_mid)^2", backend.materialize(t_mid) @ backend.materialize(t_mid)),
+    ]
 
     checks = []
     for tag, R in probe_operators:

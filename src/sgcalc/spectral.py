@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import (
-    RadiusPair,
+    SeparationCurve,
     as_transform,
     babylem_radius,
     ray_max,
@@ -25,7 +25,6 @@ from .errors import (
     CertificateFailedError,
     MassNotZeroError,
     NotDiagonalError,
-    WindowViolationError,
 )
 from .measures import CompactMeasure, laplace, mass
 from .semigroups import DiagonalSemigroup, MultiplicationC0, SemigroupBackend
@@ -90,16 +89,14 @@ class CriterionReport:
         return all(row.strict for row in self.rows)
 
 
-def criterion_check(
-    charset: CharacterSet,
-    mu: CompactMeasure,
-    u_list,
-    degenerate_tol: float = 1e-12,
-) -> CriterionReport:
+_DEGENERATE_TOL = 1e-12
+
+
+def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> CriterionReport:
     """Strict criterion rho(F(-uA)) < sup_{x>0} |F(x)| over the character set.
 
     rho is the exhaustive maximum of |F(u a_chi)|; equality within
-    degenerate_tol counts as failure because the decomposition theorem needs
+    _DEGENERATE_TOL counts as failure because the decomposition theorem needs
     the strict inequality.
     """
     if abs(mass(mu)) > 1e-12:
@@ -111,7 +108,7 @@ def criterion_check(
     for u in u_list:
         u = float(u)
         rho = float(np.max(np.abs(laplace(mu, u * lambdas))))
-        strict = rho < ray.value - degenerate_tol
+        strict = rho < ray.value - _DEGENERATE_TOL
         window_m = None
         for m in sorted(charset.slices):
             if charset.slices[m] and u * charset.radii[m] < radii.r:
@@ -234,20 +231,23 @@ class SeparationReport:
     passed: bool
 
 
+_SAMPLES_PER_SEGMENT = 200
+_SEMICIRCLE_POINTS = 96
+
+
 def separation_certificate(
     charset: CharacterSet,
     mu: CompactMeasure,
     u: float,
     m,
-    samples_per_segment: int = 200,
-    semicircle_points: int = 96,
-) -> SeparationReport:
+) -> tuple[SeparationReport, SeparationCurve]:
     """Certify that the slice Lambda_m sits strictly inside the curve Gamma_k.
 
     The closed curve is Gamma_{k,0}, the left semicircle of radius |v_k|, and
     the conjugate arc.  Each lambda in the slice must have winding number
     +-1, positive distance to the polygon, and |F(u lambda)| strictly below
-    the ray maximum that the curve values dominate.
+    the ray maximum that the curve values dominate.  Returns the report and
+    the certified curve.
     """
     if abs(mass(mu)) > 1e-12:
         raise MassNotZeroError("certificate is about zero-mass measures")
@@ -260,7 +260,7 @@ def separation_certificate(
     gamma = curve.gamma_k0_vertices
     min_excess = math.inf
     for z1, z2 in zip(gamma, gamma[1:]):
-        ts = np.linspace(0.0, 1.0, samples_per_segment)
+        ts = np.linspace(0.0, 1.0, _SAMPLES_PER_SEGMENT)
         zz = np.asarray(z1) + ts * (np.asarray(z2) - np.asarray(z1))
         vals = np.abs(F(u * zz)) - ray.value
         # the real-axis endpoint alpha_k attains the ray maximum exactly
@@ -274,7 +274,7 @@ def separation_certificate(
 
     # closed polygon: gamma up, left semicircle, conjugate arc down
     radius = curve.radius
-    angles = np.linspace(0.5 * math.pi, 1.5 * math.pi, semicircle_points + 2)[1:-1]
+    angles = np.linspace(0.5 * math.pi, 1.5 * math.pi, _SEMICIRCLE_POINTS + 2)[1:-1]
     semicircle = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
     closed = (
         list(gamma)
@@ -316,7 +316,7 @@ def separation_certificate(
         lam_margins=tuple(lam_margins),
         min_distance=min_dist,
         passed=True,
-    )
+    ), curve
 
 
 # ---------------------------------------------------------------------------

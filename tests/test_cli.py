@@ -1,6 +1,6 @@
 import json
 
-from sgcalc import cli
+from sgcalc import cli, complexfn, semigroups, spectral
 from sgcalc.cli import main
 
 
@@ -120,6 +120,36 @@ class TestCurveCommand:
         summary = json.loads((out / "curve.json").read_text())
         assert summary["m"] == 2
         assert summary["delta"] > 0
+
+
+class TestIdempotentsCommand:
+    def test_certified_curve_is_built_once_and_written(self, tmp_path, monkeypatch):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {"command": "idempotents", "measure": "delta-difference",
+             "backend": {"kind": "diagonal-range", "start": 1, "stop": 50},
+             "u": 1e-3, "m": 50, "m_list": [25, 50]},
+        )
+        jordan_curve = complexfn.jordan_curve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jordan_curve(*args, **kwargs)
+
+        monkeypatch.setattr(complexfn, "jordan_curve", counted)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        charset = spectral.character_set(semigroups.diagonal_semigroup(range(1, 51)))
+        curve = complexfn.separation_curve(
+            cli.NAMED_MEASURES["delta-difference"](), 1e-3, charset.radii[50])
+        rows = (out / "certificate_curve.csv").read_text().splitlines()
+        assert rows[0] == "re,im"
+        assert [complex(*map(float, r.split(","))) for r in rows[1:]] == list(
+            curve.gamma_k0_vertices)
 
 
 class TestGates:

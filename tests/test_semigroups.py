@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
 from sgcalc.errors import NotQuasinilpotentError
 from sgcalc.linalg import op_norm, spectral_radius
@@ -102,6 +104,20 @@ class TestRiemannLiouville:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             riemann_liouville(8).materialize(-0.5)
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 1.7])
+    def test_toeplitz_matches_per_diagonal_fill(self, t):
+        # reference: the product-integration weights, filled into the
+        # matrix one diagonal at a time
+        n = 64
+        j = np.arange(n + 1, dtype=float)
+        powers = j**t
+        w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(1.0 / n) - gammaln(t + 1.0))
+        ref = np.zeros((n, n), dtype=complex)
+        idx = np.arange(n)
+        for d in range(n):
+            ref[idx[d:], idx[d:] - d] = w[d]
+        assert np.array_equal(riemann_liouville(n).materialize(t), ref)
 
 
 class TestMatrixSemigroup:

@@ -154,8 +154,9 @@ class TestSeparationCertificate:
     def test_certifies_small_scale_slice(self):
         sg = diagonal_semigroup(np.arange(1.0, 51.0))
         cs = character_set(sg)
-        rep = separation_certificate(cs, D12, 1e-3, 50)
+        rep, curve = separation_certificate(cs, D12, 1e-3, 50)
         assert rep.passed
+        assert (curve.alpha_k, curve.radius) == (rep.alpha_k, rep.radius)
         assert rep.min_distance > 0
         assert all(margin > 0 for _, margin in rep.lam_margins)
         assert rep.curve_min_excess >= -1e-9 * 0.25
