@@ -18,7 +18,6 @@ from .complexfn import ray_max
 from .errors import (
     BoundViolationError,
     DivergentIntegralError,
-    MassNotZeroError,
     NoGeneratorError,
     SingularGeneratorError,
 )
@@ -30,7 +29,7 @@ from .measures import (
     convolve,
     laplace,
     laplace_distribution,
-    mass,
+    require_mass_zero,
     tv_moment,
 )
 from .semigroups import (
@@ -43,7 +42,6 @@ from .semigroups import (
 _DEFAULT_GL_ORDER = 32
 _BOUND_SLACK = 1e-6  # added to the right side of the lemma 2.4 and 2.7 bounds
 _RESOLVENT_TAIL_TOL = 1e-12
-_MASS_TOL = 1e-12
 _PATH_TOL = 1e-9
 
 
@@ -351,29 +349,22 @@ def _shift_kernel(backend: NilpotentShift, tau: float, lam: complex) -> np.ndarr
     return np.exp(-lam * tau) * _shift_exp_column(backend, lam, tau)
 
 
-def _kernel(backend, tau: float, lam: complex) -> np.ndarray:
-    K = _panel_integral(backend, lam, 0.0, tau)
-    return np.exp(-lam * tau) * K
-
-
 def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> LemmaReport:
     """Check ||(F(-A) - F(lam) I)(A + lam I)^{-1}|| <= int t d|mu|(t) on a grid.
 
     Also recomputes the left side through the independent decomposition
     F(lam) R(lam) + int K(t, lam) dmu(t) and reports the worst residual.
-    On the shift model F(-A), R(lam) and K(t, lam) are lower-triangular
-    Toeplitz, so both sides are formed as first columns (products become
-    truncated convolutions) and made dense only for their norms.
+    The bound needs a quasinilpotent contraction semigroup, and the nilpotent
+    shift is the one such model: there F(-A), R(lam) and K(t, lam) are
+    lower-triangular Toeplitz, so both sides are formed as first columns
+    (products become truncated convolutions) and made dense only for their
+    norms.
     """
-    if not (backend.quasinilpotent and backend.contractive):
-        raise ValueError("bound requires a quasinilpotent contraction semigroup")
+    if not isinstance(backend, NilpotentShift):
+        raise ValueError("bound requires a quasinilpotent contraction semigroup "
+                         "(the nilpotent shift)")
     Fop = func_calc(backend, mu, 1.0)
-    shift = isinstance(backend, NilpotentShift)
-    if shift:
-        f = _shift_column(backend.dim, Fop.shift_weights)
-        kernel, as_matrix = _shift_kernel, _lower_toeplitz
-    else:
-        kernel, as_matrix = _kernel, np.asarray
+    f = _shift_column(backend.dim, Fop.shift_weights)
     bound = tv_moment(mu, 1)
     rows = []
     worst_residual = 0.0
@@ -382,13 +373,9 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
         if lam.real < -1e-12:
             raise ValueError("grid must lie in the closed right half-plane")
         F_lam = laplace(mu, lam)
-        if shift:
-            r = -_shift_exp_column(backend, lam, backend.nilpotent_horizon)  # R(lam)
-            lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
-        else:
-            R = resolvent(backend, lam)
-            lhs_op = Fop.to_dense() @ R - F_lam * R
-        lhs = op_norm(as_matrix(lhs_op))
+        r = -_shift_exp_column(backend, lam, backend.nilpotent_horizon)  # R(lam)
+        lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
+        lhs = op_norm(_lower_toeplitz(lhs_op))
         margin = bound + _BOUND_SLACK + Fop.quadrature_budget - lhs
         if margin < 0:
             raise BoundViolationError(
@@ -400,11 +387,11 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
 
         correction = np.zeros(lhs_op.shape, dtype=complex)
         for t, w in mu.atoms:
-            correction += w * kernel(backend, t, lam)
+            correction += w * _shift_kernel(backend, t, lam)
         for piece in mu.pieces:
             for t, w in zip(*_gauss_legendre(piece.a, piece.b)):
-                correction += w * piece(t) * kernel(backend, t, lam)
-        residual = op_norm(as_matrix(lhs_op - correction))
+                correction += w * piece(t) * _shift_kernel(backend, t, lam)
+        residual = op_norm(_lower_toeplitz(lhs_op - correction))
         worst_residual = max(worst_residual, residual)
     return LemmaReport(tuple(rows), worst_residual, Fop.quadrature_budget)
 
@@ -498,19 +485,13 @@ class SweepRow:
     quadrature_budget: float = 0.0
 
 
-def _require_mass_zero(mu: CompactMeasure):
-    m = mass(mu)
-    if abs(m) > _MASS_TOL:
-        raise MassNotZeroError(f"measure has mass {m:.3g}, lower estimate needs 0")
-
-
 def sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> list[SweepRow]:
     """Lower-estimate sweep: per u compare ||F(-uA)|| with max_{x>=0} |F(x)|.
 
     Requires a real zero-mass measure and a quasinilpotent backend; the margin
     column is positive exactly where the strict lower estimate is confirmed.
     """
-    _require_mass_zero(mu)
+    require_mass_zero(mu)
     if not mu.is_real:
         raise ValueError("lower-estimate sweep expects a real measure")
     if not backend.quasinilpotent:
@@ -544,7 +525,7 @@ def symmetrized_sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> 
     product is cross-checked against the single sweep of nu = mu * mu-bar,
     whose transform is F Ftilde.
     """
-    _require_mass_zero(mu)
+    require_mass_zero(mu)
     mu_bar = conj_reflect(mu)
     nu = convolve(mu, mu_bar)
     ray2 = ray_max(nu)

@@ -343,7 +343,8 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
     m = cfg.m if cfg.m is not None else crit.rows[0].window_m
     if m is None:
         raise ConfigError("no slice fits the separation window at this u")
-    cert, curve = spectral.separation_certificate(charset, cfg.measure, u, m)
+    cert, curve = spectral.separation_certificate(charset, cfg.measure, u, m,
+                                                  crit.ray, crit.radii)
     t_grid = cfg.t_grid or (1e-3,)
     bg_rows = spectral.bounded_generator_check(backend, chain, t_grid)
     payload = {

@@ -14,7 +14,6 @@ insufficient grid resolution.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,32 +42,24 @@ class Transform:
     windows from the decay bound |F(x)| <= tv0 * exp(-x * support_min).
     """
 
-    def __init__(self, source, negate: bool = False):
-        if isinstance(source, Transform):
-            self.source = source.source
-            negate = negate ^ source.negated
-        else:
-            self.source = source
-        self.negated = negate
-        src = self.source
-        if isinstance(src, CompactMeasure):
-            self._components = [src]
-        elif isinstance(src, CompactDistribution):
-            self._components = list(src.components)
+    def __init__(self, source):
+        if isinstance(source, CompactMeasure):
+            self._components = [source]
+        elif isinstance(source, CompactDistribution):
+            self._components = list(source.components)
         else:
             raise TypeError(f"cannot build a transform from {type(source)!r}")
-        self.support_min = src.support_min
-        self.support_max = src.support_max
-        self.is_real = src.is_real
+        self.source = source
+        self.support_min = source.support_min
+        self.support_max = source.support_max
+        self.is_real = source.is_real
         self.tv0 = sum(tv_moment(m, 0) for m in self._components)
 
     def __call__(self, z):
         src = self.source
         if isinstance(src, CompactMeasure):
-            val = laplace(src, z)
-        else:
-            val = laplace_distribution(src, z)
-        return -val if self.negated else val
+            return laplace(src, z)
+        return laplace_distribution(src, z)
 
     def decay_bound(self, x: float) -> float:
         """Upper bound for |F| on the real ray at x >= 0."""
@@ -78,9 +69,6 @@ class Transform:
                 continue
             total += x**j * tv_moment(m, 0) * math.exp(-x * m.support_min)
         return total
-
-    def negate(self) -> "Transform":
-        return Transform(self, negate=True)
 
 
 def as_transform(source) -> Transform:
@@ -354,7 +342,7 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
 
     for _ in range(_GRID_REFINEMENTS + 1):
         result = _flood_fill_curve(
-            F, alpha, a1, f_a0=f_a0,
+            F, a1, f_a0=f_a0,
             nx=nx, ny=ny, x_max=x_max, y_max=y_max,
             min_axis_height=min_axis_height,
         )
@@ -419,9 +407,8 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
     )
 
 
-def _flood_fill_curve(F, alpha, a1, f_a0, nx, ny, x_max, y_max,
-                      min_axis_height):
-    """BFS the superlevel component of a1; return (path, a2, a3) or None."""
+def _flood_fill_curve(F, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
+    """Sweep the superlevel component of a1; return (path, a2, a3) or None."""
     dx = x_max / nx
     dy = y_max / ny
     xc = (np.arange(nx) + 0.5) * dx
@@ -443,28 +430,34 @@ def _flood_fill_curve(F, alpha, a1, f_a0, nx, ny, x_max, y_max,
         if not mask[j1, i1]:
             return None
 
-    # BFS with parents
-    parent = -np.ones((ny, nx, 2), dtype=np.int32)
-    seen = np.zeros((ny, nx), dtype=bool)
-    seen[j1, i1] = True
-    queue = deque([(j1, i1)])
-    contact = None
-    while queue:
-        j, i = queue.popleft()
-        if i == 0 and yc[j] > min_axis_height:
-            if contact is None or yc[j] < yc[contact[0]]:
-                contact = (j, i)
-        for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            j2, i2 = j + dj, i + di
-            if 0 <= j2 < ny and 0 <= i2 < nx and mask[j2, i2] and not seen[j2, i2]:
-                seen[j2, i2] = True
-                parent[j2, i2] = (j, i)
-                queue.append((j2, i2))
-    if contact is None:
-        return None
+    # Breadth-first, one level at a time, on flat indices of the mask padded
+    # with a False border.  A level is expanded in frontier order and, per
+    # cell, in neighbour order (+y, -y, +x, -x); each new cell keeps its first
+    # discoverer as parent and the next frontier keeps discovery order, so the
+    # parent tree is exactly that of a FIFO-queue BFS.
+    w = nx + 2
+    steps = np.array([w, -w, 1, -1])
+    unseen = np.pad(mask, 1).ravel()
+    parent = np.full(unseen.size, -1)
+    start = (j1 + 1) * w + i1 + 1
+    unseen[start] = False
+    frontier = np.array([start])
+    while frontier.size:
+        cand = (frontier[:, None] + steps).ravel()  # position p*4 + direction
+        found = np.flatnonzero(unseen[cand])
+        _, first = np.unique(cand[found], return_index=True)
+        found = found[np.sort(first)]
+        parent[cand[found]] = frontier[found // 4]
+        frontier = cand[found]
+        unseen[frontier] = False
 
-    jc, ic = contact
-    a2 = complex(xc[ic], yc[jc])
+    # contact: the lowest reached cell of column 0 above min_axis_height
+    reached_axis = mask[:, 0] & ~unseen.reshape(ny + 2, w)[1:-1, 1]
+    rows = np.flatnonzero(reached_axis & (yc > min_axis_height))
+    if rows.size == 0:
+        return None
+    jc = int(rows[0])
+    a2 = complex(xc[0], yc[jc])
     a3 = 1j * yc[jc]
     # certify the actual axis point; scan within the contact cell if needed
     if abs(complex(F(a3))) <= f_a0:
@@ -476,17 +469,13 @@ def _flood_fill_curve(F, alpha, a1, f_a0, nx, ny, x_max, y_max,
             return None
         a3 = 1j * float(ys[k])
 
-    # path from contact back to a1 via parents
+    # path from the contact cell back to a1 via parents, both ends excluded
     cells = []
-    j, i = jc, ic
-    while (j, i) != (j1, i1):
-        cells.append((j, i))
-        j, i = parent[j, i]
-        if j < 0:
-            return None
-    cells.append((j1, i1))
-    cells.reverse()  # a1 cell ... contact cell
-    points = [complex(xc[i], yc[j]) for j, i in cells[1:-1]]
+    c = (jc + 1) * w + 1
+    while c != start:
+        cells.append(c)
+        c = parent[c]
+    points = [complex(xc[c % w - 1], yc[c // w - 1]) for c in reversed(cells[1:])]
     return points, a2, a3
 
 
@@ -508,38 +497,24 @@ def _simplify_path(points, seg_ok):
 _CROSS_EPS = 1e-12
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    eps = _CROSS_EPS
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    return False
-
-
 def _is_simple_polyline(points, closed: bool = False) -> bool:
-    pts = list(points)
+    """No two segments cross strictly (beyond _CROSS_EPS).
+
+    O[i, k] is the orientation of vertex k against segment i; segments i and
+    j cross when each one's endpoints lie strictly on opposite sides of the
+    other.  A vertex's orientation against a segment that ends at it is
+    exactly 0, so segments sharing a vertex never count as crossing.
+    """
+    pts = np.asarray(points, dtype=complex)
     if closed and abs(pts[0] - pts[-1]) < 1e-15:
         pts = pts[:-1]
-    n = len(pts)
-    segs = []
-    last = n if closed else n - 1
-    for i in range(last):
-        segs.append((pts[i], pts[(i + 1) % n]))
-    for i in range(len(segs)):
-        for j in range(i + 2, len(segs)):
-            if closed and i == 0 and j == len(segs) - 1:
-                continue  # sharing the start vertex
-            if _segments_intersect(*segs[i], *segs[j]):
-                return False
-    return True
+    starts = np.arange(len(pts) if closed else len(pts) - 1)
+    ends = (starts + 1) % len(pts)
+    p, q = pts[starts, None], pts[ends, None]
+    O = (q.real - p.real) * (pts.imag - p.imag) - (q.imag - p.imag) * (pts.real - p.real)
+    pos, neg = O > _CROSS_EPS, O < -_CROSS_EPS
+    straddle = (pos[:, starts] & neg[:, ends]) | (neg[:, starts] & pos[:, ends])
+    return not np.any(straddle & straddle.T)
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +525,23 @@ def separation_curve(
     F,
     u: float,
     R_m: float,
-    ray: RayMaximum | None = None,
+    ray: RayMaximum,
+    radii: RadiusPair,
 ) -> SeparationCurve:
     """Curve joining alpha/u on the real axis to v_k on the imaginary axis,
     with |v_k| > R_m and |F(u z)| >= |F(alpha)| along the path.
 
-    Constructed at the natural scale of F (the curve for (F, u) is the curve
-    of z -> F(u z) rescaled by 1/u), which keeps the flood-fill grid
-    resolution independent of u.
+    ``ray`` and ``radii`` are ``ray_max(F)`` and ``babylem_radius(F)``, which
+    the caller has already computed (``spectral.criterion_check`` does, once
+    per run); the window u * R_m < radii.r is checked here.  Constructed at
+    the natural scale of F (the curve for (F, u) is the curve of
+    z -> F(u z) rescaled by 1/u), which keeps the flood-fill grid resolution
+    independent of u.
     """
-    F = as_transform(F)
-    radii = babylem_radius(F)
     if u * R_m >= radii.r:
         raise WindowViolationError(
             f"window violated: u*R_m = {u * R_m:.6g} >= r = {radii.r:.6g}"
         )
-    if ray is None:
-        ray = ray_max(F)
     curve = jordan_curve(F, ray, min_axis_height=u * R_m)
     gamma0 = (
         [complex(curve.alpha)]

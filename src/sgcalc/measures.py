@@ -18,6 +18,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
+from .errors import MassNotZeroError
+
 ATOM_MERGE_TOL = 1e-12
 _COEFF_DUST = 1e-14
 
@@ -180,6 +182,20 @@ def mass(mu: CompactMeasure) -> complex:
         anti = npoly.polyint(np.asarray(p.coeffs))
         total += npoly.polyval(p.b, anti) - npoly.polyval(p.a, anti)
     return complex(total)
+
+
+_MASS_TOL = 1e-12
+
+
+def require_mass_zero(mu: CompactMeasure) -> None:
+    """Raise MassNotZeroError unless |mass(mu)| <= _MASS_TOL.
+
+    The lower estimates, the strict criterion and the separation certificate
+    are all statements about zero-mass measures.
+    """
+    m = mass(mu)
+    if abs(m) > _MASS_TOL:
+        raise MassNotZeroError(f"measure has mass {m:.3g}, the check needs mass 0")
 
 
 def moment(mu: CompactMeasure, k: int) -> complex:

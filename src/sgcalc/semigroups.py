@@ -5,14 +5,14 @@ Riemann-Liouville fractional integration (a smooth quasinilpotent Volterra
 family), bounded-generator matrix semigroups exp(tA), diagonal semigroups,
 and the sup-norm multiplication semigroup x -> x^t on a grid of (0,1].
 
-Backends are immutable after construction; materialized matrices are memoized
-behind a lock so concurrent readers share them safely.
+Materialized matrices are memoized per time: resolvent panels reuse the same
+Gauss-Legendre nodes for every lambda, and feller_renorm re-applies the same
+times.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -35,7 +35,6 @@ class SemigroupBackend(ABC):
     def __init__(self, dim: int):
         self.dim = dim
         self._cache: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def generator(self) -> np.ndarray | None:
@@ -48,13 +47,9 @@ class SemigroupBackend(ABC):
 
     def materialize(self, t: float) -> np.ndarray:
         t = float(t)
-        with self._lock:
-            M = self._cache.get(t)
-        if M is None:
-            M = self._materialize(t)
-            with self._lock:
-                self._cache[t] = M
-        return M
+        if t not in self._cache:
+            self._cache[t] = self._materialize(t)
+        return self._cache[t]
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return self.materialize(t) @ np.asarray(vec, dtype=complex)

@@ -15,18 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import (
+    RadiusPair,
+    RayMaximum,
     SeparationCurve,
     as_transform,
     babylem_radius,
     ray_max,
     separation_curve,
 )
-from .errors import (
-    CertificateFailedError,
-    MassNotZeroError,
-    NotDiagonalError,
-)
-from .measures import CompactMeasure, laplace, mass
+from .errors import CertificateFailedError, NotDiagonalError
+from .measures import CompactMeasure, laplace, require_mass_zero
 from .semigroups import DiagonalSemigroup, MultiplicationC0, SemigroupBackend
 
 
@@ -82,7 +80,8 @@ class CriterionRow:
 @dataclass(frozen=True)
 class CriterionReport:
     rows: tuple
-    r_window: float
+    ray: RayMaximum  # sup_{x>0} |F(x)| and its maximizer
+    radii: RadiusPair  # the separation window is u * R_m < radii.r
 
     @property
     def all_strict(self) -> bool:
@@ -97,10 +96,10 @@ def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> Criter
 
     rho is the exhaustive maximum of |F(u a_chi)|; equality within
     _DEGENERATE_TOL counts as failure because the decomposition theorem needs
-    the strict inequality.
+    the strict inequality.  The report keeps the ray maximum and the radius
+    pair, which the separation certificate reuses.
     """
-    if abs(mass(mu)) > 1e-12:
-        raise MassNotZeroError("criterion is about zero-mass measures")
+    require_mass_zero(mu)
     ray = ray_max(mu)
     radii = babylem_radius(as_transform(mu))
     lambdas = np.asarray(charset.lambdas)
@@ -114,7 +113,7 @@ def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> Criter
             if charset.slices[m] and u * charset.radii[m] < radii.r:
                 window_m = m
         rows.append(CriterionRow(u, rho, ray.value, strict, window_m))
-    return CriterionReport(tuple(rows), radii.r)
+    return CriterionReport(tuple(rows), ray, radii)
 
 
 @dataclass(frozen=True)
@@ -194,29 +193,6 @@ def bounded_generator_check(
 # separation certificate
 
 
-def _winding_number(point: complex, vertices) -> float:
-    total = 0.0
-    n = len(vertices)
-    for i in range(n):
-        z1 = vertices[i] - point
-        z2 = vertices[(i + 1) % n] - point
-        total += math.atan2(
-            z1.real * z2.imag - z1.imag * z2.real,
-            z1.real * z2.real + z1.imag * z2.imag,
-        )
-    return total / (2.0 * math.pi)
-
-
-def _dist_to_segment(p: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0:
-        return abs(p - a)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     u: float
@@ -240,33 +216,32 @@ def separation_certificate(
     mu: CompactMeasure,
     u: float,
     m,
+    ray: RayMaximum,
+    radii: RadiusPair,
 ) -> tuple[SeparationReport, SeparationCurve]:
     """Certify that the slice Lambda_m sits strictly inside the curve Gamma_k.
 
     The closed curve is Gamma_{k,0}, the left semicircle of radius |v_k|, and
-    the conjugate arc.  Each lambda in the slice must have winding number
-    +-1, positive distance to the polygon, and |F(u lambda)| strictly below
-    the ray maximum that the curve values dominate.  Returns the report and
-    the certified curve.
+    the conjugate arc.  Each lambda in the slice must have |F(u lambda)|
+    strictly below the ray maximum that the curve values dominate, winding
+    number +-1 and positive distance to the polygon; the first point to fail,
+    in slice order and in that order of checks, raises.  ``ray`` and
+    ``radii`` are those of ``criterion_check``'s report, so neither is
+    computed again.  Returns the report and the certified curve.
     """
-    if abs(mass(mu)) > 1e-12:
-        raise MassNotZeroError("certificate is about zero-mass measures")
+    require_mass_zero(mu)
     F = as_transform(mu)
-    ray = ray_max(F)
     R_m = charset.radii[m]
-    curve = separation_curve(F, u, R_m, ray=ray)
+    curve = separation_curve(F, u, R_m, ray, radii)
 
     # curve samples dominate the ray maximum (sample in the scale-1 frame)
-    gamma = curve.gamma_k0_vertices
-    min_excess = math.inf
-    for z1, z2 in zip(gamma, gamma[1:]):
-        ts = np.linspace(0.0, 1.0, _SAMPLES_PER_SEGMENT)
-        zz = np.asarray(z1) + ts * (np.asarray(z2) - np.asarray(z1))
-        vals = np.abs(F(u * zz)) - ray.value
-        # the real-axis endpoint alpha_k attains the ray maximum exactly
-        if abs(z1 - curve.alpha_k) < 1e-15:
-            vals = vals[1:]
-        min_excess = min(min_excess, float(np.min(vals)))
+    gamma = np.asarray(curve.gamma_k0_vertices)
+    z1, z2 = gamma[:-1, None], gamma[1:, None]
+    zz = z1 + np.linspace(0.0, 1.0, _SAMPLES_PER_SEGMENT) * (z2 - z1)
+    excess = np.abs(F(u * zz)) - ray.value
+    # the real-axis endpoint alpha_k attains the ray maximum exactly
+    excess[np.abs(gamma[:-1] - curve.alpha_k) < 1e-15, 0] = np.inf
+    min_excess = float(np.min(excess))
     if min_excess < -1e-9 * ray.value:
         raise CertificateFailedError(
             "curve dipped below the ray maximum", point=complex(u)
@@ -276,34 +251,34 @@ def separation_certificate(
     radius = curve.radius
     angles = np.linspace(0.5 * math.pi, 1.5 * math.pi, _SEMICIRCLE_POINTS + 2)[1:-1]
     semicircle = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
-    closed = (
-        list(gamma)
-        + semicircle
-        + [z.conjugate() for z in reversed(list(gamma))][:-1]
-    )
+    closed = np.concatenate([gamma, semicircle, np.conj(gamma[::-1])[:-1]])
 
-    lam_margins = []
-    min_dist = math.inf
-    for lam in charset.slice_values(m):
-        lam = complex(lam)
-        margin = ray.value - abs(complex(F(u * lam)))
-        if margin <= 0:
+    # every slice point p against every edge a -> b of the polygon
+    lams = charset.slice_values(m)
+    margins = ray.value - np.abs(F(u * lams))
+    p, a, b = lams[:, None], closed, np.roll(closed, -1)
+    za, zb = a - p, b - p
+    winding = np.sum(np.arctan2(za.real * zb.imag - za.imag * zb.real,
+                                za.real * zb.real + za.imag * zb.imag), axis=1) / (2.0 * math.pi)
+    ab = b - a
+    denom = np.abs(ab) ** 2
+    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / np.where(denom == 0, 1.0, denom)
+    dists = np.min(np.abs(p - (a + np.clip(t, 0.0, 1.0) * ab)), axis=1)
+
+    reaches_max = margins <= 0
+    bad_winding = np.abs(np.abs(winding) - 1.0) > 1e-6
+    touches = dists <= 0
+    bad = reaches_max | bad_winding | touches
+    if bad.any():
+        k = int(np.argmax(bad))
+        lam = complex(lams[k])
+        if reaches_max[k]:
+            raise CertificateFailedError("slice point reaches the ray maximum", point=lam)
+        if bad_winding[k]:
             raise CertificateFailedError(
-                "slice point reaches the ray maximum", point=lam
+                f"winding number {winding[k]:.6f} is not +-1", point=lam
             )
-        w = _winding_number(lam, closed)
-        if abs(abs(w) - 1.0) > 1e-6:
-            raise CertificateFailedError(
-                f"winding number {w:.6f} is not +-1", point=lam
-            )
-        dist = min(
-            _dist_to_segment(lam, closed[i], closed[(i + 1) % len(closed)])
-            for i in range(len(closed))
-        )
-        if dist <= 0:
-            raise CertificateFailedError("slice point touches the curve", point=lam)
-        min_dist = min(min_dist, dist)
-        lam_margins.append((lam, margin))
+        raise CertificateFailedError("slice point touches the curve", point=lam)
 
     return SeparationReport(
         u=float(u),
@@ -313,8 +288,8 @@ def separation_certificate(
         alpha_k=curve.alpha_k,
         radius=radius,
         curve_min_excess=min_excess,
-        lam_margins=tuple(lam_margins),
-        min_distance=min_dist,
+        lam_margins=tuple((complex(lam), float(mg)) for lam, mg in zip(lams, margins)),
+        min_distance=float(np.min(dists, initial=math.inf)),
         passed=True,
     ), curve
 
@@ -349,8 +324,7 @@ def sharpness_demo(n: int, mu: CompactMeasure, u_list) -> SharpnessReport:
     norm of F(-uA) approaches sup_{s>0} |F(s)| from below as the grid refines,
     so the strict lower estimate is sharp for this non-quasinilpotent model.
     """
-    if abs(mass(mu)) > 1e-12:
-        raise MassNotZeroError("sharpness demo is about zero-mass measures")
+    require_mass_zero(mu)
     if not mu.is_real:
         raise ValueError("sharpness demo expects a real measure")
     backend = MultiplicationC0(n)

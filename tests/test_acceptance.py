@@ -224,7 +224,7 @@ def test_08_idempotent_pipeline():
     defect_ok = abs(defect_100 - (1.0 - math.exp(-0.1))) <= 1e-10
 
     # largest slice fitting the separation window at this u
-    cert, _ = separation_certificate(cs, D12, u, 150)
+    cert, _ = separation_certificate(cs, D12, u, 150, crit.ray, crit.radii)
     cert_ok = (
         cert.passed
         and cert.min_distance > 0

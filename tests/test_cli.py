@@ -130,22 +130,29 @@ class TestIdempotentsCommand:
              "backend": {"kind": "diagonal-range", "start": 1, "stop": 50},
              "u": 1e-3, "m": 50, "m_list": [25, 50]},
         )
-        jordan_curve = complexfn.jordan_curve
-        calls = []
+        calls = {"ray_max": 0, "babylem_radius": 0, "jordan_curve": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return jordan_curve(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(complexfn, "jordan_curve", counted)
+        # spectral imports ray_max and babylem_radius by name, so both
+        # bindings are counted
+        for name in calls:
+            for module in (complexfn, spectral):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output", str(out)]) == 0
-        assert len(calls) == 1
+        assert calls == {"ray_max": 1, "babylem_radius": 1, "jordan_curve": 1}
         monkeypatch.undo()
 
         charset = spectral.character_set(semigroups.diagonal_semigroup(range(1, 51)))
+        mu = cli.NAMED_MEASURES["delta-difference"]()
         curve = complexfn.separation_curve(
-            cli.NAMED_MEASURES["delta-difference"](), 1e-3, charset.radii[50])
+            mu, 1e-3, charset.radii[50], complexfn.ray_max(mu), complexfn.babylem_radius(mu))
         rows = (out / "certificate_curve.csv").read_text().splitlines()
         assert rows[0] == "re,im"
         assert [complex(*map(float, r.split(","))) for r in rows[1:]] == list(

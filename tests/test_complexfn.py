@@ -1,10 +1,13 @@
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
+from sgcalc import complexfn
 from sgcalc.complexfn import (
+    _is_simple_polyline,
     as_transform,
     babylem_radius,
     jordan_curve,
@@ -15,6 +18,8 @@ from sgcalc.complexfn import (
 )
 from sgcalc.errors import WindowViolationError
 from sgcalc.measures import convolve, from_atoms, indicator, laplace, scale
+from sgcalc.semigroups import diagonal_semigroup
+from sgcalc.spectral import character_set
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D1234 = from_atoms([(1.0, 1.0), (2.0, -3.0), (3.0, 1.0), (4.0, 1.0)])
@@ -31,7 +36,7 @@ class TestRayMax:
         assert not ray.sign_flipped
 
     def test_sign_normalization(self):
-        ray = ray_max(as_transform(D12).negate())
+        ray = ray_max(as_transform(-D12))
         assert ray.value == pytest.approx(0.25, abs=1e-10)
         assert ray.sign_flipped
 
@@ -74,7 +79,7 @@ class TestVanishingOrder:
         for mu in [D12, D1234, STEP, squared]:
             F = as_transform(mu)
             ray = ray_max(F)
-            Fn = F.negate() if ray.sign_flipped else F
+            Fn = as_transform(-mu) if ray.sign_flipped else F
             m, _ = vanishing_order(Fn, ray.alpha)
             assert m % 2 == 0
 
@@ -159,31 +164,29 @@ class TestJordanCurve:
 
 
 class TestSeparationCurve:
+    F = as_transform(D12)
+    RAY, RADII = ray_max(F), babylem_radius(F)
+
     def test_axis_clearance(self):
-        F = as_transform(D12)
-        curve = separation_curve(F, 0.01, 5.0)
+        curve = separation_curve(self.F, 0.01, 5.0, self.RAY, self.RADII)
         assert curve.radius > 5.0
         assert curve.v_k.real == 0.0
 
     def test_scaling_relation(self):
-        F = as_transform(D12)
-        c1 = separation_curve(F, 0.01, 5.0)
-        c2 = separation_curve(F, 0.02, 2.5)
+        c1 = separation_curve(self.F, 0.01, 5.0, self.RAY, self.RADII)
+        c2 = separation_curve(self.F, 0.02, 2.5, self.RAY, self.RADII)
         # same scale-1 construction, vertices differ by the ratio of scales
         ratio = 0.02 / 0.01
         assert c1.alpha_k == pytest.approx(c2.alpha_k * ratio, rel=1e-12)
 
     def test_window_violation(self):
-        F = as_transform(D12)
-        r = babylem_radius(F).r
         with pytest.raises(WindowViolationError):
-            separation_curve(F, 1.0, 2.0 * r)
+            separation_curve(self.F, 1.0, 2.0 * self.RADII.r, self.RAY, self.RADII)
 
     def test_values_dominate_ray_maximum(self):
-        F = as_transform(D12)
-        ray = ray_max(F)
+        F, ray = self.F, self.RAY
         u = 0.001
-        curve = separation_curve(F, u, 5.0, ray=ray)
+        curve = separation_curve(F, u, 5.0, ray, self.RADII)
         gamma = curve.gamma_k0_vertices
         for z1, z2 in zip(gamma, gamma[1:]):
             zz = np.asarray(z1) + np.linspace(0.0, 1.0, 200) * (np.asarray(z2) - np.asarray(z1))
@@ -191,3 +194,136 @@ class TestSeparationCurve:
             if abs(z1 - curve.alpha_k) < 1e-12:
                 vals = vals[1:]
             assert np.all(vals >= ray.value - 1e-9)
+
+
+def _deque_flood_fill(F, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
+    """Reference: the queue-based BFS that the frontier sweep replaced."""
+    dx = x_max / nx
+    dy = y_max / ny
+    xc = (np.arange(nx) + 0.5) * dx
+    yc = (np.arange(ny) + 0.5) * dy
+    Z = xc[None, :] + 1j * yc[:, None]
+    absF = np.abs(F(Z))
+    mask = absF > f_a0
+
+    i1 = min(int(a1.real / dx), nx - 1)
+    j1 = min(int(a1.imag / dy), ny - 1)
+    if not mask[j1, i1]:
+        jlo, jhi = max(j1 - 1, 0), min(j1 + 2, ny)
+        ilo, ihi = max(i1 - 1, 0), min(i1 + 2, nx)
+        sub = absF[jlo:jhi, ilo:ihi]
+        jj, ii = np.unravel_index(np.argmax(sub), sub.shape)
+        j1, i1 = jlo + jj, ilo + ii
+        if not mask[j1, i1]:
+            return None
+
+    parent = -np.ones((ny, nx, 2), dtype=np.int32)
+    seen = np.zeros((ny, nx), dtype=bool)
+    seen[j1, i1] = True
+    queue = deque([(j1, i1)])
+    contact = None
+    while queue:
+        j, i = queue.popleft()
+        if i == 0 and yc[j] > min_axis_height:
+            if contact is None or yc[j] < yc[contact[0]]:
+                contact = (j, i)
+        for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            j2, i2 = j + dj, i + di
+            if 0 <= j2 < ny and 0 <= i2 < nx and mask[j2, i2] and not seen[j2, i2]:
+                seen[j2, i2] = True
+                parent[j2, i2] = (j, i)
+                queue.append((j2, i2))
+    if contact is None:
+        return None
+
+    jc, ic = contact
+    a2 = complex(xc[ic], yc[jc])
+    a3 = 1j * yc[jc]
+    if abs(complex(F(a3))) <= f_a0:
+        ys = yc[jc] + dy * np.linspace(-0.5, 0.5, 41)
+        ys = ys[(ys > min_axis_height) & (ys > 0)]
+        vals = np.abs(F(1j * ys))
+        k = int(np.argmax(vals))
+        if vals[k] <= f_a0:
+            return None
+        a3 = 1j * float(ys[k])
+
+    cells = []
+    j, i = jc, ic
+    while (j, i) != (j1, i1):
+        cells.append((j, i))
+        j, i = parent[j, i]
+        if j < 0:
+            return None
+    cells.append((j1, i1))
+    cells.reverse()
+    points = [complex(xc[i], yc[j]) for j, i in cells[1:-1]]
+    return points, a2, a3
+
+
+def _separation_axis_height():
+    charset = character_set(diagonal_semigroup(range(1, 201)))
+    return 1e-3 * charset.radii[150]  # u * R_m of configs/separation.json
+
+
+@pytest.mark.parametrize("mu, min_axis_height", [
+    *[(mu, h) for mu in REAL_MEASURES for h in (0.0, 0.2, 1.0)],
+    (D12, _separation_axis_height()),
+], ids=[*[f"{name}-h{h}" for name in ("atoms2", "atoms4", "step") for h in (0.0, 0.2, 1.0)],
+        "separation"])
+def test_frontier_sweep_matches_queue_bfs(monkeypatch, mu, min_axis_height):
+    sweep = complexfn._flood_fill_curve
+    calls = []
+
+    def compared(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        assert result == _deque_flood_fill(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(complexfn, "_flood_fill_curve", compared)
+    F = as_transform(mu)
+    jordan_curve(F, ray_max(F), min_axis_height=min_axis_height)
+    assert calls and calls[-1] is not None
+
+
+def _pairwise_is_simple(points, closed=False):
+    """Reference: the per-pair segment test that the orientation array replaced."""
+    def cross(o, a, b):
+        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+
+    def straddles(d1, d2, eps=1e-12):
+        return (d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)
+
+    pts = list(points)
+    if closed and abs(pts[0] - pts[-1]) < 1e-15:
+        pts = pts[:-1]
+    n = len(pts)
+    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n if closed else n - 1)]
+    for i in range(len(segs)):
+        for j in range(i + 2, len(segs)):
+            if closed and i == 0 and j == len(segs) - 1:
+                continue
+            (p1, p2), (q1, q2) = segs[i], segs[j]
+            if (straddles(cross(q1, q2, p1), cross(q1, q2, p2))
+                    and straddles(cross(p1, p2, q1), cross(p1, p2, q2))):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_orientation_array_matches_pairwise_segment_test(closed):
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for n in range(3, 40):
+        walk = rng.normal(size=n) + 1j * rng.normal(size=n)
+        # a polygon sorted by angle around the origin is simple; a random walk
+        # usually is not
+        angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+        star = rng.uniform(0.5, 1.5, n) * np.exp(1j * angles)
+        for pts in (walk, star, np.append(star, star[0])):
+            pts = [complex(z) for z in pts]
+            expected = _pairwise_is_simple(pts, closed)
+            assert _is_simple_polyline(pts, closed) == expected
+            verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgcalc.complexfn import babylem_radius, ray_max
 from sgcalc.errors import (
     CertificateFailedError,
     MassNotZeroError,
@@ -26,6 +27,7 @@ from sgcalc.spectral import (
 )
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
+D12_RAY, D12_RADII = ray_max(D12), babylem_radius(D12)
 
 
 class TestCharacterSet:
@@ -69,7 +71,7 @@ class TestCriterion:
         assert row.rho < row.sup_ray
         assert row.window_m is not None
         # slice radius must fit inside the scaled window
-        assert 1e-3 * cs.radii[row.window_m] < rep.r_window
+        assert 1e-3 * cs.radii[row.window_m] < rep.radii.r
 
     def test_exhaustive_rho_on_diagonal_model(self):
         sg = diagonal_semigroup([0.5, 1.0, 3.0])
@@ -154,7 +156,7 @@ class TestSeparationCertificate:
     def test_certifies_small_scale_slice(self):
         sg = diagonal_semigroup(np.arange(1.0, 51.0))
         cs = character_set(sg)
-        rep, curve = separation_certificate(cs, D12, 1e-3, 50)
+        rep, curve = separation_certificate(cs, D12, 1e-3, 50, D12_RAY, D12_RADII)
         assert rep.passed
         assert (curve.alpha_k, curve.radius) == (rep.alpha_k, rep.radius)
         assert rep.min_distance > 0
@@ -168,7 +170,7 @@ class TestSeparationCertificate:
         sg = diagonal_semigroup([1.0, math.log(2.0) / u])
         cs = character_set(sg, m_values=[1000])
         with pytest.raises(WindowViolationError):
-            separation_certificate(cs, D12, u, 1000)
+            separation_certificate(cs, D12, u, 1000, D12_RAY, D12_RADII)
 
     def test_corrupted_slice_table_caught_by_winding_check(self):
         # a slice table whose radius bound understates the true character
@@ -176,13 +178,29 @@ class TestSeparationCertificate:
         # must catch it
         cs = CharacterSet(lambdas=(1000.0 + 0.0j,), slices={1: (0,)}, radii={1: 10.0})
         with pytest.raises(CertificateFailedError):
-            separation_certificate(cs, D12, 1e-3, 1)
+            separation_certificate(cs, D12, 1e-3, 1, D12_RAY, D12_RADII)
+
+    def test_first_failing_point_raises_its_first_failing_check(self):
+        # 1000 lies outside the curve (winding 0); pi i / u has |F(u lambda)| = 2,
+        # above the ray maximum 1/4, and lies outside the curve as well
+        u = 1e-3
+        above = 1j * math.pi / u
+        for lambdas, point, message in [
+            ((1.0, 1000.0, above), 1000.0, "winding number"),
+            ((1.0, above, 1000.0), above, "reaches the ray maximum"),
+        ]:
+            cs = CharacterSet(lambdas=tuple(complex(l) for l in lambdas),
+                              slices={1: (0, 1, 2)}, radii={1: 10.0})
+            with pytest.raises(CertificateFailedError, match=message) as info:
+                separation_certificate(cs, D12, u, 1, D12_RAY, D12_RADII)
+            assert info.value.point == point
 
     def test_rejects_nonzero_mass(self):
         sg = diagonal_semigroup([1.0])
         cs = character_set(sg, m_values=[1])
+        # the mass check comes first, so the ray and radii passed do not matter
         with pytest.raises(MassNotZeroError):
-            separation_certificate(cs, dirac(1.0), 0.1, 1)
+            separation_certificate(cs, dirac(1.0), 0.1, 1, D12_RAY, D12_RADII)
 
 
 class TestSharpness:
