@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals_banded
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .complexfn import ray_max
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     NoGeneratorError,
     SingularGeneratorError,
 )
-from .linalg import op_norm, spectral_radius
+from .linalg import _SEED, op_norm, spectral_radius
 from .measures import (
     CompactDistribution,
     CompactMeasure,
@@ -43,6 +44,8 @@ _DEFAULT_GL_ORDER = 32
 _BOUND_SLACK = 1e-6  # added to the right side of the lemma 2.4 and 2.7 bounds
 _RESOLVENT_TAIL_TOL = 1e-12
 _PATH_TOL = 1e-9
+_LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
+_LANCZOS_NCV = 30  # Lanczos basis size
 
 
 @dataclass
@@ -52,8 +55,10 @@ class OperatorValue:
     On shift backends the operator is a weight combination of powers of the
     one-cell shift; shift_weights keeps that structure alive, so ``norm``
     splits the offsets by their gcd into independent chains and takes the
-    largest eigenvalue of the banded Gram matrix of one chain, at any size
-    and without forming the matrix (see ``_shift_opnorm``).
+    largest singular value of one chain's Toeplitz section, at any size and
+    without forming the matrix: from its banded Gram matrix when the band is
+    narrow, by Lanczos with convolution matvecs when it is wide (see
+    ``_shift_opnorm``).
     """
 
     matrix: np.ndarray | None
@@ -107,15 +112,17 @@ class OperatorValue:
 
 
 def _shift_opnorm(n: int, weights: dict) -> float:
-    """Largest singular value of T = sum_k w_k S^k on C^n, from a Gram band.
+    """Largest singular value of T = sum_k w_k S^k on C^n, without forming T.
 
     Offsets that share a gcd g split into g independent chains, and
     interlacing puts the norm on the longest, of length ceil(n/g).  With k0
     the smallest live offset, dropping the partial isometry S^k0 leaves the
-    m = n - k0 section T' with first column c_j = w_(k0+j), j = 0..b.  Its
-    Gram matrix has half-bandwidth b and, by prefix sums over s,
-    (T'^H T')[j+d, j] = sum_{s=d}^{min(b, m-1-j)} conj(c_(s-d)) c_s, so
-    ||T|| = sqrt(lambda_max) of a banded matrix; T itself is never formed.
+    m = n - k0 section T' with first column c_j = w_(k0+j), j = 0..b, and
+    ||T|| = ||T'||.  Narrow sections (b < _LANCZOS_MIN_BAND) take
+    sqrt(lambda_max) of the banded Gram matrix T'^H T' (``_band_opnorm``);
+    wider ones take Lanczos on T'^H T' with convolution matvecs
+    (``_lanczos_opnorm``), and fall back to the band if ARPACK does not
+    converge.
     """
     live = {k: w for k, w in weights.items() if k < n and w != 0}
     if not live:
@@ -133,6 +140,25 @@ def _shift_opnorm(n: int, weights: dict) -> float:
     c = _shift_column(b + 1, {k - k0: w for k, w in live.items()})
     if not np.any(c.imag):
         c = c.real
+    # every Gram entry is bounded by its largest diagonal entry, ||c||^2
+    if not math.isfinite(np.vdot(c, c).real):
+        raise ValueError("shift weights give a non-finite Gram matrix")
+    if b >= _LANCZOS_MIN_BAND:
+        try:
+            return _lanczos_opnorm(c, m)
+        except ArpackNoConvergence:
+            pass
+    return _band_opnorm(c, m)
+
+
+def _band_opnorm(c: np.ndarray, m: int) -> float:
+    """||T'|| for the m x m lower-triangular Toeplitz T' with first column c.
+
+    T'^H T' has half-bandwidth b = len(c) - 1 and, by prefix sums over s,
+    (T'^H T')[j+d, j] = sum_{s=d}^{min(b, m-1-j)} conj(c_(s-d)) c_s; LAPACK
+    reduces that band to tridiagonal form, O(m^2 b) flops.
+    """
+    b = len(c) - 1
     # Fortran order, so LAPACK reduces the band in place: the band is the only
     # array of size (b + 1) m, and the peak memory of a call is that one array.
     band = np.zeros((m, b + 1), dtype=c.dtype).T
@@ -140,12 +166,31 @@ def _shift_opnorm(n: int, weights: dict) -> float:
     for d in range(b + 1):
         prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
         band[d, : m - d] = prefix[np.minimum(b, m - 1 - j[: m - d]) - d]
-    # |G[i, j]| <= sqrt(G[i, i] G[j, j]): a finite diagonal bounds the band
-    if not np.isfinite(band[0]).all():
-        raise ValueError("shift weights give a non-finite Gram matrix")
     lam = eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False,
                          select="i", select_range=(m - 1, m - 1))
     return math.sqrt(max(float(lam[0]), 0.0))
+
+
+def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
+    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', T' as in ``_band_opnorm``.
+
+    Each matvec is two convolutions with the first column, O(m b) flops:
+    T'x = (c * x)[:m] and T'^H y = (conj(c) reversed * y)[b:b+m].  The
+    value returned is the witness ||T'x|| / ||x|| of the Ritz vector x, a
+    lower bound on ||T'|| whatever ARPACK converged to.  The start vector is
+    fixed, so the result does not depend on earlier calls.
+    """
+    b = len(c) - 1
+    rc = np.conj(c[::-1])
+
+    def gram(x):
+        return np.convolve(rc, np.convolve(c, x.ravel())[:m])[b: b + m]
+
+    op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
+    v0 = np.random.default_rng(_SEED).normal(size=m)
+    _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
+    x = vec[:, 0]
+    return float(np.linalg.norm(np.convolve(c, x)[:m]) / np.linalg.norm(x))
 
 
 def _piece_poly_integral(coeffs, a: float, b: float) -> complex:

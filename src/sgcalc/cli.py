@@ -365,7 +365,8 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
 def _cmd_sharpness(cfg: RunConfig, out: Path):
     n_list = cfg.n_list or (1000, 10000, 100000)
     grid = _build_u_grid(cfg.u_grid) if cfg.u_grid else [0.1, 0.5, 1.0, 2.0]
-    reports = [spectral.sharpness_demo(n, cfg.measure, grid) for n in n_list]
+    ray = complexfn.ray_max(cfg.measure)
+    reports = [spectral.sharpness_demo(n, cfg.measure, grid, ray) for n in n_list]
     rows = []
     for rep in reports:
         for row in rep.rows:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .errors import MassNotZeroError
 
@@ -243,6 +242,10 @@ def _piece_tv_moment(p: Piece, k: int) -> float:
             seg = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
             total += abs(seg)
         return total
+    # loaded here: only complex pieces need it, and the import costs a quarter
+    # of a second of every run's start-up
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda t: abs(npoly.polyval(t, c)) * t**k, p.a, p.b, epsabs=1e-10, limit=200
     )

@@ -317,18 +317,18 @@ class SharpnessReport:
         return max(row.gap for row in self.rows)
 
 
-def sharpness_demo(n: int, mu: CompactMeasure, u_list) -> SharpnessReport:
+def sharpness_demo(n: int, mu: CompactMeasure, u_list, ray: RayMaximum) -> SharpnessReport:
     """Near-equality of norm and ray maximum on the sup-norm multiplication model.
 
     The grid x_j = j/n realizes x -> x^t; substituting x^u = e^{-s} shows the
     norm of F(-uA) approaches sup_{s>0} |F(s)| from below as the grid refines,
     so the strict lower estimate is sharp for this non-quasinilpotent model.
+    ``ray`` is ``ray_max(mu)``, computed once by the caller for every n.
     """
     require_mass_zero(mu)
     if not mu.is_real:
         raise ValueError("sharpness demo expects a real measure")
     backend = MultiplicationC0(n)
-    ray = ray_max(mu)
     rows = []
     for u in u_list:
         u = float(u)

@@ -74,6 +74,16 @@ def test_registry_check(verify_all, stem):
             summary.get("detail", f"gate in configs/{stem}.json"))
 
 
+def test_sweep_alone_matches_its_verify_all_run(verify_all, tmp_path):
+    # wide shift sections take Lanczos from a fixed start vector, so a norm
+    # does not depend on the norms computed before it in the process
+    out = tmp_path / "sweep-step"
+    assert main(["run", "--config", str(CONFIG_DIR / "sweep-step.json"),
+                 "--output", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (
+        verify_all / "sweep-step" / "sweep.csv").read_bytes()
+
+
 def test_01_flagship_lower_estimate_sweep():
     t0 = time.perf_counter()
     sg = nilpotent_shift(512)
@@ -196,7 +206,8 @@ def test_06_disk_circle_separation_radii():
 
 def test_07_sharpness_on_multiplication_model():
     us = [0.1, 0.5, 1.0, 2.0]
-    gaps = [sharpness_demo(n, D12, us).max_gap for n in (1000, 10_000, 100_000)]
+    ray = ray_max(D12)
+    gaps = [sharpness_demo(n, D12, us, ray).max_gap for n in (1000, 10_000, 100_000)]
     ok = gaps[-1] <= 1e-4 and gaps[1] <= gaps[0] and gaps[2] <= gaps[1]
     _report(
         "07 sharpness",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.linalg import toeplitz
+from scipy.sparse.linalg import ArpackNoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgcalc import calculus
 from sgcalc.calculus import (
     OperatorValue,
     _gauss_legendre,
@@ -227,6 +229,20 @@ _OPNORM_CASES.update({
 })
 
 
+def _step_op(n: int, k: int) -> OperatorValue:
+    return func_calc(nilpotent_shift(n), STEP, k / n)
+
+
+# sections of at least _LANCZOS_MIN_BAND: the step offsets of the shift_refine
+# benchmark ops, and complex weights
+_WIDE_CASES = {
+    **{f"step-n{n}-k{k}": (lambda n=n, k=k: _step_op(n, k))
+       for n, k in ((1024, 291), (1024, 162), (2048, 435), (2048, 59))},
+    "complex-n1024": lambda: _shift_op(
+        {k: complex(math.cos(k), math.sin(3 * k)) / k for k in range(5, 300)}, 1024),
+}
+
+
 class TestShiftOpnorm:
     @pytest.mark.parametrize("case", sorted(_OPNORM_CASES))
     def test_banded_gram_matches_dense_svd(self, case):
@@ -241,7 +257,7 @@ class TestShiftOpnorm:
         op = _shift_op({1: 1.0, 2: -1.0}, n)
         assert op.norm() == pytest.approx(2 * math.cos(math.pi / (2 * n - 1)), rel=1e-12)
 
-    def test_svds_route_above_dense_cap(self):
+    def test_gcd_one_offsets_keep_the_full_size_2049(self):
         # offsets with gcd 1 keep the full size 2049, past the 2048 cap where
         # an svds route used to take over; the banded route has no cap
         n = 2049
@@ -253,11 +269,61 @@ class TestShiftOpnorm:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)])
     def test_non_finite_weight_raises(self, bad):
-        # LAPACK reduces the band unchecked and in place; the Gram diagonal
-        # is checked instead
-        op = _shift_op({1: 1.0, 3: bad}, 16)
-        with pytest.raises(ValueError, match="non-finite"):
-            op.norm()
+        # LAPACK reduces the band unchecked and in place, and ARPACK iterates
+        # on whatever the matvecs return, so the column is checked before
+        # either route: a narrow (band) and a wide (Lanczos) section
+        for weights, n in (({1: 1.0, 3: bad}, 16), ({1: 1.0, 40: bad}, 64)):
+            with pytest.raises(ValueError, match="non-finite"):
+                _shift_op(weights, n).norm()
+
+    @pytest.mark.parametrize("case", sorted(_WIDE_CASES))
+    def test_lanczos_route_matches_band_route(self, case, monkeypatch):
+        op = _WIDE_CASES[case]()
+        sections = []
+        lanczos = calculus._lanczos_opnorm
+        monkeypatch.setattr(calculus, "_lanczos_opnorm",
+                            lambda c, m: sections.append((m, len(c) - 1)) or lanczos(c, m))
+        wide = op.norm()
+        assert len(sections) == 1 and sections[0][1] >= calculus._LANCZOS_MIN_BAND
+        monkeypatch.setattr(calculus, "_LANCZOS_MIN_BAND", math.inf)
+        band = op.norm()
+        assert len(sections) == 1
+        assert abs(wide - band) <= 1e-12 * band
+
+    def test_arpack_failure_falls_back_to_the_band(self, monkeypatch):
+        op = _WIDE_CASES["step-n1024-k162"]()
+        monkeypatch.setattr(calculus, "_LANCZOS_MIN_BAND", math.inf)
+        band = op.norm()
+        monkeypatch.undo()
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        monkeypatch.setattr(calculus, "eigsh", no_convergence)
+        assert op.norm() == band
+
+
+class TestRefinement:
+    """Norms of F(-uA) on the shift model as the cell count n grows."""
+
+    @pytest.mark.parametrize("measure", ["delta-difference", "four-atom"])
+    @pytest.mark.parametrize("u", [1 / 64, 1 / 16, 1 / 8, 1 / 4])
+    def test_atomic_norm_does_not_depend_on_n(self, measure, u):
+        # integer atoms at a grid-aligned u act on whole cells, so every n
+        # reduces to the same chain
+        mu = NAMED_MEASURES[measure]()
+        norms = {func_calc(nilpotent_shift(n), mu, u).norm()
+                 for n in (512, 1024, 2048, 4096, 8192, 16384)}
+        assert len(norms) == 1
+
+    def test_step_norm_rises_below_the_imaginary_axis_sup(self):
+        # F(-uA) compresses full-line convolution with mu to L^2(0, 1), so its
+        # norm stays below sup_y |F(iy)|; a sampled sup is a stricter ceiling
+        norms = [func_calc(nilpotent_shift(n), STEP, 1 / 64).norm()
+                 for n in (512, 1024, 2048, 4096)]
+        ceiling = float(np.max(np.abs(laplace(STEP, 1j * np.linspace(0.0, 20.0, 20001)))))
+        assert ceiling == pytest.approx(1.4492, abs=1e-4)
+        assert all(a < b for a, b in zip(norms, norms[1:]))
+        assert norms[-1] < ceiling
 
 
 class TestEpCalc:

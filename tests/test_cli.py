@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import sgcalc
 from sgcalc import cli, complexfn, semigroups, spectral
 from sgcalc.cli import main
 
@@ -18,6 +23,16 @@ def _sweep_config(tmp_path, name="config.json", **overrides):
     }
     payload.update(overrides)
     return _write_config(tmp_path / name, payload)
+
+
+def test_import_loads_neither_scipy_integrate_nor_signal():
+    # each costs a quarter second or more of start-up, and no shipped run needs it
+    code = ("import sys, sgcalc.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(sgcalc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigErrors:
@@ -157,6 +172,29 @@ class TestIdempotentsCommand:
         assert rows[0] == "re,im"
         assert [complex(*map(float, r.split(","))) for r in rows[1:]] == list(
             curve.gamma_k0_vertices)
+
+
+class TestSharpnessCommand:
+    def test_ray_max_is_computed_once_for_every_n(self, tmp_path, monkeypatch):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {"command": "sharpness", "measure": "delta-difference",
+             "n_list": [100, 1000, 10000], "u_grid": {"values": [0.5, 1.0]}},
+        )
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return ray
+        ray = complexfn.ray_max(cli.NAMED_MEASURES["delta-difference"]())
+        for module in (complexfn, spectral):
+            monkeypatch.setattr(module, "ray_max", counted)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert len(calls) == 1
+        rows = (out / "sharpness.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3 * 2
+        assert json.loads((out / "sharpness.json").read_text())["ray_value"] == ray.value
 
 
 class TestGates:

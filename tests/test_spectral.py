@@ -205,7 +205,7 @@ class TestSeparationCertificate:
 
 class TestSharpness:
     def test_norm_equals_rho_and_gap_small(self):
-        rep = sharpness_demo(10_000, D12, [0.1, 0.5, 1.0, 2.0])
+        rep = sharpness_demo(10_000, D12, [0.1, 0.5, 1.0, 2.0], D12_RAY)
         assert rep.ray_value == pytest.approx(0.25, abs=1e-10)
         assert rep.max_gap <= 1e-4
         # the model norm never exceeds the ray maximum
@@ -214,12 +214,13 @@ class TestSharpness:
 
     def test_gap_monotone_under_refinement(self):
         gaps = [
-            sharpness_demo(n, D12, [0.1, 0.5, 1.0, 2.0]).max_gap
+            sharpness_demo(n, D12, [0.1, 0.5, 1.0, 2.0], D12_RAY).max_gap
             for n in (1000, 10_000, 100_000)
         ]
         assert gaps[1] <= gaps[0] + 1e-6
         assert gaps[2] <= gaps[1] + 1e-6
 
     def test_rejects_nonzero_mass(self):
+        # the mass check comes first, so the ray passed does not matter
         with pytest.raises(MassNotZeroError):
-            sharpness_demo(1000, dirac(1.0), [0.5])
+            sharpness_demo(1000, dirac(1.0), [0.5], D12_RAY)
