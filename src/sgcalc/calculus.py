@@ -299,46 +299,54 @@ def _shift_exp_column(backend: NilpotentShift, lam: complex, hi: float) -> np.nd
     return col
 
 
-def resolvent(backend: SemigroupBackend, lam: complex) -> np.ndarray:
-    """(A + lam I)^{-1} = -int_0^inf e^{lam t} T(t) dt.
+def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
+    """(A + lam I)^{-1} = -int_0^inf e^{lam t} T(t) dt for each lam, in input order.
 
     Shift backends integrate e^{lam t} exactly against the piecewise-constant
     t -> T(t); diagonal backends use the scalar closed form (convergent for
     Re lam below the spectral abscissa); other backends use composite
     Gauss-Legendre panels extended until the tail is provably below
-    _RESOLVENT_TAIL_TOL.
+    _RESOLVENT_TAIL_TOL; the batch shares them, materializing each node once,
+    and each lam stops at its own panel.
     """
-    lam = complex(lam)
+    lams = [complex(lam) for lam in lams]
     if isinstance(backend, NilpotentShift):
-        return _lower_toeplitz(-_shift_exp_column(backend, lam, backend.nilpotent_horizon))
+        return [_lower_toeplitz(-_shift_exp_column(backend, lam, backend.nilpotent_horizon))
+                for lam in lams]
 
     if isinstance(backend, DiagonalSemigroup):
-        gap = float(np.min(backend.lambdas.real)) - lam.real
-        if gap <= 0:
-            raise DivergentIntegralError(
-                f"integrand e^((lam - lam_k) t) does not decay (gap {gap:.3g})"
-            )
-        return np.diag(1.0 / (lam - backend.lambdas))
+        for lam in lams:
+            gap = float(np.min(backend.lambdas.real)) - lam.real
+            if gap <= 0:
+                raise DivergentIntegralError(
+                    f"integrand e^((lam - lam_k) t) does not decay (gap {gap:.3g})"
+                )
+        return [np.diag(1.0 / (lam - backend.lambdas)) for lam in lams]
 
-    # open-ended integral: extend panels until the decay certifies the tail
+    # open-ended integral: extend panels until the decay certifies each tail
     n = backend.dim
-    M = np.zeros((n, n), dtype=complex)
+    sums = [np.zeros((n, n), dtype=complex) for _ in lams]
+    live = list(range(len(lams)))
     h = 0.5
     t = 0.0
-    for _ in range(400):
-        M += _panel_integral(backend, lam, t, t + h)
+    while live and t < 200.0:
+        panels = dict.fromkeys(live, 0)  # kept apart: a batch adds what a lone lam would
+        for node, w in zip(*_gauss_legendre(t, t + h)):
+            T = backend.materialize(node)
+            for i in live:
+                panels[i] = panels[i] + w * np.exp(lams[i] * node) * T
         t += h
-        tail_factor = op_norm(backend.materialize(t)) * math.exp(max(lam.real, 0.0) * t)
-        if tail_factor < _RESOLVENT_TAIL_TOL and t >= 2.0:
-            return -M
-    raise DivergentIntegralError(
-        f"resolvent integral did not converge by t = {t:.1f} for lam = {lam}"
-    )
-
-
-def _panel_integral(backend, lam: complex, a: float, b: float) -> np.ndarray:
-    return sum(w * np.exp(lam * t) * backend.materialize(t)
-               for t, w in zip(*_gauss_legendre(a, b)))
+        tail_norm = op_norm(backend.materialize(t))
+        for i in live:
+            sums[i] += panels[i]
+        live = [i for i in live
+                if not (tail_norm * math.exp(max(lams[i].real, 0.0) * t)
+                        < _RESOLVENT_TAIL_TOL and t >= 2.0)]
+    if live:
+        raise DivergentIntegralError(
+            f"resolvent integral did not converge by t = {t:.1f} for lam = {lams[live[0]]}"
+        )
+    return [-M for M in sums]
 
 
 # ---------------------------------------------------------------------------

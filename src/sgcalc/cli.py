@@ -19,6 +19,7 @@ import numpy as np
 
 from . import calculus, complexfn, semigroups, spectral
 from .errors import ConfigError, SgcalcError
+from .linalg import op_norm
 from .measures import (
     distribution_from_dict,
     from_atoms,
@@ -80,18 +81,9 @@ def _parse_measure(spec):
     raise ConfigError(f"measure spec must be a name or an object, got {type(spec)}")
 
 
-def _parse_distribution(spec):
-    if spec is None:
-        return None
-    try:
-        return distribution_from_dict(spec)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad distribution spec: {exc}")
-
-
 def _build_backend(spec):
-    if spec is None:
-        raise ConfigError("this command needs a backend spec")
+    if not isinstance(spec, dict):
+        raise ConfigError("this command needs a backend spec (a JSON object)")
     kind = spec.get("kind")
     try:
         if kind == "nilpotent_shift":
@@ -99,9 +91,7 @@ def _build_backend(spec):
         if kind == "riemann_liouville":
             return semigroups.riemann_liouville(int(spec["n"]))
         if kind == "diagonal":
-            lambdas = [complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                       for v in spec["lambdas"]]
-            return semigroups.diagonal_semigroup(lambdas)
+            return semigroups.diagonal_semigroup([_complex(v) for v in spec["lambdas"]])
         if kind == "diagonal-range":
             return semigroups.diagonal_semigroup(
                 np.arange(int(spec["start"]), int(spec["stop"]) + 1)
@@ -110,30 +100,30 @@ def _build_backend(spec):
             return semigroups.matrix_semigroup(np.asarray(spec["matrix"], dtype=complex))
         if kind == "multiplication_c0":
             return semigroups.multiplication_c0(int(spec["n"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad backend spec: {exc}")
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
 def _build_u_grid(spec, backend=None):
-    if spec is None:
-        raise ConfigError("this command needs a u_grid spec")
-    if "values" in spec:
-        vals = [float(v) for v in spec["values"]]
-    elif spec.get("kind") == "grid-aligned":
-        if backend is None or not hasattr(backend, "grid_step"):
-            raise ConfigError("grid-aligned u_grid needs a shift backend")
-        count = int(spec["count"])
-        vals = [k * backend.grid_step for k in range(1, count + 1)]
-    else:
-        try:
-            start, stop, count = float(spec["start"]), float(spec["stop"]), int(spec["count"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad u_grid spec: {exc}")
-        if spec.get("spacing") == "log":
-            vals = list(np.geomspace(start, stop, count))
+    if not isinstance(spec, dict):
+        raise ConfigError("this command needs a u_grid spec (a JSON object)")
+    try:
+        if "values" in spec:
+            vals = [_number(v) for v in spec["values"]]
+        elif spec.get("kind") == "grid-aligned":
+            if backend is None or not hasattr(backend, "grid_step"):
+                raise ConfigError("grid-aligned u_grid needs a shift backend")
+            vals = [k * backend.grid_step for k in range(1, _number(spec["count"], int) + 1)]
         else:
-            vals = list(np.linspace(start, stop, count))
+            start, stop = _number(spec["start"]), _number(spec["stop"])
+            count = _number(spec["count"], int)
+            if spec.get("spacing") == "log":
+                vals = list(np.geomspace(start, stop, count))
+            else:
+                vals = list(np.linspace(start, stop, count))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad u_grid spec: {exc}")
     if not vals or any(v <= 0 for v in vals) or any(
         b <= a for a, b in zip(vals, vals[1:])
     ):
@@ -141,40 +131,57 @@ def _build_u_grid(spec, backend=None):
     return vals
 
 
-def _parse_complex_list(values):
-    out = []
-    for v in values:
-        if isinstance(v, list):
-            out.append(complex(v[0], v[1]))
-        else:
-            out.append(complex(v))
-    return out
+def _number(value, kind=float):
+    """A finite JSON number as kind (float or int); text is refused, not parsed."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or kind(value) != value):
+        raise ValueError(f"expected a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _complex(value):
+    """A JSON number or [re, im] pair as a complex number."""
+    re, im = value if isinstance(value, list) else (value, 0.0)
+    return complex(_number(re), _number(im))
 
 
 def load_config(path: str, output=None, seed=None) -> RunConfig:
+    """Read a config, converting and checking every field it reads, so that a
+    malformed value is a ConfigError (exit 2) rather than a failed check."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     command = raw.get("command")
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
-    cfg = RunConfig(
-        command=command,
-        measure=_parse_measure(raw.get("measure")),
-        distribution=_parse_distribution(raw.get("distribution")),
-        backend=raw.get("backend"),
-        u_grid=raw.get("u_grid"),
-        lambda_grid=tuple(_parse_complex_list(raw.get("lambda_grid", ()))),
-        t_grid=tuple(float(t) for t in raw.get("t_grid", ())),
-        m=raw.get("m"),
-        m_list=tuple(raw.get("m_list", ())),
-        u=raw.get("u"),
-        n_list=tuple(int(n) for n in raw.get("n_list", ())),
-        output=Path(output if output is not None else raw.get("output", ".")),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
-        tolerances=dict(raw.get("tolerances", {})),
-    )
+    try:
+        cfg = RunConfig(
+            command=command,
+            measure=_parse_measure(raw.get("measure")),
+            distribution=(None if raw.get("distribution") is None
+                          else distribution_from_dict(raw["distribution"])),
+            backend=raw.get("backend"),
+            u_grid=raw.get("u_grid"),
+            lambda_grid=tuple(_complex(v) for v in raw.get("lambda_grid", ())),
+            t_grid=tuple(_number(t) for t in raw.get("t_grid", ())),
+            m=None if raw.get("m") is None else _number(raw["m"], int),
+            m_list=tuple(_number(k, int) for k in raw.get("m_list", ())),
+            u=None if raw.get("u") is None else _number(raw["u"]),
+            n_list=tuple(_number(k, int) for k in raw.get("n_list", ())),
+            output=Path(output if output is not None else raw.get("output", ".")),
+            seed=_number(seed if seed is not None else raw.get("seed", 0), int),
+            tolerances={key: _number(v)
+                        for key, v in dict(raw.get("tolerances", {})).items()},
+        )
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad config {path}: {exc}")
+    positive = [*cfg.t_grid, *cfg.m_list, *cfg.n_list,
+                *(v for v in (cfg.m, cfg.u) if v is not None)]
+    if cfg.seed < 0 or any(v <= 0 for v in positive):
+        raise ConfigError("u, t_grid, m, m_list and n_list must be positive and seed >= 0")
     return cfg
 
 
@@ -315,15 +322,12 @@ def _cmd_resolvent_check(cfg: RunConfig, out: Path):
     backend = _build_backend(cfg.backend)
     rng = np.random.default_rng(cfg.seed)
     tol = float(cfg.tolerances.get("resolvent_identity", 1e-4))
+    # five (lam, nu) pairs, lam drawn first in each
+    lams = [complex(rng.uniform(0, 3), rng.uniform(-3, 3)) for _ in range(10)]
+    R = calculus.resolvent(backend, lams)
     pairs = []
     worst = 0.0
-    from .linalg import op_norm
-
-    for _ in range(5):
-        lam = complex(rng.uniform(0, 3), rng.uniform(-3, 3))
-        nu = complex(rng.uniform(0, 3), rng.uniform(-3, 3))
-        R1 = calculus.resolvent(backend, lam)
-        R2 = calculus.resolvent(backend, nu)
+    for lam, nu, R1, R2 in zip(lams[::2], lams[1::2], R[::2], R[1::2]):
         res = op_norm(R1 - R2 - (nu - lam) * (R1 @ R2))
         worst = max(worst, res)
         pairs.append({"lambda": lam, "nu": nu, "residual": res})
@@ -458,8 +462,6 @@ def run(cfg: RunConfig) -> int:
         raise
     except SgcalcError as exc:
         summary = {"passed": False, "error": type(exc).__name__, "detail": str(exc)}
-        _write_json(out / "summary.json", {"command": cfg.command, **summary})
-        return EXIT_CHECK_FAILED
     _write_json(out / "summary.json", {"command": cfg.command, **summary})
     return EXIT_OK if summary.get("passed", True) else EXIT_CHECK_FAILED
 
@@ -484,9 +486,7 @@ def main(argv=None) -> int:
                     f"command line says {args.command!r}, config says {cfg.command!r}"
                 )
         else:
-            if args.command in ("run",):
-                raise ConfigError("'run' needs --config")
-            if args.command not in ("verify-all",):
+            if args.command != "verify-all":
                 raise ConfigError(f"{args.command!r} needs --config")
             cfg = RunConfig(
                 command=args.command,

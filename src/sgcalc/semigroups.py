@@ -5,9 +5,9 @@ Riemann-Liouville fractional integration (a smooth quasinilpotent Volterra
 family), bounded-generator matrix semigroups exp(tA), diagonal semigroups,
 and the sup-norm multiplication semigroup x -> x^t on a grid of (0,1].
 
-Materialized matrices are memoized per time: resolvent panels reuse the same
-Gauss-Legendre nodes for every lambda, and feller_renorm re-applies the same
-times.
+Backends keep no per-time state (the shift's off-grid roundings aside): each
+``materialize`` call builds T(t) afresh, and a caller that needs one time
+twice binds the matrix itself.
 """
 
 from __future__ import annotations
@@ -25,16 +25,17 @@ from .linalg import expm, op_norm
 
 
 class SemigroupBackend(ABC):
-    """Finite-dimensional model of a strongly continuous semigroup (T(t))_{t>0}."""
+    """Finite-dimensional model of a strongly continuous semigroup (T(t))_{t>0}.
+
+    ``quasinilpotent`` flags the modelled semigroup, not the finite matrix:
+    the Riemann-Liouville matrix has diagonal h^t / Gamma(1 + t) != 0.
+    """
 
     dim: int
     quasinilpotent: bool = False
-    contractive: bool = False
-    is_diagonal: bool = False
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._cache: dict[float, np.ndarray] = {}
 
     @property
     def generator(self) -> np.ndarray | None:
@@ -46,10 +47,7 @@ class SemigroupBackend(ABC):
         ...
 
     def materialize(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t not in self._cache:
-            self._cache[t] = self._materialize(t)
-        return self._cache[t]
+        return self._materialize(float(t))
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return self.materialize(t) @ np.asarray(vec, dtype=complex)
@@ -63,15 +61,14 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
 class NilpotentShift(SemigroupBackend):
     """Right shift on n uniform cells of (0,1); T(t) = 0 for t >= 1.
 
-    Times are rounded to the grid {k/n}; off-grid requests are honored but
-    counted in ``offgrid_roundings`` so sweeps can certify they stayed
-    quadrature-exact.  The cell rule (T(t) is the k-cell shift on
-    [(k - 1/2)/n, (k + 1/2)/n)) lives only here: in ``offset`` for single
-    times and in ``constancy_intervals`` for every integral over t.
+    Times are rounded to the grid {k/n}; off-grid requests are honored and
+    recorded in ``offgrid_roundings``, which no artifact reports yet.  The
+    cell rule (T(t) is the k-cell shift on [(k - 1/2)/n, (k + 1/2)/n)) lives
+    only here: in ``offset`` for single times and in ``constancy_intervals``
+    for every integral over t.
     """
 
     quasinilpotent = True
-    contractive = True
     nilpotent_horizon = 1.0
 
     def __init__(self, n: int):
@@ -119,7 +116,6 @@ class RiemannLiouville(SemigroupBackend):
     """
 
     quasinilpotent = True
-    contractive = False
 
     def __init__(self, n: int):
         if n < 2:
@@ -161,7 +157,6 @@ class MatrixSemigroup(SemigroupBackend):
 class DiagonalSemigroup(SemigroupBackend):
     """T(t) = diag(e^{-lambda_k t}); realizes the character picture exactly."""
 
-    is_diagonal = True
     _DENSE_CAP = 5000
 
     def __init__(self, lambdas):
@@ -170,7 +165,6 @@ class DiagonalSemigroup(SemigroupBackend):
             raise ValueError("need a nonempty eigenvalue list")
         super().__init__(len(lambdas))
         self.lambdas = lambdas
-        self.contractive = bool(np.all(lambdas.real >= -1e-15))
 
     def diagonal(self, t: float) -> np.ndarray:
         return np.exp(-self.lambdas * t)
@@ -199,8 +193,6 @@ class MultiplicationC0(DiagonalSemigroup):
     with lambda_j = -log x_j.  Norm and spectral radius coincide here, which
     is exactly what makes the sharpness example tick.
     """
-
-    sup_norm = True
 
     def __init__(self, n: int):
         if n < 10:
@@ -298,11 +290,11 @@ def feller_renorm(
             shifted = np.max(prof[j : j + K + 1, live], axis=0)
             margin = min(margin, float(np.min(1.0 - shifted / n1[live])))
 
-    t_mid = times[len(times) // 2]
+    T_mid = backend.materialize(times[len(times) // 2])
     probe_operators = [
-        ("T(t_mid)", backend.materialize(t_mid)),
+        ("T(t_mid)", T_mid),
         ("T(t_max)", backend.materialize(times[-1])),
-        ("T(t_mid)^2", backend.materialize(t_mid) @ backend.materialize(t_mid)),
+        ("T(t_mid)^2", T_mid @ T_mid),
     ]
 
     checks = []

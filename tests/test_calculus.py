@@ -109,18 +109,18 @@ class TestResolvent:
         lam = np.array([1.0, 2.0, 5.0 + 1.0j])
         sg = diagonal_semigroup(lam)
         z = 0.25 + 0.1j
-        R = resolvent(sg, z)
+        R = resolvent(sg, [z])[0]
         assert np.allclose(np.diag(R), 1.0 / (z - lam), atol=1e-14)
 
     def test_diagonal_divergence_guard(self):
         sg = diagonal_semigroup([1.0, 2.0])
         with pytest.raises(DivergentIntegralError):
-            resolvent(sg, 1.5)
+            resolvent(sg, [1.5])[0]
 
     def test_shift_at_zero_is_minus_integral(self):
         n = 64
         sg = nilpotent_shift(n)
-        R = resolvent(sg, 0.0)
+        R = resolvent(sg, [0.0])[0]
         # -int_0^1 T(t) dt with cell-exact integration: every shift power
         # gets weight 1/n except the half cells at the ends
         col = np.full(n, -1.0 / n)
@@ -132,7 +132,7 @@ class TestResolvent:
         # error O(n^-2) of the cell model, not to machine precision
         sg = nilpotent_shift(512)
         z, w = 0.5, 2.0 + 1.0j
-        Rz, Rw = resolvent(sg, z), resolvent(sg, w)
+        Rz, Rw = resolvent(sg, [z])[0], resolvent(sg, [w])[0]
         res = op_norm(Rz - Rw - (w - z) * (Rz @ Rw))
         assert res < 1e-5
 
@@ -140,14 +140,36 @@ class TestResolvent:
         A = np.diag([-1.0, -2.0])
         sg = matrix_semigroup(A)
         z = 0.3
-        R = resolvent(sg, z)
+        R = resolvent(sg, [z])[0]
         ref = np.linalg.inv(A + z * np.eye(2))
         assert np.max(np.abs(R - ref)) < 1e-10
 
     def test_matrix_backend_divergence_guard(self):
         sg = matrix_semigroup(np.diag([0.5]))  # T(t) grows, no decay ever
         with pytest.raises(DivergentIntegralError):
-            resolvent(sg, 0.0)
+            resolvent(sg, [0.0])[0]
+
+    def test_divergence_names_the_first_open_lam_of_the_batch(self):
+        # ||T(t)|| = e^{-t/5}: lam = 0 converges, Re lam = 2 and 3 never do
+        sg = matrix_semigroup(np.diag([-0.2]))
+        with pytest.raises(DivergentIntegralError, match=r"lam = \(2\+0j\)$"):
+            resolvent(sg, [0.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("sg", [
+        matrix_semigroup(np.array([[-3.0, 2.0, 0.0], [0.0, -4.0, 1.0], [0.5, 0.0, -5.0]])),
+        riemann_liouville(32),
+    ], ids=["matrix", "riemann-liouville"])
+    def test_batch_is_single_calls_and_materializes_each_time_once(self, sg, monkeypatch):
+        lams = [0.2 + 0.5j, 1.5 - 1.0j]  # different Re lam, so they stop at different panels
+        singles = [resolvent(sg, [lam])[0] for lam in lams]
+        times = []
+        materialize = type(sg)._materialize
+        monkeypatch.setattr(type(sg), "_materialize",
+                            lambda self, t: times.append(t) or materialize(self, t))
+        batch = resolvent(sg, lams)
+        assert len(batch) == 2
+        assert all(np.array_equal(b, r) for b, r in zip(batch, singles))
+        assert times and len(times) == len(set(times))
 
     def test_fractional_integration_resolvent_identity(self):
         # the first-order product integration behind the fractional family
@@ -155,7 +177,7 @@ class TestResolvent:
         # identity is checked in relative terms at the matching accuracy
         sg = riemann_liouville(64)
         z, w = 0.5, 1.5
-        Rz, Rw = resolvent(sg, z), resolvent(sg, w)
+        Rz, Rw = resolvent(sg, [z])[0], resolvent(sg, [w])[0]
         res = op_norm(Rz - Rw - (w - z) * (Rz @ Rw))
         assert res / (op_norm(Rz) * op_norm(Rw)) < 0.05
 
@@ -163,15 +185,14 @@ class TestResolvent:
 def _midpoint_sum(sg, f, a, b, scale=1.0, nodes=200_000):
     """Brute-force sum_i h f(t_i) T(scale t_i) over the midpoints t_i of [a, b].
 
-    Each node is materialized afresh (``_materialize`` bypasses the cache,
-    which would otherwise keep one matrix per node).  T jumps at about ten
-    cell breakpoints, so the sum is accurate to about 10 h max|f|.
+    T jumps at about ten cell breakpoints, so the sum is accurate to about
+    10 h max|f|.
     """
     h = (b - a) / nodes
     ts = a + h * (np.arange(nodes) + 0.5)
     M = np.zeros((sg.dim, sg.dim), dtype=complex)
     for t, ft in zip(ts, f(ts)):
-        M += h * ft * sg._materialize(scale * t)
+        M += h * ft * sg.materialize(scale * t)
     return M
 
 
@@ -191,7 +212,7 @@ class TestShiftCellExactOracle:
     def test_resolvent_off_zero(self):
         sg = nilpotent_shift(8)
         ref = -_midpoint_sum(sg, lambda t: np.exp(self.LAM * t), 0.0, 1.0)
-        assert np.max(np.abs(resolvent(sg, self.LAM) - ref)) < 1e-4
+        assert np.max(np.abs(resolvent(sg, [self.LAM])[0] - ref)) < 1e-4
 
     def test_kernel_at_offgrid_tau(self):
         sg = nilpotent_shift(8)
@@ -396,7 +417,7 @@ class TestLemma24:
         assert np.any(F)
         lhs_ref, res_ref = [], 0.0
         for lam in lams:
-            R = resolvent(sg, lam)
+            R = resolvent(sg, [lam])[0]
             lhs_op = F @ R - laplace(mu, lam) * R
             terms = list(mu.atoms) + [(t, w * piece(t)) for piece in mu.pieces
                                       for t, w in zip(*_gauss_legendre(piece.a, piece.b))]

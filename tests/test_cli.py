@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sgcalc
 from sgcalc import cli, complexfn, semigroups, spectral
 from sgcalc.cli import main
@@ -55,6 +57,30 @@ class TestConfigErrors:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["sweep"]) == 2
         assert main(["run"]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "lemma24", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 16}, "lambda_grid": ["abc"]},
+        {"command": "renormalization", "backend": {"kind": "riemann_liouville", "n": 16},
+         "t_grid": ["x"]},
+        {"command": "idempotents", "measure": "delta-difference",
+         "backend": {"kind": "diagonal-range", "start": 1, "stop": 200}, "u": "0.001"},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"kind": "grid-aligned", "count": "many"}},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 64}, "u_grid": [0.25, 0.5]},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"values": [0.25, 0.5]}, "seed": 10**400},
+        {"command": "sweep", "measure": "delta-difference", "backend": [64],
+         "u_grid": {"values": [0.25, 0.5]}},
+    ], ids=["lambda_grid", "t_grid", "u", "u_grid-count", "u_grid-list", "seed-overflow",
+            "backend-list"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, payload):
+        cfg = _write_config(tmp_path / "c.json", payload)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSweepCommand:
