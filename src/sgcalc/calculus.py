@@ -30,6 +30,7 @@ from .measures import (
     convolve,
     laplace,
     laplace_distribution,
+    poly_moment,
     require_mass_zero,
     tv_moment,
 )
@@ -193,14 +194,6 @@ def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
     return float(np.linalg.norm(np.convolve(c, x)[:m]) / np.linalg.norm(x))
 
 
-def _piece_poly_integral(coeffs, a: float, b: float) -> complex:
-    """Exact integral of the polynomial with ascending coeffs over [a, b]."""
-    total = 0.0 + 0.0j
-    for j, c in enumerate(coeffs):
-        total += c * (b ** (j + 1) - a ** (j + 1)) / (j + 1)
-    return total
-
-
 def _shift_piece_weights(backend: NilpotentShift, piece, u: float) -> dict:
     """Exact weights w_k with int p(t) T(ut) dt = sum_k w_k S^k on the shift model.
 
@@ -209,7 +202,7 @@ def _shift_piece_weights(backend: NilpotentShift, piece, u: float) -> dict:
     """
     weights: dict[int, complex] = {}
     for t0, t1, k in backend.constancy_intervals(piece.a, piece.b, scale=u):
-        weights[k] = weights.get(k, 0.0) + _piece_poly_integral(piece.coeffs, t0, t1)
+        weights[k] = weights.get(k, 0.0) + poly_moment(piece.coeffs, t0, t1)
     return weights
 
 

@@ -21,10 +21,11 @@ from . import calculus, complexfn, semigroups, spectral
 from .errors import ConfigError, SgcalcError
 from .linalg import op_norm
 from .measures import (
-    distribution_from_dict,
+    CompactDistribution,
+    CompactMeasure,
+    Piece,
     from_atoms,
     indicator,
-    measure_from_dict,
 )
 
 EXIT_OK = 0
@@ -45,11 +46,13 @@ NAMED_MEASURES = {
 
 @dataclasses.dataclass
 class RunConfig:
+    """A checked config: backend, u_grid, measure and distribution are built."""
+
     command: str
-    measure: object = None
-    distribution: object = None
-    backend: dict | None = None
-    u_grid: dict | None = None
+    measure: CompactMeasure | None = None
+    distribution: CompactDistribution | None = None
+    backend: semigroups.SemigroupBackend | None = None
+    u_grid: list | None = None
     lambda_grid: tuple = ()
     t_grid: tuple = ()
     m: int | None = None
@@ -66,64 +69,64 @@ CONFIG_DIR = Path(__file__).resolve().parents[2] / "configs"
 
 
 def _parse_measure(spec):
-    if spec is None:
-        return None
+    """A named measure, or {"atoms": [{"t", "re", "im"}], "pieces": [{"a", "b", "coeffs"}]}."""
     if isinstance(spec, str):
-        try:
-            return NAMED_MEASURES[spec]()
-        except KeyError:
+        if spec not in NAMED_MEASURES:
             raise ConfigError(f"unknown named measure {spec!r}")
-    if isinstance(spec, dict):
-        try:
-            return measure_from_dict(spec)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad measure spec: {exc}")
-    raise ConfigError(f"measure spec must be a name or an object, got {type(spec)}")
+        return NAMED_MEASURES[spec]()
+    spec = _object(spec, "measure")
+    atoms = tuple(
+        (_number(a["t"]), complex(_number(a["re"]), _number(a.get("im", 0.0))))
+        for a in spec.get("atoms", ())
+    )
+    pieces = tuple(
+        Piece(_number(p["a"]), _number(p["b"]), tuple(_complex(c) for c in p["coeffs"]))
+        for p in spec.get("pieces", ())
+    )
+    return CompactMeasure(atoms, pieces)
+
+
+def _parse_distribution(spec):
+    return CompactDistribution(
+        order=_number(spec["order"], int),
+        components=tuple(_parse_measure(m) for m in spec["components"]),
+    )
 
 
 def _build_backend(spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("this command needs a backend spec (a JSON object)")
-    kind = spec.get("kind")
-    try:
-        if kind == "nilpotent_shift":
-            return semigroups.nilpotent_shift(int(spec["n"]))
-        if kind == "riemann_liouville":
-            return semigroups.riemann_liouville(int(spec["n"]))
-        if kind == "diagonal":
-            return semigroups.diagonal_semigroup([_complex(v) for v in spec["lambdas"]])
-        if kind == "diagonal-range":
-            return semigroups.diagonal_semigroup(
-                np.arange(int(spec["start"]), int(spec["stop"]) + 1)
-            )
-        if kind == "matrix":
-            return semigroups.matrix_semigroup(np.asarray(spec["matrix"], dtype=complex))
-        if kind == "multiplication_c0":
-            return semigroups.multiplication_c0(int(spec["n"]))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad backend spec: {exc}")
+    kind = _object(spec, "backend").get("kind")
+    if kind == "nilpotent_shift":
+        return semigroups.nilpotent_shift(_number(spec["n"], int))
+    if kind == "riemann_liouville":
+        return semigroups.riemann_liouville(_number(spec["n"], int))
+    if kind == "diagonal":
+        return semigroups.diagonal_semigroup([_complex(v) for v in spec["lambdas"]])
+    if kind == "diagonal-range":
+        return semigroups.diagonal_semigroup(
+            np.arange(_number(spec["start"], int), _number(spec["stop"], int) + 1))
+    if kind == "matrix":
+        return semigroups.matrix_semigroup(
+            np.array([[_complex(v) for v in row] for row in spec["matrix"]]))
+    if kind == "multiplication_c0":
+        return semigroups.multiplication_c0(_number(spec["n"], int))
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
-def _build_u_grid(spec, backend=None):
-    if not isinstance(spec, dict):
-        raise ConfigError("this command needs a u_grid spec (a JSON object)")
-    try:
-        if "values" in spec:
-            vals = [_number(v) for v in spec["values"]]
-        elif spec.get("kind") == "grid-aligned":
-            if backend is None or not hasattr(backend, "grid_step"):
-                raise ConfigError("grid-aligned u_grid needs a shift backend")
-            vals = [k * backend.grid_step for k in range(1, _number(spec["count"], int) + 1)]
+def _build_u_grid(spec, backend):
+    spec = _object(spec, "u_grid")
+    if "values" in spec:
+        vals = [_number(v) for v in spec["values"]]
+    elif spec.get("kind") == "grid-aligned":
+        if not hasattr(backend, "grid_step"):
+            raise ConfigError("grid-aligned u_grid needs a shift backend")
+        vals = [k * backend.grid_step for k in range(1, _number(spec["count"], int) + 1)]
+    else:
+        start, stop = _number(spec["start"]), _number(spec["stop"])
+        count = _number(spec["count"], int)
+        if spec.get("spacing") == "log":
+            vals = list(np.geomspace(start, stop, count))
         else:
-            start, stop = _number(spec["start"]), _number(spec["stop"])
-            count = _number(spec["count"], int)
-            if spec.get("spacing") == "log":
-                vals = list(np.geomspace(start, stop, count))
-            else:
-                vals = list(np.linspace(start, stop, count))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad u_grid spec: {exc}")
+            vals = list(np.linspace(start, stop, count))
     if not vals or any(v <= 0 for v in vals) or any(
         b <= a for a, b in zip(vals, vals[1:])
     ):
@@ -145,43 +148,65 @@ def _complex(value):
     return complex(_number(re), _number(im))
 
 
+def _object(spec, name):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
 def load_config(path: str, output=None, seed=None) -> RunConfig:
-    """Read a config, converting and checking every field it reads, so that a
-    malformed value is a ConfigError (exit 2) rather than a failed check."""
+    """Read a config and build every field it has, so that each command gets
+    checked objects: a malformed value, or a field the command needs that is
+    missing, is a ConfigError (exit 2) rather than a crash or a failed check."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
+    _object(raw, f"config {path}")
     command = raw.get("command")
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
-    try:
-        cfg = RunConfig(
-            command=command,
-            measure=_parse_measure(raw.get("measure")),
-            distribution=(None if raw.get("distribution") is None
-                          else distribution_from_dict(raw["distribution"])),
-            backend=raw.get("backend"),
-            u_grid=raw.get("u_grid"),
-            lambda_grid=tuple(_complex(v) for v in raw.get("lambda_grid", ())),
-            t_grid=tuple(_number(t) for t in raw.get("t_grid", ())),
-            m=None if raw.get("m") is None else _number(raw["m"], int),
-            m_list=tuple(_number(k, int) for k in raw.get("m_list", ())),
-            u=None if raw.get("u") is None else _number(raw["u"]),
-            n_list=tuple(_number(k, int) for k in raw.get("n_list", ())),
-            output=Path(output if output is not None else raw.get("output", ".")),
-            seed=_number(seed if seed is not None else raw.get("seed", 0), int),
-            tolerances={key: _number(v)
-                        for key, v in dict(raw.get("tolerances", {})).items()},
-        )
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad config {path}: {exc}")
+    if seed is not None:
+        raw["seed"] = seed
+
+    def field(name, parse, default=None):
+        """raw[name] parsed, or default when it is absent or null."""
+        if raw.get(name) is None:
+            return default
+        try:
+            return parse(raw[name])
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad {name} in {path}: {exc}")
+
+    def numbers(kind):
+        return lambda values: tuple(_number(v, kind) for v in values)
+
+    # the backend first: a grid-aligned u grid is built from its step
+    backend = field("backend", _build_backend)
+    cfg = RunConfig(
+        command=command,
+        backend=backend,
+        u_grid=field("u_grid", lambda spec: _build_u_grid(spec, backend)),
+        measure=field("measure", _parse_measure),
+        distribution=field("distribution", _parse_distribution),
+        lambda_grid=field("lambda_grid", lambda values: tuple(map(_complex, values)), ()),
+        t_grid=field("t_grid", numbers(float), ()),
+        m=field("m", lambda v: _number(v, int)),
+        m_list=field("m_list", numbers(int), ()),
+        u=field("u", _number),
+        n_list=field("n_list", numbers(int), ()),
+        output=Path(output) if output is not None else field("output", Path, Path(".")),
+        seed=field("seed", lambda v: _number(v, int), 0),
+        tolerances=field("tolerances",
+                         lambda spec: {k: _number(v) for k, v in dict(spec).items()}, {}),
+    )
     positive = [*cfg.t_grid, *cfg.m_list, *cfg.n_list,
                 *(v for v in (cfg.m, cfg.u) if v is not None)]
     if cfg.seed < 0 or any(v <= 0 for v in positive):
         raise ConfigError("u, t_grid, m, m_list and n_list must be positive and seed >= 0")
+    missing = [name for name in _DISPATCH[command][1] if getattr(cfg, name) in (None, ())]
+    if missing:
+        raise ConfigError(f"{command} needs {' and '.join(missing)}")
     return cfg
 
 
@@ -247,16 +272,13 @@ def _sweep_summary(rows, cfg: RunConfig, out: Path, **extra):
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path):
-    backend = _build_backend(cfg.backend)
-    rows = calculus.sweep(backend, cfg.measure, _build_u_grid(cfg.u_grid, backend))
+    rows = calculus.sweep(cfg.backend, cfg.measure, cfg.u_grid)
     return _sweep_summary(rows, cfg, out, max_quadrature_budget=max(
         r.quadrature_budget for r in rows))
 
 
 def _cmd_symmetrized_sweep(cfg: RunConfig, out: Path):
-    backend = _build_backend(cfg.backend)
-    rows = calculus.symmetrized_sweep(backend, cfg.measure,
-                                      _build_u_grid(cfg.u_grid, backend))
+    rows = calculus.symmetrized_sweep(cfg.backend, cfg.measure, cfg.u_grid)
     return _sweep_summary(rows, cfg, out)
 
 
@@ -304,27 +326,24 @@ def _lemma_summary(cfg: RunConfig, out: Path, report, **extra):
 
 
 def _cmd_lemma24(cfg: RunConfig, out: Path):
-    backend = _build_backend(cfg.backend)
     grid = cfg.lambda_grid or _default_lambda_grid()
-    report = calculus.lemma_24_check(backend, cfg.measure, grid)
+    report = calculus.lemma_24_check(cfg.backend, cfg.measure, grid)
     return _lemma_summary(cfg, out, report,
                           quadrature_budget=report.quadrature_budget)
 
 
 def _cmd_lemma27(cfg: RunConfig, out: Path):
-    backend = _build_backend(cfg.backend)
     grid = cfg.lambda_grid or _default_lambda_grid(avoid_integers=True)
     return _lemma_summary(
-        cfg, out, calculus.lemma_27_check(backend, cfg.distribution, grid))
+        cfg, out, calculus.lemma_27_check(cfg.backend, cfg.distribution, grid))
 
 
 def _cmd_resolvent_check(cfg: RunConfig, out: Path):
-    backend = _build_backend(cfg.backend)
     rng = np.random.default_rng(cfg.seed)
     tol = float(cfg.tolerances.get("resolvent_identity", 1e-4))
     # five (lam, nu) pairs, lam drawn first in each
     lams = [complex(rng.uniform(0, 3), rng.uniform(-3, 3)) for _ in range(10)]
-    R = calculus.resolvent(backend, lams)
+    R = calculus.resolvent(cfg.backend, lams)
     pairs = []
     worst = 0.0
     for lam, nu, R1, R2 in zip(lams[::2], lams[1::2], R[::2], R[1::2]):
@@ -338,8 +357,7 @@ def _cmd_resolvent_check(cfg: RunConfig, out: Path):
 
 
 def _cmd_idempotents(cfg: RunConfig, out: Path):
-    backend = _build_backend(cfg.backend)
-    charset = spectral.character_set(backend)
+    charset = spectral.character_set(cfg.backend)
     m_list = cfg.m_list or tuple(sorted(charset.slices))[-4:]
     chain = spectral.build_idempotents(charset, m_list)
     u = cfg.u if cfg.u is not None else 1e-3
@@ -350,7 +368,7 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
     cert, curve = spectral.separation_certificate(charset, cfg.measure, u, m,
                                                   crit.ray, crit.radii)
     t_grid = cfg.t_grid or (1e-3,)
-    bg_rows = spectral.bounded_generator_check(backend, chain, t_grid)
+    bg_rows = spectral.bounded_generator_check(cfg.backend, chain, t_grid)
     payload = {
         "criterion": dataclasses.asdict(crit.rows[0]),
         "chain": {"m_list": list(chain.m_list), "exhaustive": chain.exhaustive},
@@ -368,7 +386,7 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
 
 def _cmd_sharpness(cfg: RunConfig, out: Path):
     n_list = cfg.n_list or (1000, 10000, 100000)
-    grid = _build_u_grid(cfg.u_grid) if cfg.u_grid else [0.1, 0.5, 1.0, 2.0]
+    grid = cfg.u_grid or [0.1, 0.5, 1.0, 2.0]
     ray = complexfn.ray_max(cfg.measure)
     reports = [spectral.sharpness_demo(n, cfg.measure, grid, ray) for n in n_list]
     rows = []
@@ -406,10 +424,7 @@ def _default_lambda_grid(avoid_integers: bool = False):
 
 
 def _cmd_renormalization(cfg: RunConfig, out: Path):
-    if not cfg.t_grid:
-        raise ConfigError("renormalization needs a t_grid")
-    report = semigroups.feller_renorm(_build_backend(cfg.backend), cfg.t_grid,
-                                      seed=cfg.seed)
+    report = semigroups.feller_renorm(cfg.backend, cfg.t_grid, seed=cfg.seed)
     return {
         "contraction_margin": report.contraction_margin,
         "commutant_ok": report.commutant_ok,
@@ -439,17 +454,18 @@ def _cmd_verify_all(cfg: RunConfig, out: Path):
     return {"passed": not failed, "failed": failed}
 
 
+# command -> (implementation, the RunConfig fields it cannot run without)
 _DISPATCH = {
-    "sweep": _cmd_sweep,
-    "symmetrized-sweep": _cmd_symmetrized_sweep,
-    "curve": _cmd_curve,
-    "lemma24": _cmd_lemma24,
-    "lemma27": _cmd_lemma27,
-    "resolvent-check": _cmd_resolvent_check,
-    "idempotents": _cmd_idempotents,
-    "sharpness": _cmd_sharpness,
-    "renormalization": _cmd_renormalization,
-    "verify-all": _cmd_verify_all,
+    "sweep": (_cmd_sweep, ("measure", "backend", "u_grid")),
+    "symmetrized-sweep": (_cmd_symmetrized_sweep, ("measure", "backend", "u_grid")),
+    "curve": (_cmd_curve, ("measure",)),
+    "lemma24": (_cmd_lemma24, ("measure", "backend")),
+    "lemma27": (_cmd_lemma27, ("distribution", "backend")),
+    "resolvent-check": (_cmd_resolvent_check, ("backend",)),
+    "idempotents": (_cmd_idempotents, ("measure", "backend")),
+    "sharpness": (_cmd_sharpness, ("measure",)),
+    "renormalization": (_cmd_renormalization, ("backend", "t_grid")),
+    "verify-all": (_cmd_verify_all, ()),
 }
 
 
@@ -457,7 +473,7 @@ def run(cfg: RunConfig) -> int:
     out = cfg.output
     out.mkdir(parents=True, exist_ok=True)
     try:
-        summary = _DISPATCH[cfg.command](cfg, out)
+        summary = _DISPATCH[cfg.command][0](cfg, out)
     except ConfigError:
         raise
     except SgcalcError as exc:

@@ -26,6 +26,7 @@ _THETA13 = 5.371920351148152
 _SEED = 0  # start vectors of every power iteration
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 2000
+_SAFE_EXP = 200
 _EIG_RESTARTS = 4
 _EIG_ITERS = 400
 _DISAGREEMENT_TOL = 1e-6
@@ -68,8 +69,24 @@ class PowerNormResult:
 
 
 def power_opnorm(M: np.ndarray) -> PowerNormResult:
-    """Largest singular value by power iteration on M*M with a random start."""
+    """Largest singular value by power iteration on M*M with a random start.
+
+    A value outside 2^(+-_SAFE_EXP), 0 included, may come from squares in
+    M*M v that under- or overflowed, so it is computed again on M scaled by
+    an exact power of two, and scaled back.
+    """
     M = np.asarray(M, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _power_iteration(M)
+    if not 2.0**-_SAFE_EXP <= res.value <= 2.0**_SAFE_EXP:
+        exp = math.frexp(float(np.max(np.abs(M), initial=0.0)))[1]
+        if exp:
+            res = _power_iteration(np.ldexp(M.real, -exp) + 1j * np.ldexp(M.imag, -exp))
+            res = PowerNormResult(math.ldexp(res.value, exp), res.iterations, res.converged)
+    return res
+
+
+def _power_iteration(M: np.ndarray) -> PowerNormResult:
     rng = np.random.default_rng(_SEED)
     n = M.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -98,20 +115,6 @@ def op_norm(M: np.ndarray) -> float:
     if res.converged:
         return res.value
     return float(np.linalg.norm(M, 2))
-
-
-def _is_diagonal(M: np.ndarray) -> bool:
-    return not np.any(M - np.diag(np.diagonal(M)))
-
-
-def _strictly_triangular(M: np.ndarray) -> bool:
-    lower = not np.any(np.triu(M))
-    upper = not np.any(np.tril(M))
-    return lower or upper
-
-
-def _triangular(M: np.ndarray) -> bool:
-    return not np.any(np.triu(M, 1)) or not np.any(np.tril(M, -1))
 
 
 def gelfand_estimate(M: np.ndarray, max_squarings: int = 8):
@@ -166,28 +169,22 @@ class SpectralRadiusResult:
     power_estimate: float
     gelfand_estimate: float
     consistent: bool
-    exact_path: str | None = None
 
 
 def spectral_radius_detail(M: np.ndarray) -> SpectralRadiusResult:
     """Dual-route spectral radius.
 
-    Exact short-circuits for diagonal and triangular matrices (eigenvalues
-    are on the diagonal); otherwise power iteration is cross-checked against
-    the norm-of-powers limit.  Small matrices get extra squarings because the
-    k <= 8 truncation of the limit converges too slowly to cross-check at
-    _DISAGREEMENT_TOL.
+    Exact short-circuit for triangular matrices, diagonal and nilpotent ones
+    included (eigenvalues are on the diagonal); otherwise power iteration is
+    cross-checked against the norm-of-powers limit.  Small matrices get extra
+    squarings because the k <= 8 truncation of the limit converges too slowly
+    to cross-check at _DISAGREEMENT_TOL.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    if _is_diagonal(M):
-        v = float(np.max(np.abs(np.diagonal(M)))) if n else 0.0
-        return SpectralRadiusResult(v, v, v, True, exact_path="diagonal")
-    if _strictly_triangular(M):
-        return SpectralRadiusResult(0.0, 0.0, 0.0, True, exact_path="nilpotent")
-    if _triangular(M):
-        v = float(np.max(np.abs(np.diagonal(M))))
-        return SpectralRadiusResult(v, v, v, True, exact_path="triangular")
+    if not np.any(np.triu(M, 1)) or not np.any(np.tril(M, -1)):
+        v = float(np.max(np.abs(np.diagonal(M)), initial=0.0))
+        return SpectralRadiusResult(v, v, v, True)
 
     max_squarings = 48 if n <= 128 else max(8, int(math.ceil(math.log2(max(n, 2)))))
     p = power_eig_estimate(M)

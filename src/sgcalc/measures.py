@@ -10,7 +10,6 @@ or for the modulus of genuinely complex densities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -282,8 +281,9 @@ def _piece_laplace(p: Piece, z: np.ndarray) -> np.ndarray:
         zs = z[small] if z.shape else z
         acc = np.zeros(zs.shape, dtype=complex)
         term = np.ones(zs.shape, dtype=complex)
+        coeffs = np.asarray(p.coeffs)  # numpy complex arithmetic in the moments
         for j in range(60):
-            mj = _poly_interval_moment(p, j)
+            mj = poly_moment(coeffs, p.a, p.b, j)
             contrib = term * mj
             acc += contrib
             if np.all(np.abs(contrib) <= 1e-18 * (np.abs(acc) + 1e-300)) and j > 4:
@@ -313,13 +313,12 @@ def _piece_laplace(p: Piece, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_interval_moment(p: Piece, j: int) -> complex:
-    """integral over [a,b] of t^j p(t) dt, exact."""
-    c = np.asarray(p.coeffs)
+def poly_moment(coeffs, a: float, b: float, j: int = 0) -> complex:
+    """Exact integral over [a, b] of t^j p(t), p with ascending coeffs."""
     total = 0.0 + 0.0j
-    for k, ck in enumerate(c):
+    for k, ck in enumerate(coeffs):
         n = j + k + 1
-        total += ck * (p.b**n - p.a**n) / n
+        total += ck * (b**n - a**n) / n
     return total
 
 
@@ -456,41 +455,3 @@ def _normalize_pieces(pieces) -> list[Piece]:
         if np.max(np.abs(acc)) > dust:
             out.append(Piece(lo, hi, tuple(acc)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON schema
-
-
-def measure_to_dict(mu: CompactMeasure) -> dict:
-    return {
-        "atoms": [{"t": t, "re": w.real, "im": w.imag} for t, w in mu.atoms],
-        "pieces": [
-            {"a": p.a, "b": p.b, "coeffs": [[c.real, c.imag] for c in p.coeffs]}
-            for p in mu.pieces
-        ],
-    }
-
-
-def measure_from_dict(d: dict) -> CompactMeasure:
-    atoms = tuple(
-        (a["t"], complex(a["re"], a.get("im", 0.0))) for a in d.get("atoms", [])
-    )
-    pieces = tuple(
-        Piece(p["a"], p["b"], tuple(complex(c[0], c[1]) for c in p["coeffs"]))
-        for p in d.get("pieces", [])
-    )
-    return CompactMeasure(atoms, pieces)
-
-
-def distribution_from_dict(d: dict) -> CompactDistribution:
-    comps = tuple(measure_from_dict(m) for m in d["components"])
-    return CompactDistribution(order=d["order"], components=comps)
-
-
-def measure_to_json(mu: CompactMeasure) -> str:
-    return json.dumps(measure_to_dict(mu), indent=2, sort_keys=True)
-
-
-def measure_from_json(s: str) -> CompactMeasure:
-    return measure_from_dict(json.loads(s))

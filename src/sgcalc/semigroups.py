@@ -274,13 +274,22 @@ def feller_renorm(
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         X[:, j] = v / np.linalg.norm(v)
 
-    def profile(t_list, Y):
-        """Row i holds ||T(t_i) y|| for every column y of Y (T(0) = I)."""
-        return np.array([np.linalg.norm(backend.apply(t, Y) if t > 0 else Y, axis=0)
-                         for t in t_list])
+    T_mid = backend.materialize(times[len(times) // 2])
+    probe_operators = [
+        ("T(t_mid)", T_mid),
+        ("T(t_max)", backend.materialize(times[-1])),
+        ("T(t_mid)^2", T_mid @ T_mid),
+    ]
+    # one pass over t = kh, k = 0..2K (T(0) = I), each T(kh) built once: the
+    # norms ||T(kh) x|| cover both ||x||_1 and ||T(s)x||_1, and rows k <= K
+    # also carry the columns R x of every probe R, for ||R x||_1
+    m = len(tags)
+    Y = np.hstack([X] + [R @ X for _, R in probe_operators])
+    rows = [np.linalg.norm(backend.apply(k * h, Y if k <= K else X) if k else Y, axis=0)
+            for k in range(0, 2 * K + 1)]
+    prof = np.array([row[:m] for row in rows])
+    rx_prof = np.array(rows[: K + 1])[:, m:].reshape(K + 1, len(probe_operators), m)
 
-    # norms ||T(kh) x|| for k = 0..2K cover both ||x||_1 and ||T(s)x||_1
-    prof = profile([k * h for k in range(0, 2 * K + 1)], X)
     n1 = np.max(prof[: K + 1], axis=0)
     norm1_samples = {tag: float(v) for tag, v in zip(tags, n1)}
     live = n1 > 0
@@ -290,20 +299,12 @@ def feller_renorm(
             shifted = np.max(prof[j : j + K + 1, live], axis=0)
             margin = min(margin, float(np.min(1.0 - shifted / n1[live])))
 
-    T_mid = backend.materialize(times[len(times) // 2])
-    probe_operators = [
-        ("T(t_mid)", T_mid),
-        ("T(t_max)", backend.materialize(times[-1])),
-        ("T(t_mid)^2", T_mid @ T_mid),
-    ]
-
     checks = []
-    for tag, R in probe_operators:
+    for i, (tag, R) in enumerate(probe_operators):
         full = op_norm(R)
         est = 0.0
         if np.any(live):
-            rx_prof = profile([0.0] + times, R @ X[:, live])
-            est = float(np.max(rx_prof / n1[live]))
+            est = float(np.max(rx_prof[:, i, live] / n1[live]))
         checks.append((tag, est, full))
 
     return RenormReport(

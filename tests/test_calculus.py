@@ -117,6 +117,12 @@ class TestResolvent:
         with pytest.raises(DivergentIntegralError):
             resolvent(sg, [1.5])[0]
 
+    def test_generic_divergence_is_not_hidden_by_underflow(self):
+        # the tail test's norm of T(t) = e^(-t) once underflowed to 0, which
+        # passed the test and returned a huge finite sum for a divergent integral
+        with pytest.raises(DivergentIntegralError):
+            resolvent(matrix_semigroup(np.diag([-1.0])), [2.0])
+
     def test_shift_at_zero_is_minus_integral(self):
         n = 64
         sg = nilpotent_shift(n)

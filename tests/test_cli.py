@@ -75,9 +75,39 @@ class TestConfigErrors:
          "u_grid": {"values": [0.25, 0.5]}, "seed": 10**400},
         {"command": "sweep", "measure": "delta-difference", "backend": [64],
          "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 64.7},
+         "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": "64"},
+         "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "sweep",
+         "measure": {"atoms": [{"t": "1.0", "re": 1.0}, {"t": 2.0, "re": -1.0}]},
+         "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "resolvent-check",
+         "backend": {"kind": "matrix", "matrix": [["-1.0", 0.0], [0.0, -2.0]]}},
     ], ids=["lambda_grid", "t_grid", "u", "u_grid-count", "u_grid-list", "seed-overflow",
-            "backend-list"])
+            "backend-list", "n-fraction", "n-text", "atom-t-text", "matrix-text"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload):
+        cfg = _write_config(tmp_path / "c.json", payload)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "sweep", "measure": None, "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "symmetrized-sweep", "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "curve"},
+        {"command": "lemma24", "backend": {"kind": "nilpotent_shift", "n": 16}},
+        {"command": "idempotents",
+         "backend": {"kind": "diagonal-range", "start": 1, "stop": 200}},
+        {"command": "sharpness", "n_list": [100]},
+        {"command": "lemma27", "backend": {"kind": "diagonal-range", "start": 1, "stop": 20}},
+    ], ids=["sweep", "symmetrized-sweep", "curve", "lemma24", "idempotents", "sharpness",
+            "lemma27"])
+    def test_missing_required_field_exits_2(self, tmp_path, capsys, payload):
         cfg = _write_config(tmp_path / "c.json", payload)
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err

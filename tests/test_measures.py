@@ -18,8 +18,6 @@ from sgcalc.measures import (
     laplace,
     laplace_distribution,
     mass,
-    measure_from_json,
-    measure_to_json,
     scale,
     tv_moment,
     zero_measure,
@@ -270,11 +268,6 @@ def test_conj_reflect_involution(mu):
 def test_ray_decay_bound(mu, x):
     bound = tv_moment(mu, 0) * math.exp(-x * mu.support_min)
     assert abs(laplace(mu, x)) <= bound * (1 + 1e-9) + 1e-12
-
-
-def test_json_roundtrip():
-    mu = from_atoms([(1.0, 1.0 + 2.0j)]) + indicator(1, 2, 0.5)
-    assert measure_from_json(measure_to_json(mu)) == mu
 
 
 def test_invariants_rejected():

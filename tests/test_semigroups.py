@@ -10,6 +10,7 @@ from scipy.special import gamma, gammaln
 from sgcalc.errors import NotQuasinilpotentError
 from sgcalc.linalg import op_norm, spectral_radius
 from sgcalc.semigroups import (
+    RiemannLiouville,
     diagonal_semigroup,
     feller_renorm,
     matrix_semigroup,
@@ -266,6 +267,19 @@ class TestFellerRenorm:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_materializes_each_probe_time_once(self, monkeypatch):
+        # one pass over t = kh, k = 1..2K, plus T(t_mid) and T(t_max) for the
+        # commutant probes: 2K + 2 builds, K = 64
+        calls = []
+        build = RiemannLiouville._materialize
+
+        def counted(self, t):
+            calls.append(t)
+            return build(self, t)
+        monkeypatch.setattr(RiemannLiouville, "_materialize", counted)
+        feller_renorm(riemann_liouville(256), [k / 64 for k in range(1, 65)])
+        assert len(calls) <= 2 * 64 + 2
 
     def test_rejects_non_quasinilpotent(self):
         sg = matrix_semigroup(np.diag([-1.0, -2.0]))
