@@ -60,7 +60,7 @@ class RunConfig:
     u: float | None = None
     n_list: tuple = ()
     output: Path = Path(".")
-    seed: int = 0
+    seed: int | None = 0  # None only on verify-all: each check keeps its own
     tolerances: dict = dataclasses.field(default_factory=dict)
 
 
@@ -175,7 +175,9 @@ def load_config(path: str, output=None, seed=None) -> RunConfig:
             return default
         try:
             return parse(raw[name])
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"bad {name} in {path}: missing {exc}")
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad {name} in {path}: {exc}")
 
     def numbers(kind):
@@ -196,13 +198,13 @@ def load_config(path: str, output=None, seed=None) -> RunConfig:
         u=field("u", _number),
         n_list=field("n_list", numbers(int), ()),
         output=Path(output) if output is not None else field("output", Path, Path(".")),
-        seed=field("seed", lambda v: _number(v, int), 0),
+        seed=field("seed", lambda v: _number(v, int), None if command == "verify-all" else 0),
         tolerances=field("tolerances",
                          lambda spec: {k: _number(v) for k, v in dict(spec).items()}, {}),
     )
     positive = [*cfg.t_grid, *cfg.m_list, *cfg.n_list,
                 *(v for v in (cfg.m, cfg.u) if v is not None)]
-    if cfg.seed < 0 or any(v <= 0 for v in positive):
+    if (cfg.seed or 0) < 0 or any(v <= 0 for v in positive):
         raise ConfigError("u, t_grid, m, m_list and n_list must be positive and seed >= 0")
     missing = [name for name in _DISPATCH[command][1] if getattr(cfg, name) in (None, ())]
     if missing:
@@ -436,14 +438,15 @@ def _cmd_verify_all(cfg: RunConfig, out: Path):
     """Run every config in CONFIG_DIR, in sorted order, as ``sgcalc run`` does.
 
     Each check is named by its file stem and writes to out/<stem>/; a check
-    that raises is recorded as failed and the rest still run.
+    that raises is recorded as failed and the rest still run.  A seed given
+    to verify-all replaces each check's own.
     """
     paths = sorted(CONFIG_DIR.glob("*.json"))
     if not paths:
         raise ConfigError(f"no check configs in {CONFIG_DIR}")
     checks = {}
     for path in paths:
-        check = load_config(str(path), output=out / path.stem)
+        check = load_config(str(path), output=out / path.stem, seed=cfg.seed)
         if check.command == "verify-all":
             raise ConfigError(f"{path.name}: verify-all cannot be a check")
         run(check)
@@ -507,7 +510,7 @@ def main(argv=None) -> int:
             cfg = RunConfig(
                 command=args.command,
                 output=Path(args.output or "."),
-                seed=args.seed or 0,
+                seed=args.seed,
             )
         return run(cfg)
     except ConfigError as exc:

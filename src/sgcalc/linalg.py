@@ -1,4 +1,8 @@
-"""Dense linear-algebra plumbing: matrix exponential, operator norm, spectral radius.
+"""Linear-algebra plumbing: matrix exponential, operator norm, spectral radius.
+
+Operator norms of dense matrices and of lower-triangular Toeplitz matrices,
+given by their first column, share one power iteration; the Toeplitz one
+applies the matrix by FFT convolution and never forms it.
 
 The spectral-radius estimator deliberately runs two independent routes
 (power iteration and the norm-of-powers limit) because the quasinilpotent
@@ -12,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import InconsistentEstimatesError
 
@@ -69,32 +74,61 @@ class PowerNormResult:
 
 
 def power_opnorm(M: np.ndarray) -> PowerNormResult:
-    """Largest singular value by power iteration on M*M with a random start.
+    """Largest singular value by power iteration on M*M with a random start."""
+    return _scaled_power_iteration(np.asarray(M, dtype=complex), _dense_gram)
+
+
+def _dense_gram(M: np.ndarray):
+    MH = M.conj().T
+    return lambda v: MH @ (M @ v)
+
+
+def _toeplitz_gram(c: np.ndarray):
+    """v -> T^H T v for the lower-triangular Toeplitz T with first column c.
+
+    Each product is a circulant embedding of length N >= 2m - 1, so nothing
+    wraps around: T x = ifft(fft(c) fft(x))[:m], and T^H y is the same with
+    conj(fft(c)), a correlation with c.
+    """
+    m = len(c)
+    N = 1 << (2 * m - 2).bit_length()
+    fc = np.fft.fft(c, N)
+    fch = fc.conj()
+
+    def gram(v):
+        Tv = np.fft.ifft(fc * np.fft.fft(v, N))[:m]
+        return np.fft.ifft(fch * np.fft.fft(Tv, N))[:m]
+
+    return gram
+
+
+def _scaled_power_iteration(X: np.ndarray, gram_of) -> PowerNormResult:
+    """Power iteration with the Gram map gram_of(X) of the matrix that X gives.
 
     A value outside 2^(+-_SAFE_EXP), 0 included, may come from squares in
-    M*M v that under- or overflowed, so it is computed again on M scaled by
-    an exact power of two, and scaled back.
+    the Gram product that under- or overflowed, so it is computed again on X
+    scaled by an exact power of two, and scaled back.  X is the matrix, or
+    its first column when that holds all of its entries (Toeplitz).
     """
-    M = np.asarray(M, dtype=complex)
+    n = X.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _power_iteration(M)
+        res = _power_iteration(gram_of(X), n)
     if not 2.0**-_SAFE_EXP <= res.value <= 2.0**_SAFE_EXP:
-        exp = math.frexp(float(np.max(np.abs(M), initial=0.0)))[1]
+        exp = math.frexp(float(np.max(np.abs(X), initial=0.0)))[1]
         if exp:
-            res = _power_iteration(np.ldexp(M.real, -exp) + 1j * np.ldexp(M.imag, -exp))
+            X = np.ldexp(X.real, -exp) + 1j * np.ldexp(X.imag, -exp)
+            res = _power_iteration(gram_of(X), n)
             res = PowerNormResult(math.ldexp(res.value, exp), res.iterations, res.converged)
     return res
 
 
-def _power_iteration(M: np.ndarray) -> PowerNormResult:
+def _power_iteration(gram, n: int) -> PowerNormResult:
     rng = np.random.default_rng(_SEED)
-    n = M.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
-    MH = M.conj().T
     sigma = 0.0
     for it in range(1, _POWER_MAX_ITER + 1):
-        w = MH @ (M @ v)
+        w = gram(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return PowerNormResult(0.0, it, True)
@@ -115,6 +149,26 @@ def op_norm(M: np.ndarray) -> float:
     if res.converged:
         return res.value
     return float(np.linalg.norm(M, 2))
+
+
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column col."""
+    return toeplitz(col, np.zeros(len(col), dtype=complex))
+
+
+def toeplitz_opnorm(c: np.ndarray) -> float:
+    """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c.
+
+    The power iteration of ``op_norm`` with FFT matvecs, O(m log m) each; the
+    matrix is built only for the SVD fallback on non-convergence.
+    """
+    c = np.asarray(c, dtype=complex)
+    if c.size == 0:
+        return 0.0
+    res = _scaled_power_iteration(c, _toeplitz_gram)
+    if res.converged:
+        return res.value
+    return float(np.linalg.norm(_lower_toeplitz(c), 2))
 
 
 def gelfand_estimate(M: np.ndarray, max_squarings: int = 8):

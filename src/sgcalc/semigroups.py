@@ -17,11 +17,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from .errors import NotQuasinilpotentError
-from .linalg import expm, op_norm
+from .linalg import _lower_toeplitz, expm, op_norm
 
 
 class SemigroupBackend(ABC):
@@ -51,11 +50,6 @@ class SemigroupBackend(ABC):
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return self.materialize(t) @ np.asarray(vec, dtype=complex)
-
-
-def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column col."""
-    return toeplitz(col, np.zeros(len(col), dtype=complex))
 
 
 class NilpotentShift(SemigroupBackend):
@@ -91,20 +85,20 @@ class NilpotentShift(SemigroupBackend):
         return np.eye(self.dim, k=-k, dtype=complex)
 
     def constancy_intervals(self, lo: float, hi: float, scale: float = 1.0):
-        """Yield (t0, t1, k) with T(scale * t) = shift-by-k on [t0, t1) in [lo, hi].
+        """Arrays (t0, t1, k): T(scale * t) = shift-by-k[i] on [t0[i], t1[i]) in [lo, hi].
 
         The single home of the shift model's breakpoints, which sit at
         t = (k + 1/2) / (scale * n); cell-exact integrals over t are sums over
-        these intervals.  The intervals stop at the horizon, past which T = 0.
+        these intervals.  The intervals stop at the horizon, past which T = 0,
+        and at the first one that starts within 1e-15 of hi.
         """
         n = self.dim
-        k = int(round(scale * lo * n))
-        t = lo
-        while t < hi - 1e-15 and k < n:
-            t1 = min((k + 0.5) / (scale * n), hi)
-            yield t, t1, k
-            t = t1
-            k += 1
+        k = np.arange(int(round(scale * lo * n)), n)
+        t1 = np.minimum((k + 0.5) / (scale * n), hi)
+        t0 = np.concatenate(([lo], t1[:-1]))
+        past = np.flatnonzero(t0 >= hi - 1e-15)
+        stop = past[0] if past.size else len(k)
+        return t0[:stop], t1[:stop], k[:stop]
 
 
 class RiemannLiouville(SemigroupBackend):

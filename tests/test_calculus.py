@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,18 @@ class TestLemma24:
         for row, ref in zip(rep.rows, lhs_ref):
             assert row[1] == pytest.approx(ref, rel=1e-12)
         assert rep.identity_residual == pytest.approx(res_ref, abs=1e-12)
+
+    def test_builds_no_dense_matrix(self):
+        # one dense complex 2048 x 2048 matrix takes 64 MB
+        sg = nilpotent_shift(2048)
+        tracemalloc.start()
+        try:
+            rep = lemma_24_check(sg, NAMED_MEASURES["delta-difference"](), [1.3, 2.0 + 1.0j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert all(r[3] > 0 for r in rep.rows)
 
     def test_rejects_non_contractive(self):
         with pytest.raises(ValueError):

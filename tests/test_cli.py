@@ -112,6 +112,14 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "renormalization", "backend": {"kind": "riemann_liouville"},
+            "t_grid": [0.5]})
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "bad backend in" in (err := capsys.readouterr().err)
+        assert "missing 'n'" in err
+
 
 class TestSweepCommand:
     def test_passing_sweep_writes_artifacts(self, tmp_path):
@@ -300,6 +308,36 @@ class TestVerifyAll:
         assert payload["checks"]["a-good"]["passed"] is True
         assert payload["checks"]["b-bad"]["error"] == "MassNotZeroError"
         assert (out / "a-good" / "sweep.csv").exists()
+
+    @staticmethod
+    def _resolvent_check(tmp_path, name, *args):
+        out = tmp_path / name
+        assert main([*args, "--output", str(out)]) == 0
+        check = out / "resolvent-check" if args[0] == "verify-all" else out
+        return (check / "resolvent_check.json").read_bytes()
+
+    def test_seed_replaces_each_checks_own(self, tmp_path, monkeypatch):
+        # resolvent-check draws its lambdas from the seed
+        shipped = cli.CONFIG_DIR / "resolvent-check.json"
+        registry = tmp_path / "configs"
+        registry.mkdir()
+        (registry / shipped.name).write_bytes(shipped.read_bytes())
+        monkeypatch.setattr(cli, "CONFIG_DIR", registry)
+        seeded = self._resolvent_check(tmp_path, "a", "verify-all", "--seed", "7")
+        assert seeded == self._resolvent_check(
+            tmp_path, "b", "run", "--config", str(shipped), "--seed", "7")
+        assert seeded != self._resolvent_check(tmp_path, "c", "verify-all")
+
+    def test_without_seed_each_check_keeps_its_own(self, tmp_path, monkeypatch):
+        registry = tmp_path / "configs"
+        registry.mkdir()
+        cfg = json.loads((cli.CONFIG_DIR / "resolvent-check.json").read_text())
+        own = _write_config(registry / "resolvent-check.json", {**cfg, "seed": 3})
+        monkeypatch.setattr(cli, "CONFIG_DIR", registry)
+        kept = self._resolvent_check(tmp_path, "a", "verify-all")
+        assert kept == self._resolvent_check(tmp_path, "b", "run", "--config", own)
+        assert kept != self._resolvent_check(
+            tmp_path, "c", "run", "--config", own, "--seed", "0")
 
     def test_empty_or_missing_registry_exits_2(self, tmp_path, monkeypatch):
         for registry in (tmp_path, tmp_path / "missing"):

@@ -6,14 +6,21 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgcalc import calculus, linalg
+from sgcalc.cli import NAMED_MEASURES, _default_lambda_grid
 from sgcalc.linalg import (
+    _lower_toeplitz,
+    _scaled_power_iteration,
+    _toeplitz_gram,
     expm,
     gelfand_estimate,
     op_norm,
     power_opnorm,
     spectral_radius,
     spectral_radius_detail,
+    toeplitz_opnorm,
 )
+from sgcalc.semigroups import nilpotent_shift
 
 
 class TestExpm:
@@ -69,6 +76,56 @@ class TestOpNorm:
         res = power_opnorm(M)
         assert res.converged
         assert res.value == pytest.approx(np.linalg.norm(M, 2), abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def lemma24_columns():
+    """Every first column whose norm lemma_24_check takes in the lemma24 config's run."""
+    cols = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "toeplitz_opnorm", lambda c: cols.append(c.copy()) or 0.0)
+        calculus.lemma_24_check(nilpotent_shift(512), NAMED_MEASURES["delta-difference"](),
+                                _default_lambda_grid())
+    return cols
+
+
+class TestToeplitzOpNorm:
+    def test_matches_dense_power_iteration_on_lemma24_columns(self, lemma24_columns):
+        # 20 lambdas, each with an lhs and a residual column
+        assert len(lemma24_columns) == 40
+        for c in lemma24_columns:
+            dense = _lower_toeplitz(c)
+            fft_res = _scaled_power_iteration(c, _toeplitz_gram)
+            dense_res = power_opnorm(dense)
+            assert fft_res.iterations == dense_res.iterations
+            fft, ref = toeplitz_opnorm(c), op_norm(dense)
+            assert fft == ref == 0.0 or abs(fft - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 64])
+    def test_against_dense_route_and_svd_oracle(self, m):
+        # power iteration stops on a 1e-10 step, so it may sit 1e-9 below the SVD
+        rng = np.random.default_rng(m)
+        for c in (rng.normal(size=m), rng.normal(size=m) + 1j * rng.normal(size=m)):
+            dense = _lower_toeplitz(c)
+            assert toeplitz_opnorm(c) == pytest.approx(op_norm(dense), rel=1e-13)
+            assert toeplitz_opnorm(c) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-6)
+
+    def test_zero_and_empty(self):
+        assert toeplitz_opnorm(np.zeros(5)) == 0.0
+        assert toeplitz_opnorm(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("exp", [300, -300])
+    def test_scale_by_power_of_two_is_exact(self, lemma24_columns, exp):
+        # unscaled, T^H T v overflows at 2^300 and underflows to 0 at 2^-300
+        c = lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
+        scaled = np.ldexp(c.real, exp) + 1j * np.ldexp(c.imag, exp)
+        assert toeplitz_opnorm(scaled) == math.ldexp(toeplitz_opnorm(c), exp)
+
+    def test_unconverged_falls_back_to_dense_svd(self, lemma24_columns, monkeypatch):
+        c = lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
+        monkeypatch.setattr(linalg, "_POWER_MAX_ITER", 1)
+        assert not _scaled_power_iteration(c, _toeplitz_gram).converged
+        assert toeplitz_opnorm(c) == np.linalg.norm(_lower_toeplitz(c), 2)
 
 
 class TestSpectralRadius:

@@ -54,14 +54,28 @@ class TestNilpotentShift:
         sg = nilpotent_shift(8)
         # both ranges run past the horizon, where the intervals stop
         for lo, hi, scale in [(0.0, 1.2, 1.0), (0.3, 3.0, 0.37)]:
-            intervals = list(sg.constancy_intervals(lo, hi, scale=scale))
-            assert intervals[0][0] == lo
-            assert not sg.materialize(scale * intervals[-1][1]).any()
-            for (_, end, _), (start, _, _) in zip(intervals, intervals[1:]):
-                assert end == start
-            for t0, t1, k in intervals:
+            t0s, t1s, ks = sg.constancy_intervals(lo, hi, scale=scale)
+            assert t0s[0] == lo
+            assert not sg.materialize(scale * t1s[-1]).any()
+            assert np.array_equal(t1s[:-1], t0s[1:])
+            for t0, t1, k in zip(t0s, t1s, ks):
                 mid = 0.5 * (t0 + t1)
                 assert np.array_equal(sg.materialize(scale * mid), np.eye(8, k=-k))
+
+    @pytest.mark.parametrize("lo, hi, scale", [
+        (0.0, 1.0, 1.0), (0.0, 1.2, 1.0), (0.3, 3.0, 0.37), (1.0, 2.0, 0.25),
+        (0.1, 0.1, 1.0), (0.5, 0.4, 1.0), (2.0, 3.0, 1.0), (0.0, 0.999, 3.7),
+    ])
+    def test_constancy_intervals_match_the_loop_form(self, lo, hi, scale):
+        # the cell rule as a loop over k, in the same float operations
+        n = 8
+        ref, k, t = [], int(round(scale * lo * n)), lo
+        while t < hi - 1e-15 and k < n:
+            t1 = min((k + 0.5) / (scale * n), hi)
+            ref.append((t, t1, k))
+            t, k = t1, k + 1
+        arrays = nilpotent_shift(n).constancy_intervals(lo, hi, scale=scale)
+        assert list(zip(*(a.tolist() for a in arrays))) == ref
 
     def test_offgrid_requests_are_recorded(self):
         sg = nilpotent_shift(10)
