@@ -289,16 +289,17 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     """(A + lam I)^{-1} = -int_0^inf e^{lam t} T(t) dt for each lam, in input order.
 
     Shift backends integrate e^{lam t} exactly against the piecewise-constant
-    t -> T(t); diagonal backends use the scalar closed form (convergent for
-    Re lam below the spectral abscissa); other backends use composite
-    Gauss-Legendre panels extended until the tail is provably below
-    _RESOLVENT_TAIL_TOL; the batch shares them, materializing each node once,
-    and each lam stops at its own panel.
+    t -> T(t), and return each R(lam) as its first column, shape (n,): it is
+    lower-triangular Toeplitz there (``linalg._lower_toeplitz`` builds the
+    matrix).  Every other backend returns n x n matrices: diagonal backends
+    use the scalar closed form (convergent for Re lam below the spectral
+    abscissa); the rest use composite Gauss-Legendre panels extended until
+    the tail is provably below _RESOLVENT_TAIL_TOL; the batch shares them,
+    materializing each node once, and each lam stops at its own panel.
     """
     lams = [complex(lam) for lam in lams]
     if isinstance(backend, NilpotentShift):
-        return [_lower_toeplitz(-_shift_exp_column(backend, lam, backend.nilpotent_horizon))
-                for lam in lams]
+        return [-_shift_exp_column(backend, lam, backend.nilpotent_horizon) for lam in lams]
 
     if isinstance(backend, DiagonalSemigroup):
         for lam in lams:
@@ -333,6 +334,26 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
             f"resolvent integral did not converge by t = {t:.1f} for lam = {lams[live[0]]}"
         )
     return [-M for M in sums]
+
+
+def resolvent_identity_residuals(backend: SemigroupBackend, pairs) -> list[float]:
+    """||R(lam) - R(nu) - (nu - lam) R(lam) R(nu)|| for each (lam, nu) pair.
+
+    The resolvents come from one batch ``resolvent`` call.  On shift backends
+    they are first columns, so the product is a truncated convolution and the
+    norm takes FFT matvecs; elsewhere both are dense.
+    """
+    pairs = [(complex(lam), complex(nu)) for lam, nu in pairs]
+    R = resolvent(backend, [z for pair in pairs for z in pair])
+    shift = isinstance(backend, NilpotentShift)
+    residuals = []
+    for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2]):
+        if shift:
+            diff = R1 - R2 - (nu - lam) * np.convolve(R1, R2)[: backend.dim]
+            residuals.append(toeplitz_opnorm(diff))
+        else:
+            residuals.append(op_norm(R1 - R2 - (nu - lam) * (R1 @ R2)))
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +426,13 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
     Fop = func_calc(backend, mu, 1.0)
     f = _shift_column(backend.dim, Fop.shift_weights)
     bound = tv_moment(mu, 1)
+    lams = [complex(lam) for lam in lam_grid]
     rows = []
     worst_residual = 0.0
-    for lam in lam_grid:
-        lam = complex(lam)
+    for lam, r in zip(lams, resolvent(backend, lams)):  # r: first column of R(lam)
         if lam.real < -1e-12:
             raise ValueError("grid must lie in the closed right half-plane")
         F_lam = laplace(mu, lam)
-        r = -_shift_exp_column(backend, lam, backend.nilpotent_horizon)  # R(lam)
         lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
         lhs = toeplitz_opnorm(lhs_op)
         margin = bound + _BOUND_SLACK + Fop.quadrature_budget - lhs

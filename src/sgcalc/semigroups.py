@@ -17,7 +17,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NotQuasinilpotentError
 from .linalg import _lower_toeplitz, expm, op_norm
@@ -126,7 +125,7 @@ class RiemannLiouville(SemigroupBackend):
         j = np.arange(n + 1, dtype=float)
         # h^t (j+1)^t - j^t over Gamma(t+1), in log space for stability
         powers = j**t
-        w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(h) - gammaln(t + 1.0))
+        w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(h) - math.lgamma(t + 1.0))
         return _lower_toeplitz(w)
 
 

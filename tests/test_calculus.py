@@ -20,6 +20,7 @@ from sgcalc.calculus import (
     lemma_24_check,
     lemma_27_check,
     resolvent,
+    resolvent_identity_residuals,
     sweep,
     symmetrized_sweep,
 )
@@ -29,7 +30,7 @@ from sgcalc.errors import (
     MassNotZeroError,
     NoGeneratorError,
 )
-from sgcalc.linalg import op_norm
+from sgcalc.linalg import _lower_toeplitz, op_norm
 from sgcalc.measures import (
     CompactDistribution,
     CompactMeasure,
@@ -43,6 +44,7 @@ from sgcalc.measures import (
     zero_measure,
 )
 from sgcalc.semigroups import (
+    NilpotentShift,
     diagonal_semigroup,
     matrix_semigroup,
     nilpotent_shift,
@@ -127,7 +129,7 @@ class TestResolvent:
     def test_shift_at_zero_is_minus_integral(self):
         n = 64
         sg = nilpotent_shift(n)
-        R = resolvent(sg, [0.0])[0]
+        R = _lower_toeplitz(resolvent(sg, [0.0])[0])
         # -int_0^1 T(t) dt with cell-exact integration: every shift power
         # gets weight 1/n except the half cells at the ends
         col = np.full(n, -1.0 / n)
@@ -139,7 +141,7 @@ class TestResolvent:
         # error O(n^-2) of the cell model, not to machine precision
         sg = nilpotent_shift(512)
         z, w = 0.5, 2.0 + 1.0j
-        Rz, Rw = resolvent(sg, [z])[0], resolvent(sg, [w])[0]
+        Rz, Rw = (_lower_toeplitz(resolvent(sg, [lam])[0]) for lam in (z, w))
         res = op_norm(Rz - Rw - (w - z) * (Rz @ Rw))
         assert res < 1e-5
 
@@ -165,7 +167,8 @@ class TestResolvent:
     @pytest.mark.parametrize("sg", [
         matrix_semigroup(np.array([[-3.0, 2.0, 0.0], [0.0, -4.0, 1.0], [0.5, 0.0, -5.0]])),
         riemann_liouville(32),
-    ], ids=["matrix", "riemann-liouville"])
+        nilpotent_shift(64),
+    ], ids=["matrix", "riemann-liouville", "nilpotent-shift"])
     def test_batch_is_single_calls_and_materializes_each_time_once(self, sg, monkeypatch):
         lams = [0.2 + 0.5j, 1.5 - 1.0j]  # different Re lam, so they stop at different panels
         singles = [resolvent(sg, [lam])[0] for lam in lams]
@@ -176,7 +179,9 @@ class TestResolvent:
         batch = resolvent(sg, lams)
         assert len(batch) == 2
         assert all(np.array_equal(b, r) for b, r in zip(batch, singles))
-        assert times and len(times) == len(set(times))
+        assert len(times) == len(set(times))
+        # the shift integrates cell-exactly on first columns: nothing to materialize
+        assert bool(times) != isinstance(sg, NilpotentShift)
 
     def test_fractional_integration_resolvent_identity(self):
         # the first-order product integration behind the fractional family
@@ -187,6 +192,44 @@ class TestResolvent:
         Rz, Rw = resolvent(sg, [z])[0], resolvent(sg, [w])[0]
         res = op_norm(Rz - Rw - (w - z) * (Rz @ Rw))
         assert res / (op_norm(Rz) * op_norm(Rw)) < 0.05
+
+
+def _seed0_pairs():
+    """The five (lam, nu) pairs that resolvent-check draws from seed 0."""
+    rng = np.random.default_rng(0)
+    lams = [complex(rng.uniform(0, 3), rng.uniform(-3, 3)) for _ in range(10)]
+    return list(zip(lams[::2], lams[1::2]))
+
+
+class TestResolventIdentityResiduals:
+    def test_shift_resolvent_is_its_first_column(self):
+        sg = nilpotent_shift(64)
+        lam = 1.3 - 0.7j
+        col = resolvent(sg, [lam])[0]
+        assert col.shape == (64,)
+        assert np.array_equal(col, -calculus._shift_exp_column(sg, lam, 1.0))
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_shift_column_route_matches_dense_products(self, n):
+        # the residual is a difference of O(1) terms that cancel to O(n^-2), so
+        # the rounding of the product (a convolution here, a matmul in the
+        # oracle) moves it by a few 1e-12 relative at n = 512
+        sg = nilpotent_shift(n)
+        pairs = _seed0_pairs()
+        got = resolvent_identity_residuals(sg, pairs)
+        assert len(got) == 5
+        for (lam, nu), res in zip(pairs, got):
+            R1, R2 = (_lower_toeplitz(resolvent(sg, [z])[0]) for z in (lam, nu))
+            ref = op_norm(R1 - R2 - (nu - lam) * (R1 @ R2))
+            assert res == pytest.approx(ref, rel=1e-11)
+
+    def test_dense_backends_keep_the_dense_route(self):
+        sg = matrix_semigroup(np.array([[-3.0, 2.0], [0.0, -4.0]]))
+        pairs = _seed0_pairs()[:2]
+        R = resolvent(sg, [z for pair in pairs for z in pair])
+        ref = [op_norm(R1 - R2 - (nu - lam) * (R1 @ R2))
+               for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2])]
+        assert resolvent_identity_residuals(sg, pairs) == ref
 
 
 def _midpoint_sum(sg, f, a, b, scale=1.0, nodes=200_000):
@@ -219,7 +262,8 @@ class TestShiftCellExactOracle:
     def test_resolvent_off_zero(self):
         sg = nilpotent_shift(8)
         ref = -_midpoint_sum(sg, lambda t: np.exp(self.LAM * t), 0.0, 1.0)
-        assert np.max(np.abs(resolvent(sg, [self.LAM])[0] - ref)) < 1e-4
+        R = _lower_toeplitz(resolvent(sg, [self.LAM])[0])
+        assert np.max(np.abs(R - ref)) < 1e-4
 
     def test_kernel_at_offgrid_tau(self):
         sg = nilpotent_shift(8)
@@ -424,7 +468,7 @@ class TestLemma24:
         assert np.any(F)
         lhs_ref, res_ref = [], 0.0
         for lam in lams:
-            R = resolvent(sg, [lam])[0]
+            R = _lower_toeplitz(resolvent(sg, [lam])[0])
             lhs_op = F @ R - laplace(mu, lam) * R
             terms = list(mu.atoms) + [(t, w * piece(t)) for piece in mu.pieces
                                       for t, w in zip(*_gauss_legendre(piece.a, piece.b))]

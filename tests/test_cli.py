@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,10 @@ def _sweep_config(tmp_path, name="config.json", **overrides):
 
 
 def test_import_loads_neither_scipy_integrate_nor_signal():
-    # each costs a quarter second or more of start-up, and no shipped run needs it
-    code = ("import sys, sgcalc.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])")
+    # each costs start-up time (scipy.special about 0.1 s, the others a quarter
+    # second or more), and no shipped run needs it
+    code = ("import sys, sgcalc.cli; print([m for m in "
+            "('scipy.integrate', 'scipy.signal', 'scipy.special') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(sgcalc.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
@@ -183,6 +185,25 @@ class TestDeterminism:
                 sorted((p.name, p.read_bytes()) for p in out.iterdir())
             )
         assert outs[0] == outs[1]
+
+
+class TestResolventCheck:
+    def test_shift_builds_no_dense_matrix(self, tmp_path):
+        # one dense complex 2048 x 2048 matrix takes 64 MB; the check's ten
+        # resolvents and five products stay first columns
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "resolvent-check", "backend": {"kind": "nilpotent_shift", "n": 2048}})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", cfg, "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert code == 0
+        # O(n^-2): about a sixteenth of the 1.5e-5 of the shipped n = 512 check
+        assert json.loads((out / "summary.json").read_text())["worst_residual"] < 2e-6
 
 
 class TestCurveCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammaln
 
+from sgcalc.calculus import _DEFAULT_GL_ORDER, _gauss_legendre
 from sgcalc.errors import NotQuasinilpotentError
 from sgcalc.linalg import op_norm, spectral_radius
 from sgcalc.semigroups import (
@@ -128,12 +129,27 @@ class TestRiemannLiouville:
         n = 64
         j = np.arange(n + 1, dtype=float)
         powers = j**t
-        w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(1.0 / n) - gammaln(t + 1.0))
+        w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(1.0 / n) - math.lgamma(t + 1.0))
         ref = np.zeros((n, n), dtype=complex)
         idx = np.arange(n)
         for d in range(n):
             ref[idx[d:], idx[d:] - d] = w[d]
         assert np.array_equal(riemann_liouville(n).materialize(t), ref)
+
+    def test_lgamma_scale_matches_scipy_gammaln(self):
+        # the weights scale by h^t / Gamma(1 + t) = exp(t log h - lgamma(1 + t)),
+        # so an absolute error in lgamma is a relative one in the weights; times:
+        # the shipped renormalization grid (k/64, k <= 128, as feller_renorm
+        # applies T(kh)) and the Gauss-Legendre times u*t of the step measure
+        # on the RL(128) u grid of the benchmark's off-shift workload
+        times = [k / 64 for k in range(1, 129)]
+        for a, b in ((1.0, 2.0), (2.0, 3.0)):
+            for order in (_DEFAULT_GL_ORDER, _DEFAULT_GL_ORDER // 2):
+                nodes = _gauss_legendre(a, b, order)[0]
+                times += [u * t for u in (0.03, 0.06, 0.1, 0.17, 0.28, 0.45) for t in nodes]
+        for t in times:
+            ref = math.exp(-float(gammaln(t + 1.0)))
+            assert math.exp(-math.lgamma(t + 1.0)) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 class TestMatrixSemigroup:
