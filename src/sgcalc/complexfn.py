@@ -1,10 +1,10 @@
 """Complex-function machinery behind the lower-estimate arguments.
 
 Works on entire functions given as Laplace transforms of compactly supported
-measures or distributions: locating the ray maximum of |F|, detecting the
-(even) vanishing order at the maximizer, certifying a small-disk/large-circle
-radius pair, and constructing the piecewise-linear Jordan curves that separate
-the maximizer from the rest of the spectrum-relevant region.
+measures: locating the ray maximum of |F|, detecting the (even) vanishing
+order at the maximizer, certifying a small-disk/large-circle radius pair, and
+constructing the piecewise-linear Jordan curves that separate the maximizer
+from the rest of the spectrum-relevant region.
 
 All curve constructions are a-posteriori certified by dense sampling; the
 underlying existence results guarantee that failure only ever signals
@@ -26,49 +26,33 @@ from .errors import (
     SimplicityRepairFailedError,
     WindowViolationError,
 )
-from .measures import (
-    CompactDistribution,
-    CompactMeasure,
-    laplace,
-    laplace_distribution,
-    tv_moment,
-)
+from .measures import CompactMeasure, laplace, tv_moment
 
 
 class Transform:
-    """Vectorized evaluator for the Laplace transform of a measure/distribution.
+    """Vectorized evaluator for the Laplace transform of a compact measure.
 
     Carries enough metadata (total variation, support bounds) to pick search
     windows from the decay bound |F(x)| <= tv0 * exp(-x * support_min).
     """
 
     def __init__(self, source):
-        if isinstance(source, CompactMeasure):
-            self._components = [source]
-        elif isinstance(source, CompactDistribution):
-            self._components = list(source.components)
-        else:
+        if not isinstance(source, CompactMeasure):
             raise TypeError(f"cannot build a transform from {type(source)!r}")
         self.source = source
         self.support_min = source.support_min
         self.support_max = source.support_max
         self.is_real = source.is_real
-        self.tv0 = sum(tv_moment(m, 0) for m in self._components)
+        self.tv0 = tv_moment(source, 0)
 
     def __call__(self, z):
-        src = self.source
-        if isinstance(src, CompactMeasure):
-            return laplace(src, z)
-        return laplace_distribution(src, z)
+        return laplace(self.source, z)
 
     def decay_bound(self, x: float) -> float:
         """Upper bound for |F| on the real ray at x >= 0."""
-        total = 0.0
-        for j, m in enumerate(self._components):
-            if m.is_zero:
-                continue
-            total += x**j * tv_moment(m, 0) * math.exp(-x * m.support_min)
-        return total
+        if self.source.is_zero:
+            return 0.0
+        return self.tv0 * math.exp(-x * self.support_min)
 
 
 def as_transform(source) -> Transform:

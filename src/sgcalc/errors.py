@@ -70,13 +70,5 @@ class CertificateFailedError(SgcalcError):
         self.point = point
 
 
-class InconsistentEstimatesError(SgcalcError):
-    """Two independent estimates disagree beyond tolerance."""
-
-    def __init__(self, message, estimates=()):
-        super().__init__(message)
-        self.estimates = tuple(estimates)
-
-
 class ConfigError(SgcalcError):
     """Invalid run configuration."""

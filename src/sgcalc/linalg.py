@@ -3,11 +3,6 @@
 Operator norms of dense matrices and of lower-triangular Toeplitz matrices,
 given by their first column, share one power iteration; the Toeplitz one
 applies the matrix by FFT convolution and never forms it.
-
-The spectral-radius estimator deliberately runs two independent routes
-(power iteration and the norm-of-powers limit) because the quasinilpotent
-discretizations used elsewhere are severely non-normal, where either method
-alone can mislead.
 """
 
 from __future__ import annotations
@@ -17,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-
-from .errors import InconsistentEstimatesError
 
 # Pade coefficients for the degree-13 diagonal approximant of exp.
 _PADE13 = (
@@ -32,9 +25,6 @@ _SEED = 0  # start vectors of every power iteration
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 2000
 _SAFE_EXP = 200
-_EIG_RESTARTS = 4
-_EIG_ITERS = 400
-_DISAGREEMENT_TOL = 1e-6
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -171,91 +161,10 @@ def toeplitz_opnorm(c: np.ndarray) -> float:
     return float(np.linalg.norm(_lower_toeplitz(c), 2))
 
 
-def gelfand_estimate(M: np.ndarray, max_squarings: int = 8):
-    """Norm-of-powers estimates ||M^(2^k)||^(1/2^k), k = 0..max_squarings.
-
-    Powers are renormalized at every squaring so the estimate is computed in
-    log space without overflow.  Returns the list of estimates; an exact zero
-    power short-circuits with estimate 0.
-    """
+def spectral_radius(M: np.ndarray) -> float:
+    """Spectral radius: exact from the diagonal for triangular matrices,
+    diagonal and nilpotent ones included; otherwise max |eigvals(M)|."""
     M = np.asarray(M, dtype=complex)
-    ests = []
-    B = M.copy()
-    log_acc = 0.0
-    for k in range(max_squarings + 1):
-        nrm = np.linalg.norm(B, 2)
-        if nrm == 0.0:
-            ests.append(0.0)
-            return ests
-        est = math.exp((log_acc + math.log(nrm)) / 2**k)
-        ests.append(est)
-        B = B / nrm
-        log_acc = 2.0 * (log_acc + math.log(nrm))
-        B = B @ B
-    return ests
-
-
-def power_eig_estimate(M: np.ndarray):
-    """Dominant-eigenvalue modulus via power iteration with random restarts."""
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    rng = np.random.default_rng(_SEED)
-    best = 0.0
-    for _ in range(_EIG_RESTARTS):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(_EIG_ITERS):
-            w = M @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                lam = 0.0
-                break
-            v = w / nw
-            lam = abs(np.vdot(v, M @ v))
-        best = max(best, float(lam))
-    return best
-
-
-@dataclass(frozen=True)
-class SpectralRadiusResult:
-    value: float
-    power_estimate: float
-    gelfand_estimate: float
-    consistent: bool
-
-
-def spectral_radius_detail(M: np.ndarray) -> SpectralRadiusResult:
-    """Dual-route spectral radius.
-
-    Exact short-circuit for triangular matrices, diagonal and nilpotent ones
-    included (eigenvalues are on the diagonal); otherwise power iteration is
-    cross-checked against the norm-of-powers limit.  Small matrices get extra
-    squarings because the k <= 8 truncation of the limit converges too slowly
-    to cross-check at _DISAGREEMENT_TOL.
-    """
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
     if not np.any(np.triu(M, 1)) or not np.any(np.tril(M, -1)):
-        v = float(np.max(np.abs(np.diagonal(M)), initial=0.0))
-        return SpectralRadiusResult(v, v, v, True)
-
-    max_squarings = 48 if n <= 128 else max(8, int(math.ceil(math.log2(max(n, 2)))))
-    p = power_eig_estimate(M)
-    g_list = gelfand_estimate(M, max_squarings=max_squarings)
-    g = g_list[-1]
-    scale_ref = max(1.0, p, g)
-    consistent = abs(p - g) <= _DISAGREEMENT_TOL * scale_ref
-    value = g if g_list[-1] == 0.0 or not consistent else 0.5 * (p + g)
-    return SpectralRadiusResult(value, p, g, consistent)
-
-
-def spectral_radius(M: np.ndarray, strict: bool = False) -> float:
-    """Spectral radius as a float; strict=True raises when the two routes disagree."""
-    res = spectral_radius_detail(M)
-    if strict and not res.consistent:
-        raise InconsistentEstimatesError(
-            "power-iteration and norm-of-powers spectral radius estimates disagree",
-            estimates=(res.power_estimate, res.gelfand_estimate),
-        )
-    return res.value
+        return float(np.max(np.abs(np.diagonal(M)), initial=0.0))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))

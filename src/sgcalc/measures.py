@@ -122,18 +122,6 @@ class CompactDistribution:
             )
         object.__setattr__(self, "components", tuple(self.components))
 
-    @property
-    def support_min(self) -> float:
-        return min(m.support_min for m in self.components)
-
-    @property
-    def support_max(self) -> float:
-        return max(m.support_max for m in self.components)
-
-    @property
-    def is_real(self) -> bool:
-        return all(m.is_real for m in self.components)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -194,18 +182,6 @@ def require_mass_zero(mu: CompactMeasure) -> None:
     m = mass(mu)
     if abs(m) > _MASS_TOL:
         raise MassNotZeroError(f"measure has mass {m:.3g}, the check needs mass 0")
-
-
-def moment(mu: CompactMeasure, k: int) -> complex:
-    """Signed moment: integral of t^k dmu(t)."""
-    total = sum(w * t**k for t, w in mu.atoms)
-    for p in mu.pieces:
-        c = npoly.polymulx(np.asarray(p.coeffs)) if k else np.asarray(p.coeffs)
-        for _ in range(k - 1):
-            c = npoly.polymulx(c)
-        anti = npoly.polyint(c)
-        total += npoly.polyval(p.b, anti) - npoly.polyval(p.a, anti)
-    return complex(total)
 
 
 def tv_moment(mu: CompactMeasure, k: int = 0) -> float:

@@ -5,11 +5,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sgcalc
 from sgcalc import cli, complexfn, semigroups, spectral
+from sgcalc.calculus import func_calc
 from sgcalc.cli import main
+from sgcalc.measures import conj_reflect
 
 
 def _write_config(path, payload):
@@ -163,6 +166,32 @@ class TestSweepCommand:
         assert main(["run", "--config", cfg, "--output", str(out)]) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == "MassNotZeroError"
+
+
+class TestSymmetrizedSweepCommand:
+    def test_non_triangular_matrix_backend_rho_is_the_eigvals_radius(self, tmp_path):
+        # the one config route to a non-triangular spectral radius: the
+        # product F(-uA) Ftilde(-uA) of a dense generator
+        rng = np.random.default_rng(1)
+        A = -2.0 * np.eye(6) + 0.5 * rng.normal(size=(6, 6))
+        u_grid = [0.1, 0.5, 1.0]
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "symmetrized-sweep", "measure": "delta-difference",
+            "backend": {"kind": "matrix", "matrix": A.tolist()},
+            "u_grid": {"values": u_grid}})
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--output", str(out)])
+        assert "error" not in json.loads((out / "summary.json").read_text())
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(u_grid)
+
+        backend = semigroups.matrix_semigroup(A)
+        mu = cli.NAMED_MEASURES["delta-difference"]()
+        for u, row in zip(u_grid, rows):
+            P = (func_calc(backend, mu, u).to_dense()
+                 @ func_calc(backend, conj_reflect(mu), u).to_dense())
+            ref = float(np.max(np.abs(np.linalg.eigvals(P))))
+            assert float(row.split(",")[2]) == pytest.approx(ref, rel=1e-12)
 
 
 class TestDeterminism:

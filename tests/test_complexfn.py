@@ -16,8 +16,18 @@ from sgcalc.complexfn import (
     taylor_coefficients,
     vanishing_order,
 )
+from sgcalc.cli import NAMED_MEASURES
 from sgcalc.errors import WindowViolationError
-from sgcalc.measures import convolve, from_atoms, indicator, laplace, scale
+from sgcalc.measures import (
+    CompactDistribution,
+    convolve,
+    from_atoms,
+    indicator,
+    laplace,
+    scale,
+    tv_moment,
+    zero_measure,
+)
 from sgcalc.semigroups import diagonal_semigroup
 from sgcalc.spectral import character_set
 
@@ -25,6 +35,24 @@ D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D1234 = from_atoms([(1.0, 1.0), (2.0, -3.0), (3.0, 1.0), (4.0, 1.0)])
 STEP = indicator(1, 2) + indicator(2, 3, -1.0)
 REAL_MEASURES = [D12, D1234, STEP]
+
+
+class TestTransform:
+    @pytest.mark.parametrize("name", sorted(NAMED_MEASURES))
+    def test_decay_bound_is_the_closed_form(self, name):
+        # ray_max grows its window from this bound, so a different rounding
+        # here would move the window and every artifact downstream
+        mu = NAMED_MEASURES[name]()
+        F = as_transform(mu)
+        for x in (0.0, 0.5, math.log(2.0), 3.0, 17.25):
+            assert F.decay_bound(x) == tv_moment(mu, 0) * math.exp(-x * mu.support_min)
+
+    def test_zero_measure_decays_to_zero(self):
+        assert as_transform(zero_measure()).decay_bound(0.0) == 0.0
+
+    def test_distribution_is_refused(self):
+        with pytest.raises(TypeError):
+            as_transform(CompactDistribution(0, (D12,)))
 
 
 class TestRayMax:
