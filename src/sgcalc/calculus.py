@@ -12,17 +12,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .complexfn import ray_max
 from .errors import (
     BoundViolationError,
+    ConfigError,
     DivergentIntegralError,
     NoGeneratorError,
+    NotQuasinilpotentError,
     SingularGeneratorError,
 )
-from .linalg import _SEED, _lower_toeplitz, op_norm, spectral_radius, toeplitz_opnorm
+from .linalg import (
+    _lower_toeplitz,
+    banded_toeplitz_opnorm,
+    op_norm,
+    spectral_radius,
+    toeplitz_opnorm,
+)
 from .measures import (
     CompactDistribution,
     CompactMeasure,
@@ -40,8 +46,6 @@ _DEFAULT_GL_ORDER = 32
 _BOUND_SLACK = 1e-6  # added to the right side of the lemma 2.4 and 2.7 bounds
 _RESOLVENT_TAIL_TOL = 1e-12
 _PATH_TOL = 1e-9
-_LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
-_LANCZOS_NCV = 30  # Lanczos basis size
 
 
 @dataclass
@@ -50,11 +54,9 @@ class OperatorValue:
 
     On shift backends the operator is a weight combination of powers of the
     one-cell shift; shift_weights keeps that structure alive, so ``norm``
-    splits the offsets by their gcd into independent chains and takes the
-    largest singular value of one chain's Toeplitz section, at any size and
-    without forming the matrix: from its banded Gram matrix when the band is
-    narrow, by Lanczos with convolution matvecs when it is wide (see
-    ``_shift_opnorm``).
+    passes its first column to ``linalg.banded_toeplitz_opnorm``, which
+    reduces it exactly (gcd chains, the leading shift) and takes the largest
+    singular value of the section at any size without forming the matrix.
     """
 
     matrix: np.ndarray | None
@@ -79,7 +81,7 @@ class OperatorValue:
         if self.is_diag:
             return float(np.max(np.abs(self.diag)))
         if self.shift_weights is not None:
-            return _shift_opnorm(self.dim, self.shift_weights)
+            return banded_toeplitz_opnorm(_shift_column(self.dim, self.shift_weights))
         return op_norm(self.matrix)
 
     def spectral_radius(self) -> float:
@@ -105,88 +107,6 @@ class OperatorValue:
             return OperatorValue(None, None, prov, budget,
                                  shift_weights=combined, dim=self.dim)
         return OperatorValue(self.to_dense() @ other.to_dense(), None, prov, budget)
-
-
-def _shift_opnorm(n: int, weights: dict) -> float:
-    """Largest singular value of T = sum_k w_k S^k on C^n, without forming T.
-
-    Offsets that share a gcd g split into g independent chains, and
-    interlacing puts the norm on the longest, of length ceil(n/g).  With k0
-    the smallest live offset, dropping the partial isometry S^k0 leaves the
-    m = n - k0 section T' with first column c_j = w_(k0+j), j = 0..b, and
-    ||T|| = ||T'||.  Narrow sections (b < _LANCZOS_MIN_BAND) take
-    sqrt(lambda_max) of the banded Gram matrix T'^H T' (``_band_opnorm``);
-    wider ones take Lanczos on T'^H T' with convolution matvecs
-    (``_lanczos_opnorm``), and fall back to the band if ARPACK does not
-    converge.
-    """
-    live = {k: w for k, w in weights.items() if k < n and w != 0}
-    if not live:
-        return 0.0
-    g = 0
-    for k in live:
-        g = math.gcd(g, k)
-    if g > 1:
-        m = -(-n // g)
-        reduced = {k // g: w for k, w in live.items()}
-        return _shift_opnorm(m, reduced)
-    k0 = min(live)
-    m = n - k0
-    b = max(live) - k0
-    c = _shift_column(b + 1, {k - k0: w for k, w in live.items()})
-    if not np.any(c.imag):
-        c = c.real
-    # every Gram entry is bounded by its largest diagonal entry, ||c||^2
-    if not math.isfinite(np.vdot(c, c).real):
-        raise ValueError("shift weights give a non-finite Gram matrix")
-    if b >= _LANCZOS_MIN_BAND:
-        try:
-            return _lanczos_opnorm(c, m)
-        except ArpackNoConvergence:
-            pass
-    return _band_opnorm(c, m)
-
-
-def _band_opnorm(c: np.ndarray, m: int) -> float:
-    """||T'|| for the m x m lower-triangular Toeplitz T' with first column c.
-
-    T'^H T' has half-bandwidth b = len(c) - 1 and, by prefix sums over s,
-    (T'^H T')[j+d, j] = sum_{s=d}^{min(b, m-1-j)} conj(c_(s-d)) c_s; LAPACK
-    reduces that band to tridiagonal form, O(m^2 b) flops.
-    """
-    b = len(c) - 1
-    # Fortran order, so LAPACK reduces the band in place: the band is the only
-    # array of size (b + 1) m, and the peak memory of a call is that one array.
-    band = np.zeros((m, b + 1), dtype=c.dtype).T
-    j = np.arange(m)
-    for d in range(b + 1):
-        prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
-        band[d, : m - d] = prefix[np.minimum(b, m - 1 - j[: m - d]) - d]
-    lam = eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False,
-                         select="i", select_range=(m - 1, m - 1))
-    return math.sqrt(max(float(lam[0]), 0.0))
-
-
-def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
-    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', T' as in ``_band_opnorm``.
-
-    Each matvec is two convolutions with the first column, O(m b) flops:
-    T'x = (c * x)[:m] and T'^H y = (conj(c) reversed * y)[b:b+m].  The
-    value returned is the witness ||T'x|| / ||x|| of the Ritz vector x, a
-    lower bound on ||T'|| whatever ARPACK converged to.  The start vector is
-    fixed, so the result does not depend on earlier calls.
-    """
-    b = len(c) - 1
-    rc = np.conj(c[::-1])
-
-    def gram(x):
-        return np.convolve(rc, np.convolve(c, x.ravel())[:m])[b: b + m]
-
-    op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
-    v0 = np.random.default_rng(_SEED).normal(size=m)
-    _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
-    x = vec[:, 0]
-    return float(np.linalg.norm(np.convolve(c, x)[:m]) / np.linalg.norm(x))
 
 
 def _shift_piece_weights(backend: NilpotentShift, piece, u: float) -> dict:
@@ -421,7 +341,7 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
     no n x n matrix is built.
     """
     if not isinstance(backend, NilpotentShift):
-        raise ValueError("bound requires a quasinilpotent contraction semigroup "
+        raise ConfigError("bound requires a quasinilpotent contraction semigroup "
                          "(the nilpotent shift)")
     Fop = func_calc(backend, mu, 1.0)
     f = _shift_column(backend.dim, Fop.shift_weights)
@@ -431,7 +351,7 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
     worst_residual = 0.0
     for lam, r in zip(lams, resolvent(backend, lams)):  # r: first column of R(lam)
         if lam.real < -1e-12:
-            raise ValueError("grid must lie in the closed right half-plane")
+            raise ConfigError("grid must lie in the closed right half-plane")
         F_lam = laplace(mu, lam)
         lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
         lhs = toeplitz_opnorm(lhs_op)
@@ -494,10 +414,10 @@ def lemma_27_check(backend: SemigroupBackend, phi: CompactDistribution,
     for lam in lam_grid:
         lam = complex(lam)
         if lam.real < -1e-12:
-            raise ValueError("grid must lie in the closed right half-plane")
+            raise ConfigError("grid must lie in the closed right half-plane")
         shifted = A + lam * I
         if np.linalg.cond(shifted) > 1e12:
-            raise ValueError(
+            raise ConfigError(
                 f"lam = {lam} sits on (or too close to) a resolvent pole"
             )
         Rlam = np.linalg.inv(shifted)
@@ -552,9 +472,9 @@ def sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> list[SweepRo
     """
     require_mass_zero(mu)
     if not mu.is_real:
-        raise ValueError("lower-estimate sweep expects a real measure")
+        raise ConfigError("lower-estimate sweep expects a real measure")
     if not backend.quasinilpotent:
-        raise ValueError("lower estimate is about quasinilpotent semigroups")
+        raise NotQuasinilpotentError("lower estimate is about quasinilpotent semigroups")
     ray = ray_max(mu)
     rows = []
     for u in sorted(float(u) for u in u_grid):

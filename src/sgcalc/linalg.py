@@ -1,8 +1,11 @@
 """Linear-algebra plumbing: matrix exponential, operator norm, spectral radius.
 
-Operator norms of dense matrices and of lower-triangular Toeplitz matrices,
-given by their first column, share one power iteration; the Toeplitz one
-applies the matrix by FFT convolution and never forms it.
+Dense operator norms take power iteration on M*M.  Every norm of a
+lower-triangular Toeplitz matrix, given by its first column, goes through one
+front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
+that its public entry names: ``banded_toeplitz_opnorm`` for F(-uA) on the
+shift model (banded Gram matrix or Lanczos), ``toeplitz_opnorm`` for full
+columns such as resolvents (power iteration with FFT matvecs).
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import eigvals_banded, toeplitz
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 # Pade coefficients for the degree-13 diagonal approximant of exp.
 _PADE13 = (
@@ -25,6 +29,8 @@ _SEED = 0  # start vectors of every power iteration
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 2000
 _SAFE_EXP = 200
+_LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
+_LANCZOS_NCV = 30  # Lanczos basis size
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -64,52 +70,22 @@ class PowerNormResult:
 
 
 def power_opnorm(M: np.ndarray) -> PowerNormResult:
-    """Largest singular value by power iteration on M*M with a random start."""
-    return _scaled_power_iteration(np.asarray(M, dtype=complex), _dense_gram)
-
-
-def _dense_gram(M: np.ndarray):
+    """Largest singular value by power iteration on M*M with a random start,
+    on M scaled by an exact power of two (``_pow2_scaled``)."""
+    M, exp = _pow2_scaled(np.asarray(M, dtype=complex))
     MH = M.conj().T
-    return lambda v: MH @ (M @ v)
+    res = _power_iteration(lambda v: MH @ (M @ v), M.shape[-1])
+    return PowerNormResult(math.ldexp(res.value, exp), res.iterations, res.converged)
 
 
-def _toeplitz_gram(c: np.ndarray):
-    """v -> T^H T v for the lower-triangular Toeplitz T with first column c.
-
-    Each product is a circulant embedding of length N >= 2m - 1, so nothing
-    wraps around: T x = ifft(fft(c) fft(x))[:m], and T^H y is the same with
-    conj(fft(c)), a correlation with c.
-    """
-    m = len(c)
-    N = 1 << (2 * m - 2).bit_length()
-    fc = np.fft.fft(c, N)
-    fch = fc.conj()
-
-    def gram(v):
-        Tv = np.fft.ifft(fc * np.fft.fft(v, N))[:m]
-        return np.fft.ifft(fch * np.fft.fft(Tv, N))[:m]
-
-    return gram
-
-
-def _scaled_power_iteration(X: np.ndarray, gram_of) -> PowerNormResult:
-    """Power iteration with the Gram map gram_of(X) of the matrix that X gives.
-
-    A value outside 2^(+-_SAFE_EXP), 0 included, may come from squares in
-    the Gram product that under- or overflowed, so it is computed again on X
-    scaled by an exact power of two, and scaled back.  X is the matrix, or
-    its first column when that holds all of its entries (Toeplitz).
-    """
-    n = X.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _power_iteration(gram_of(X), n)
-    if not 2.0**-_SAFE_EXP <= res.value <= 2.0**_SAFE_EXP:
-        exp = math.frexp(float(np.max(np.abs(X), initial=0.0)))[1]
-        if exp:
-            X = np.ldexp(X.real, -exp) + 1j * np.ldexp(X.imag, -exp)
-            res = _power_iteration(gram_of(X), n)
-            res = PowerNormResult(math.ldexp(res.value, exp), res.iterations, res.converged)
-    return res
+def _pow2_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X 2^-exp, exp): exp = 0 while the largest |entry| lies in
+    [2^-_SAFE_EXP, 2^_SAFE_EXP), 0 included; otherwise its binary exponent,
+    which brings it into [1/2, 1).  Scaling by a power of two is exact."""
+    exp = math.frexp(float(np.max(np.abs(X), initial=0.0)))[1]
+    if -_SAFE_EXP < exp <= _SAFE_EXP:
+        return X, 0
+    return np.ldexp(X.real, -exp) + 1j * np.ldexp(X.imag, -exp), exp
 
 
 def _power_iteration(gram, n: int) -> PowerNormResult:
@@ -147,18 +123,125 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_opnorm(c: np.ndarray) -> float:
-    """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c.
+    """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c,
+    for full columns (resolvents and their products): ``_fft_power_opnorm``."""
+    return _toeplitz_opnorm(c, _fft_power_opnorm)
 
-    The power iteration of ``op_norm`` with FFT matvecs, O(m log m) each; the
-    matrix is built only for the SVD fallback on non-convergence.
+
+def banded_toeplitz_opnorm(c: np.ndarray) -> float:
+    """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c,
+    for F(-uA) = sum_k w_k S^k on the shift model: ``_band_or_lanczos_opnorm``."""
+    return _toeplitz_opnorm(c, _band_or_lanczos_opnorm)
+
+
+def _toeplitz_opnorm(c: np.ndarray, route) -> float:
+    """||T|| for the lower-triangular Toeplitz T with first column c, by route.
+
+    Non-finite entries are refused; a zero column has norm 0.  The live
+    offsets (c_k != 0) share a gcd g that splits T into g chains, and by
+    interlacing the longest, c[::g], carries the norm.  With k0 its first
+    live offset, T = S^k0 T' and the partial isometry S^k0 drops, leaving
+    the m x m section T' with first column c[k0:].  route(band, m) gets the
+    band of T' up to its last live offset, scaled by ``_pow2_scaled``.
     """
     c = np.asarray(c, dtype=complex)
-    if c.size == 0:
+    if not np.all(np.isfinite(c)):
+        raise ValueError("Toeplitz first column has non-finite entries")
+    live = np.flatnonzero(c)
+    if not live.size:
         return 0.0
-    res = _scaled_power_iteration(c, _toeplitz_gram)
+    g = int(np.gcd.reduce(live))
+    if g > 1:
+        c, live = c[::g], live // g
+    k0, k1 = int(live[0]), int(live[-1])
+    band, exp = _pow2_scaled(c[k0: k1 + 1])
+    return math.ldexp(route(band, len(c) - k0), exp)
+
+
+def _fft_power_opnorm(c: np.ndarray, m: int) -> float:
+    """Route of ``toeplitz_opnorm``: power iteration with FFT matvecs,
+    O(m log m) each; the matrix is built only for the SVD fallback on
+    non-convergence."""
+    res = _power_iteration(_toeplitz_gram(c, m), m)
     if res.converged:
         return res.value
-    return float(np.linalg.norm(_lower_toeplitz(c), 2))
+    return float(np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
+
+
+def _toeplitz_gram(c: np.ndarray, m: int):
+    """v -> T^H T v for the m x m lower-triangular Toeplitz T with first
+    column c, zero-padded to m.
+
+    Each product is a circulant embedding of length N >= 2m - 1, so nothing
+    wraps around: T x = ifft(fft(c) fft(x))[:m], and T^H y is the same with
+    conj(fft(c)), a correlation with c.
+    """
+    N = 1 << (2 * m - 2).bit_length()
+    fc = np.fft.fft(c, N)
+    fch = fc.conj()
+
+    def gram(v):
+        Tv = np.fft.ifft(fc * np.fft.fft(v, N))[:m]
+        return np.fft.ifft(fch * np.fft.fft(Tv, N))[:m]
+
+    return gram
+
+
+def _band_or_lanczos_opnorm(c: np.ndarray, m: int) -> float:
+    """Route of ``banded_toeplitz_opnorm``: a narrow band (b < _LANCZOS_MIN_BAND)
+    takes sqrt(lambda_max) of its banded Gram matrix (``_band_opnorm``), a wider
+    one Lanczos with convolution matvecs (``_lanczos_opnorm``), falling back to
+    the band if ARPACK does not converge.  A real band stays real."""
+    if not np.any(c.imag):
+        c = c.real
+    if len(c) - 1 >= _LANCZOS_MIN_BAND:
+        try:
+            return _lanczos_opnorm(c, m)
+        except ArpackNoConvergence:
+            pass
+    return _band_opnorm(c, m)
+
+
+def _band_opnorm(c: np.ndarray, m: int) -> float:
+    """||T'|| for the m x m lower-triangular Toeplitz T' with first column c.
+
+    T'^H T' has half-bandwidth b = len(c) - 1 and, by prefix sums over s,
+    (T'^H T')[j+d, j] = sum_{s=d}^{min(b, m-1-j)} conj(c_(s-d)) c_s; LAPACK
+    reduces that band to tridiagonal form, O(m^2 b) flops.
+    """
+    b = len(c) - 1
+    # Fortran order, so LAPACK reduces the band in place: the band is the only
+    # array of size (b + 1) m, and the peak memory of a call is that one array.
+    band = np.zeros((m, b + 1), dtype=c.dtype).T
+    j = np.arange(m)
+    for d in range(b + 1):
+        prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
+        band[d, : m - d] = prefix[np.minimum(b, m - 1 - j[: m - d]) - d]
+    lam = eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False,
+                         select="i", select_range=(m - 1, m - 1))
+    return math.sqrt(max(float(lam[0]), 0.0))
+
+
+def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
+    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', T' as in ``_band_opnorm``.
+
+    Each matvec is two convolutions with the first column, O(m b) flops:
+    T'x = (c * x)[:m] and T'^H y = (conj(c) reversed * y)[b:b+m].  The
+    value returned is the witness ||T'x|| / ||x|| of the Ritz vector x, a
+    lower bound on ||T'|| whatever ARPACK converged to.  The start vector is
+    fixed, so the result does not depend on earlier calls.
+    """
+    b = len(c) - 1
+    rc = np.conj(c[::-1])
+
+    def gram(x):
+        return np.convolve(rc, np.convolve(c, x.ravel())[:m])[b: b + m]
+
+    op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
+    v0 = np.random.default_rng(_SEED).normal(size=m)
+    _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
+    x = vec[:, 0]
+    return float(np.linalg.norm(np.convolve(c, x)[:m]) / np.linalg.norm(x))
 
 
 def spectral_radius(M: np.ndarray) -> float:

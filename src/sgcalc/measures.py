@@ -165,8 +165,7 @@ def mass(mu: CompactMeasure) -> complex:
     """Total integral of mu, exact for atoms and polynomial pieces."""
     total = sum(w for _, w in mu.atoms)
     for p in mu.pieces:
-        anti = npoly.polyint(np.asarray(p.coeffs))
-        total += npoly.polyval(p.b, anti) - npoly.polyval(p.a, anti)
+        total += poly_moment(p.coeffs, p.a, p.b)
     return complex(total)
 
 
@@ -208,15 +207,7 @@ def _piece_tv_moment(p: Piece, k: int) -> float:
                 if abs(r.imag) < 1e-12 and p.a < r.real < p.b:
                     pts.append(float(r.real))
         pts = sorted(set(pts))
-        tk = cr
-        for _ in range(k):
-            tk = npoly.polymulx(tk)
-        anti = npoly.polyint(tk)
-        total = 0.0
-        for lo, hi in zip(pts, pts[1:]):
-            seg = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
-            total += abs(seg)
-        return total
+        return sum(abs(poly_moment(cr, lo, hi, k)) for lo, hi in zip(pts, pts[1:]))
     # loaded here: only complex pieces need it, and the import costs a quarter
     # of a second of every run's start-up
     from scipy.integrate import quad

@@ -218,6 +218,8 @@ def multiplication_c0(n: int) -> MultiplicationC0:
 # ---------------------------------------------------------------------------
 # renormalization harness
 
+_N_RANDOM = 16  # random unit probe vectors, beside every (n // 8)-th basis vector
+
 
 @dataclass(frozen=True)
 class RenormReport:
@@ -240,7 +242,6 @@ class RenormReport:
 def feller_renorm(
     backend: SemigroupBackend,
     probe_times,
-    n_random: int = 16,
     seed: int = 0,
 ) -> RenormReport:
     """Sample the renormalized norm and check contraction plus commutant bounds.
@@ -260,7 +261,7 @@ def feller_renorm(
     rng = np.random.default_rng(seed)
     n = backend.dim
     basis = range(0, n, max(1, n // 8))
-    tags = [f"e{i}" for i in basis] + [f"r{j}" for j in range(n_random)]
+    tags = [f"e{i}" for i in basis] + [f"r{j}" for j in range(_N_RANDOM)]
     X = np.zeros((n, len(tags)), dtype=complex)
     X[basis, range(len(basis))] = 1.0
     for j in range(len(basis), len(tags)):

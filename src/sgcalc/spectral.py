@@ -23,7 +23,7 @@ from .complexfn import (
     ray_max,
     separation_curve,
 )
-from .errors import CertificateFailedError, NotDiagonalError
+from .errors import CertificateFailedError, ConfigError, NotDiagonalError
 from .measures import CompactMeasure, laplace, require_mass_zero
 from .semigroups import DiagonalSemigroup, MultiplicationC0, SemigroupBackend
 
@@ -40,7 +40,7 @@ class CharacterSet:
         return np.asarray([self.lambdas[k] for k in self.slices[m]])
 
 
-def character_set(backend: SemigroupBackend, m_values=None) -> CharacterSet:
+def character_set(backend: SemigroupBackend) -> CharacterSet:
     """Extract the character set of a diagonal backend.
 
     Verifies the defining relation chi(T(t)) = e^{-t a_chi} by reconstructing
@@ -56,12 +56,10 @@ def character_set(backend: SemigroupBackend, m_values=None) -> CharacterSet:
     err = np.max(np.abs(lambdas.real - recon.real) + im_err)
     if err > 1e-10:
         raise NotDiagonalError(f"character reconstruction failed (error {err:.3g})")
-    if m_values is None:
-        top = int(math.ceil(float(np.max(lambdas.real))))
-        m_values = range(0, top + 1)
+    top = int(math.ceil(float(np.max(lambdas.real))))
     slices = {}
     radii = {}
-    for m in m_values:
+    for m in range(0, top + 1):
         idx = tuple(int(k) for k in np.where(lambdas.real <= m)[0])
         slices[m] = idx
         radii[m] = float(np.max(np.abs(lambdas[list(idx)]))) if idx else 0.0
@@ -327,7 +325,7 @@ def sharpness_demo(n: int, mu: CompactMeasure, u_list, ray: RayMaximum) -> Sharp
     """
     require_mass_zero(mu)
     if not mu.is_real:
-        raise ValueError("sharpness demo expects a real measure")
+        raise ConfigError("sharpness demo expects a real measure")
     backend = MultiplicationC0(n)
     rows = []
     for u in u_list:

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgcalc import calculus
+from sgcalc import calculus, linalg
 from sgcalc.calculus import (
     OperatorValue,
     _gauss_legendre,
@@ -26,9 +26,11 @@ from sgcalc.calculus import (
 )
 from sgcalc.cli import NAMED_MEASURES
 from sgcalc.errors import (
+    ConfigError,
     DivergentIntegralError,
     MassNotZeroError,
     NoGeneratorError,
+    NotQuasinilpotentError,
 )
 from sgcalc.linalg import _lower_toeplitz, op_norm
 from sgcalc.measures import (
@@ -352,25 +354,25 @@ class TestShiftOpnorm:
     def test_lanczos_route_matches_band_route(self, case, monkeypatch):
         op = _WIDE_CASES[case]()
         sections = []
-        lanczos = calculus._lanczos_opnorm
-        monkeypatch.setattr(calculus, "_lanczos_opnorm",
+        lanczos = linalg._lanczos_opnorm
+        monkeypatch.setattr(linalg, "_lanczos_opnorm",
                             lambda c, m: sections.append((m, len(c) - 1)) or lanczos(c, m))
         wide = op.norm()
-        assert len(sections) == 1 and sections[0][1] >= calculus._LANCZOS_MIN_BAND
-        monkeypatch.setattr(calculus, "_LANCZOS_MIN_BAND", math.inf)
+        assert len(sections) == 1 and sections[0][1] >= linalg._LANCZOS_MIN_BAND
+        monkeypatch.setattr(linalg, "_LANCZOS_MIN_BAND", math.inf)
         band = op.norm()
         assert len(sections) == 1
         assert abs(wide - band) <= 1e-12 * band
 
     def test_arpack_failure_falls_back_to_the_band(self, monkeypatch):
         op = _WIDE_CASES["step-n1024-k162"]()
-        monkeypatch.setattr(calculus, "_LANCZOS_MIN_BAND", math.inf)
+        monkeypatch.setattr(linalg, "_LANCZOS_MIN_BAND", math.inf)
         band = op.norm()
         monkeypatch.undo()
 
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-        monkeypatch.setattr(calculus, "eigsh", no_convergence)
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
         assert op.norm() == band
 
 
@@ -474,7 +476,12 @@ class TestLemma24:
                                       for t, w in zip(*_gauss_legendre(piece.a, piece.b))]
             correction = sum(w * toeplitz(_shift_kernel(sg, t, lam), np.zeros(64))
                              for t, w in terms)
-            lhs_ref.append(op_norm(lhs_op))
+            # T = S^k0 T', so the norm is that of the section T' = M[k0:, :n - k0]
+            k0 = int(np.flatnonzero(lhs_op[:, 0])[0])
+            section = lhs_op[k0:, : 64 - k0]
+            assert np.linalg.norm(section, 2) == pytest.approx(np.linalg.norm(lhs_op, 2),
+                                                                rel=1e-14)
+            lhs_ref.append(op_norm(section))
             res_ref = max(res_ref, op_norm(lhs_op - correction))
         rep = lemma_24_check(sg, mu, lams)
         for row, ref in zip(rep.rows, lhs_ref):
@@ -494,11 +501,11 @@ class TestLemma24:
         assert all(r[3] > 0 for r in rep.rows)
 
     def test_rejects_non_contractive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lemma_24_check(riemann_liouville(16), D12, [1.0])
 
     def test_rejects_left_half_plane(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lemma_24_check(nilpotent_shift(16), D12, [-1.0])
 
 
@@ -529,7 +536,7 @@ class TestLemma27:
 
     def test_pole_guard(self):
         sg = diagonal_semigroup(np.arange(1.0, 7.0))
-        with pytest.raises(ValueError, match="pole"):
+        with pytest.raises(ConfigError, match="pole"):
             lemma_27_check(sg, self.PHI, [2.0])  # lam = lambda_2 exactly
 
 
@@ -540,11 +547,11 @@ class TestSweep:
 
     def test_requires_real_measure(self):
         mu = from_atoms([(1.0, 1.0j), (2.0, -1.0j)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sweep(nilpotent_shift(16), mu, [0.25])
 
     def test_requires_quasinilpotent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotQuasinilpotentError):
             sweep(diagonal_semigroup([1.0, 2.0]), D12, [0.25])
 
     def test_margins_positive_below_half(self):

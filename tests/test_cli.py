@@ -168,6 +168,59 @@ class TestSweepCommand:
         assert summary["error"] == "MassNotZeroError"
 
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_scaled_measure_scales_norm_F(self, tmp_path, scale):
+        # both sides of the lower estimate are homogeneous in mu, so the
+        # verdict must not depend on its scale; the norm of each scaled
+        # section is taken on it rescaled by an exact power of two
+        norms = []
+        for s in (1.0, scale):
+            cfg = _sweep_config(tmp_path, u_grid={"values": [1 / 16]}, measure={
+                "atoms": [{"t": 1.0, "re": s}, {"t": 2.0, "re": -s}]})
+            out = tmp_path / f"out-{s}"
+            assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+            assert json.loads((out / "summary.json").read_text())["passed"] is True
+            norms.append(float((out / "sweep.csv").read_text().splitlines()[1].split(",")[1]))
+        assert norms[1] == pytest.approx(scale * norms[0], rel=1e-14)
+
+
+class TestConfigDeterminedRefusals:
+    """A check that the config alone rules out exits 2 (or, where it is a
+    failed check, 1 with the error in summary.json), never with a traceback."""
+
+    SHIFT = {"kind": "nilpotent_shift", "n": 16}
+    TWISTED = "twisted-delta-difference"
+
+    @pytest.mark.parametrize("payload, code, error", [
+        ({"command": "sweep", "measure": "delta-difference",
+          "backend": {"kind": "matrix", "matrix": [[-1.0, 0.5], [0.2, -2.0]]},
+          "u_grid": {"values": [0.5]}}, 1, "NotQuasinilpotentError"),
+        ({"command": "sweep", "measure": TWISTED, "backend": SHIFT,
+          "u_grid": {"values": [0.5]}}, 2, None),
+        ({"command": "lemma24", "measure": "delta-difference",
+          "backend": {"kind": "riemann_liouville", "n": 16}}, 2, None),
+        ({"command": "lemma24", "measure": "delta-difference", "backend": SHIFT,
+          "lambda_grid": [[-1, 0]]}, 2, None),
+        ({"command": "sharpness", "measure": TWISTED, "n_list": [100]}, 2, None),
+    ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
+            "lemma24-left-half-plane", "sharpness-twisted"])
+    def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
+        cfg = _write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(sgcalc.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgcalc.cli", "run", "--config", cfg, "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if error is None:
+            assert "config error" in proc.stderr
+            assert not (out / "summary.json").exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["passed"] is False and summary["error"] == error
+
+
 class TestSymmetrizedSweepCommand:
     def test_non_triangular_matrix_backend_rho_is_the_eigvals_radius(self, tmp_path):
         # the one config route to a non-triangular spectral radius: the

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgcalc
 from sgcalc import calculus, linalg
+from sgcalc.calculus import _shift_column, func_calc
 from sgcalc.cli import NAMED_MEASURES, _default_lambda_grid
 from sgcalc.linalg import (
+    _LANCZOS_MIN_BAND,
     _lower_toeplitz,
-    _scaled_power_iteration,
+    _power_iteration,
     _toeplitz_gram,
+    banded_toeplitz_opnorm,
     expm,
     op_norm,
     power_opnorm,
@@ -92,8 +98,13 @@ class TestToeplitzOpNorm:
         # 20 lambdas, each with an lhs and a residual column
         assert len(lemma24_columns) == 40
         for c in lemma24_columns:
-            dense = _lower_toeplitz(c)
-            fft_res = _scaled_power_iteration(c, _toeplitz_gram)
+            # the front end iterates on the reduced section of the column
+            live, section = np.flatnonzero(c), c
+            if live.size:
+                g = max(int(np.gcd.reduce(live)), 1)
+                section = c[::g][live[0] // g:]
+            dense = _lower_toeplitz(section)
+            fft_res = _power_iteration(_toeplitz_gram(section, len(section)), len(section))
             dense_res = power_opnorm(dense)
             assert fft_res.iterations == dense_res.iterations
             fft, ref = toeplitz_opnorm(c), op_norm(dense)
@@ -112,17 +123,27 @@ class TestToeplitzOpNorm:
         assert toeplitz_opnorm(np.zeros(5)) == 0.0
         assert toeplitz_opnorm(np.zeros(0)) == 0.0
 
-    @pytest.mark.parametrize("exp", [300, -300])
-    def test_scale_by_power_of_two_is_exact(self, lemma24_columns, exp):
-        # unscaled, T^H T v overflows at 2^300 and underflows to 0 at 2^-300
-        c = lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
+    @pytest.mark.parametrize("exp", [300, -300, 600, -600, 1000, -1000])
+    @pytest.mark.parametrize("route", ["band", "lanczos", "fft"])
+    def test_scale_by_power_of_two_is_exact(self, lemma24_columns, route, exp):
+        # unscaled, T^H T v overflows at 2^300 and underflows to 0 at 2^-300,
+        # so each route runs on the section scaled back into range
+        if route == "fft":
+            norm, c = toeplitz_opnorm, lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
+        else:
+            # the step section at n = 64 (band b = 10) or at n = 1024 (b = 324)
+            k, n = (5, 64) if route == "band" else (162, 1024)
+            op = func_calc(nilpotent_shift(n), NAMED_MEASURES["step"](), k / n)
+            norm, c = banded_toeplitz_opnorm, _shift_column(n, op.shift_weights)
+            live = np.flatnonzero(c)
+            assert (live[-1] - live[0] >= _LANCZOS_MIN_BAND) == (route == "lanczos")
         scaled = np.ldexp(c.real, exp) + 1j * np.ldexp(c.imag, exp)
-        assert toeplitz_opnorm(scaled) == math.ldexp(toeplitz_opnorm(c), exp)
+        assert norm(scaled) == math.ldexp(norm(c), exp)
 
     def test_unconverged_falls_back_to_dense_svd(self, lemma24_columns, monkeypatch):
         c = lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
         monkeypatch.setattr(linalg, "_POWER_MAX_ITER", 1)
-        assert not _scaled_power_iteration(c, _toeplitz_gram).converged
+        assert not _power_iteration(_toeplitz_gram(c, len(c)), len(c)).converged
         assert toeplitz_opnorm(c) == np.linalg.norm(_lower_toeplitz(c), 2)
 
 
@@ -154,3 +175,25 @@ def test_norm_dominates_spectral_radius(seed):
     n = int(rng.integers(2, 10))
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     assert op_norm(M) >= spectral_radius(M) - 1e-8
+
+
+def test_only_linalg_imports_scipy():
+    # linalg is the one home of the scipy numerics; the one other import is
+    # the lazy quad of measures._piece_tv_moment, which only complex pieces reach
+    outside = []
+    for path in sorted(Path(sgcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lazy = next((node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and path.stem == "measures" and node.name == "_piece_tv_moment"), None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if path.stem == "linalg" or all(m.split(".")[0] != "scipy" for m in modules):
+                continue
+            if lazy is None or not lazy.lineno < node.lineno <= lazy.end_lineno:
+                outside.append((path.name, node.lineno, modules))
+    assert outside == []

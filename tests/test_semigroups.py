@@ -11,6 +11,7 @@ from sgcalc.calculus import _DEFAULT_GL_ORDER, _gauss_legendre
 from sgcalc.errors import NotQuasinilpotentError
 from sgcalc.linalg import op_norm, spectral_radius
 from sgcalc.semigroups import (
+    _N_RANDOM,
     RiemannLiouville,
     diagonal_semigroup,
     feller_renorm,
@@ -255,8 +256,8 @@ class TestFellerRenorm:
     def test_batched_probes_match_per_vector_reference(self):
         sg = riemann_liouville(64)
         times = [k / 32 for k in range(1, 33)]
-        rep = feller_renorm(sg, times, n_random=8)
-        norm1, margin, ests = _per_vector_renorm(sg, times, n_random=8)
+        rep = feller_renorm(sg, times)
+        norm1, margin, ests = _per_vector_renorm(sg, times, _N_RANDOM)
         assert rep.norm1_samples.keys() == norm1.keys()
         for tag, v in norm1.items():
             assert rep.norm1_samples[tag] == pytest.approx(v, rel=1e-13)
@@ -266,20 +267,20 @@ class TestFellerRenorm:
 
     def test_shift_is_already_contractive(self):
         sg = nilpotent_shift(64)
-        rep = feller_renorm(sg, [k / 64 for k in range(1, 33)], n_random=8)
+        rep = feller_renorm(sg, [k / 64 for k in range(1, 33)])
         assert rep.contraction_margin >= -1e-12
         assert rep.commutant_ok
 
     def test_fractional_integration_renormalizes(self):
         sg = riemann_liouville(256)
-        rep = feller_renorm(sg, [k / 64 for k in range(1, 65)], n_random=8)
+        rep = feller_renorm(sg, [k / 64 for k in range(1, 65)])
         assert rep.contraction_margin >= -1e-6
         assert rep.commutant_ok
 
     def test_renormalized_norm_dominated_by_operator_norm(self):
         sg = riemann_liouville(128)
         times = [k / 32 for k in range(1, 33)]
-        rep = feller_renorm(sg, times, n_random=4)
+        rep = feller_renorm(sg, times)
         T1 = sg.materialize(1.0)
         full = op_norm(T1)
         # commutant checks include T(t_max) = T(1); its renormalized estimate

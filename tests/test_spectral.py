@@ -33,7 +33,7 @@ D12_RAY, D12_RADII = ray_max(D12), babylem_radius(D12)
 class TestCharacterSet:
     def test_slices_and_radii(self):
         sg = diagonal_semigroup([0.5, 1.5, 2.5 + 1.0j, 4.0])
-        cs = character_set(sg, m_values=[0, 1, 2, 3, 4])
+        cs = character_set(sg)  # slices m = 0 .. ceil(max Re lambda) = 4
         assert cs.slices[0] == ()
         assert cs.slices[1] == (0,)
         assert cs.slices[3] == (0, 1, 2)
@@ -53,7 +53,7 @@ class TestCharacterSet:
         # -log(e^{-lambda}) wraps the imaginary part; extraction must still
         # accept the character values modulo 2 pi i
         sg = diagonal_semigroup([1.0 + 10.0j, 2.0 - 7.0j])
-        cs = character_set(sg, m_values=[2])
+        cs = character_set(sg)
         assert cs.slices[2] == (0, 1)
 
     def test_rejects_non_diagonal(self):
@@ -85,7 +85,7 @@ class TestCriterion:
         # a character sitting exactly at the ray maximizer forces equality
         u = 0.01
         sg = diagonal_semigroup([math.log(2.0) / u])
-        cs = character_set(sg, m_values=[100])
+        cs = character_set(sg)
         rep = criterion_check(cs, D12, [u])
         assert not rep.all_strict
 
@@ -117,7 +117,7 @@ class TestIdempotents:
 
     def test_empty_bottom_slice(self):
         sg = diagonal_semigroup(np.arange(1.0, 11.0))
-        cs = character_set(sg, m_values=[0, 10])
+        cs = character_set(sg)
         chain = build_idempotents(cs, [0, 10])
         assert np.all(chain.diagonals[0] == 0)
         assert chain.exhaustive
@@ -168,9 +168,10 @@ class TestSeparationCertificate:
         # reaching the ray maximizer alpha/u cannot
         u = 1e-3
         sg = diagonal_semigroup([1.0, math.log(2.0) / u])
-        cs = character_set(sg, m_values=[1000])
+        cs = character_set(sg)
+        top = max(cs.slices)  # the slice that holds both characters
         with pytest.raises(WindowViolationError):
-            separation_certificate(cs, D12, u, 1000, D12_RAY, D12_RADII)
+            separation_certificate(cs, D12, u, top, D12_RAY, D12_RADII)
 
     def test_corrupted_slice_table_caught_by_winding_check(self):
         # a slice table whose radius bound understates the true character
@@ -197,7 +198,7 @@ class TestSeparationCertificate:
 
     def test_rejects_nonzero_mass(self):
         sg = diagonal_semigroup([1.0])
-        cs = character_set(sg, m_values=[1])
+        cs = character_set(sg)
         # the mass check comes first, so the ray and radii passed do not matter
         with pytest.raises(MassNotZeroError):
             separation_certificate(cs, dirac(1.0), 0.1, 1, D12_RAY, D12_RADII)
