@@ -9,6 +9,7 @@ carries its own quadrature budget so tolerances stay honest.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ from .semigroups import DiagonalSemigroup, NilpotentShift, SemigroupBackend
 _DEFAULT_GL_ORDER = 32
 _BOUND_SLACK = 1e-6  # added to the right side of the lemma 2.4 and 2.7 bounds
 _RESOLVENT_TAIL_TOL = 1e-12
+# largest Re lam at which e^{lam t} - e^{lam s}, t and s in [0, 1], stays finite
+_MAX_EXP_RE = math.log(sys.float_info.max / 2)
 _PATH_TOL = 1e-9
 
 
@@ -347,11 +350,15 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
     f = _shift_column(backend.dim, Fop.shift_weights)
     bound = tv_moment(mu, 1)
     lams = [complex(lam) for lam in lam_grid]
+    for lam in lams:
+        if lam.real < -1e-12:
+            raise ConfigError("grid must lie in the closed right half-plane")
+        if lam.real > _MAX_EXP_RE:
+            raise ConfigError(f"the resolvent column overflows at lam = {lam} "
+                              f"(Re lam > {_MAX_EXP_RE:.2f})")
     rows = []
     worst_residual = 0.0
     for lam, r in zip(lams, resolvent(backend, lams)):  # r: first column of R(lam)
-        if lam.real < -1e-12:
-            raise ConfigError("grid must lie in the closed right half-plane")
         F_lam = laplace(mu, lam)
         lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
         lhs = toeplitz_opnorm(lhs_op)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calculus, complexfn, semigroups, spectral
+from . import calculus, complexfn, linalg, semigroups, spectral
 from .errors import ConfigError, SgcalcError
 from .measures import (
     CompactDistribution,
@@ -470,10 +470,13 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig) -> int:
+    """Run one command with BLAS at one thread (``linalg.serial_blas``) and
+    write its summary.json; the exit code says whether the check passed."""
     out = cfg.output
     out.mkdir(parents=True, exist_ok=True)
     try:
-        summary = _DISPATCH[cfg.command][0](cfg, out)
+        with linalg.serial_blas():
+            summary = _DISPATCH[cfg.command][0](cfg, out)
     except ConfigError:
         raise
     except SgcalcError as exc:

@@ -1,4 +1,5 @@
-"""Linear-algebra plumbing: matrix exponential, operator norm, spectral radius.
+"""Linear-algebra plumbing: matrix exponential, operator norm, spectral radius,
+and the BLAS thread cap (``serial_blas``) that every command runs under.
 
 Dense operator norms take power iteration on M*M.  Every norm of a
 lower-triangular Toeplitz matrix, given by its first column, goes through one
@@ -10,11 +11,18 @@ columns such as resolvents (power iteration with FFT matvecs).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigvals_banded, toeplitz
+import scipy
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 # Pade coefficients for the degree-13 diagonal approximant of exp.
@@ -118,8 +126,13 @@ def op_norm(M: np.ndarray) -> float:
 
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column col."""
-    return toeplitz(col, np.zeros(len(col), dtype=complex))
+    """The lower-triangular Toeplitz matrix with first column col: T[i, j] = col[i - j]
+    for i >= j, else 0.  Row i is the window u[n-1-i : 2n-1-i] of u = (col
+    reversed, then n - 1 zeros), copied out of one strided view."""
+    n = len(col)
+    u = np.zeros(2 * n - 1, dtype=complex)
+    u[:n] = col[::-1]
+    return sliding_window_view(u, n)[::-1].copy()
 
 
 def toeplitz_opnorm(c: np.ndarray) -> float:
@@ -251,3 +264,49 @@ def spectral_radius(M: np.ndarray) -> float:
     if not np.any(np.triu(M, 1)) or not np.any(np.tril(M, -1)):
         return float(np.max(np.abs(np.diagonal(M)), initial=0.0))
     return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS pool that numpy and
+    scipy have loaded: the ``lib*openblas*.so*`` of their wheels, opened with
+    RTLD_NOLOAD so that nothing new is loaded.  Empty for any other BLAS."""
+    pools = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("lib*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:  # not loaded in this process
+                continue
+            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                         "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+                get = getattr(lib, name.format("get"), None)
+                set_ = getattr(lib, name.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    set_.argtypes, set_.restype = (ctypes.c_int,), None
+                    pools.append((get, set_))
+                    break
+    return tuple(pools)
+
+
+@contextmanager
+def serial_blas():
+    """Run the body with every loaded OpenBLAS pool at one thread, then give
+    each pool back its previous count, also when the body raises.
+
+    The matrices here are at most a few thousand wide, and a second BLAS
+    thread only spins after the small GEMMs and ARPACK's level-2 calls: it
+    doubles CPU time without saving wall time.  Re-entering is harmless;
+    without OpenBLAS this does nothing.
+    """
+    pools = _openblas_pools()
+    counts = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(pools, counts):
+            set_(count)

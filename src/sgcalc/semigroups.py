@@ -72,7 +72,7 @@ class NilpotentShift(SemigroupBackend):
         self.offgrid_roundings: list[float] = []
 
     def offset(self, t: float) -> int:
-        k = int(round(t * self.dim))
+        k = math.floor(t * self.dim + 0.5)
         if abs(t * self.dim - k) > 1e-9:
             self.offgrid_roundings.append(float(t))
         return k
@@ -92,7 +92,7 @@ class NilpotentShift(SemigroupBackend):
         and at the first one that starts within 1e-15 of hi.
         """
         n = self.dim
-        k = np.arange(int(round(scale * lo * n)), n)
+        k = np.arange(math.floor(scale * lo * n + 0.5), n)
         t1 = np.minimum((k + 0.5) / (scale * n), hi)
         t0 = np.concatenate(([lo], t1[:-1]))
         past = np.flatnonzero(t0 >= hi - 1e-15)

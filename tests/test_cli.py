@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sgcalc
-from sgcalc import cli, complexfn, semigroups, spectral
+from sgcalc import cli, complexfn, linalg, semigroups, spectral
 from sgcalc.calculus import func_calc
 from sgcalc.cli import main
 from sgcalc.measures import conj_reflect
@@ -202,8 +203,10 @@ class TestConfigDeterminedRefusals:
         ({"command": "lemma24", "measure": "delta-difference", "backend": SHIFT,
           "lambda_grid": [[-1, 0]]}, 2, None),
         ({"command": "sharpness", "measure": TWISTED, "n_list": [100]}, 2, None),
+        ({"command": "lemma24", "measure": "delta-difference", "backend": SHIFT,
+          "lambda_grid": [[1000, 0]]}, 2, None),
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
-            "lemma24-left-half-plane", "sharpness-twisted"])
+            "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
@@ -219,6 +222,91 @@ class TestConfigDeterminedRefusals:
         else:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["passed"] is False and summary["error"] == error
+
+
+class TestSerialBlas:
+    """cli.run holds every loaded OpenBLAS pool at one thread and gives each
+    its previous count back: after a return, a raise and a nested verify-all."""
+
+    BEFORE = 3  # neither 1 nor a usual default, so a restore cannot pass by chance
+
+    @staticmethod
+    def _counts(pools):
+        return [get() for get, _ in pools]
+
+    @pytest.fixture
+    def pools(self):
+        pools = linalg._openblas_pools()
+        if not pools:
+            pytest.skip("numpy and scipy load no OpenBLAS here")
+        counts = self._counts(pools)
+        for _, set_ in pools:
+            set_(self.BEFORE)
+        yield pools
+        for (_, set_), count in zip(pools, counts):
+            set_(count)
+
+    @pytest.fixture
+    def inside(self, monkeypatch, pools):
+        """The pool counts seen on entry to each command, nested ones included."""
+        seen = []
+
+        def recording(fn):
+            def wrapped(cfg, out):
+                seen.append(self._counts(pools))
+                return fn(cfg, out)
+            return wrapped
+
+        for name, (fn, needs) in list(cli._DISPATCH.items()):
+            monkeypatch.setitem(cli._DISPATCH, name, (recording(fn), needs))
+        return seen
+
+    def test_one_thread_inside_and_restored_after_a_return(self, tmp_path, pools, inside):
+        cfg = _sweep_config(tmp_path, backend={"kind": "nilpotent_shift", "n": 16},
+                            u_grid={"values": [0.25, 0.5]})
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+        assert inside == [[1] * len(pools)]
+        assert self._counts(pools) == [self.BEFORE] * len(pools)
+
+    @pytest.mark.parametrize("payload, code", [
+        ({"command": "lemma24", "measure": "delta-difference",
+          "backend": {"kind": "nilpotent_shift", "n": 16}, "lambda_grid": [[1000, 0]]},
+         cli.EXIT_CONFIG),
+        ({"command": "sweep", "measure": {"atoms": [{"t": 1.0, "re": 1.0}]},
+          "backend": {"kind": "nilpotent_shift", "n": 16}, "u_grid": {"values": [0.5]}},
+         cli.EXIT_CHECK_FAILED),
+    ], ids=["config-error", "recorded-error"])
+    def test_restored_after_a_check_that_raises(self, tmp_path, pools, inside, payload, code):
+        cfg = _write_config(tmp_path / "c.json", payload)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "out")]) == code
+        assert inside == [[1] * len(pools)]
+        assert self._counts(pools) == [self.BEFORE] * len(pools)
+
+    def test_restored_after_a_nested_verify_all(self, tmp_path, monkeypatch, pools, inside):
+        registry = tmp_path / "configs"
+        registry.mkdir()
+        _sweep_config(registry, "a-good.json", backend={"kind": "nilpotent_shift", "n": 16},
+                      u_grid={"values": [0.25, 0.5]})
+        _sweep_config(registry, "b-bad.json",
+                      measure={"atoms": [{"t": 1.0, "re": 1.0, "im": 0.0}]})
+        _sweep_config(registry, "c-good.json", backend={"kind": "nilpotent_shift", "n": 16},
+                      u_grid={"values": [0.25]})
+        monkeypatch.setattr(cli, "CONFIG_DIR", registry)
+        assert main(["verify-all", "--output", str(tmp_path / "out")]) == 1
+        # verify-all itself, then each check: the nested exits keep the cap
+        assert inside == [[1] * len(pools)] * 4
+        assert self._counts(pools) == [self.BEFORE] * len(pools)
+
+    @pytest.mark.parametrize("name", ["sweep-step", "renormalization"])
+    def test_artifacts_do_not_depend_on_the_cap(self, tmp_path, monkeypatch, name):
+        def artifacts(out):
+            assert main(["run", "--config", str(cli.CONFIG_DIR / f"{name}.json"),
+                         "--output", str(out)]) == 0
+            return sorted((p.name, p.read_bytes()) for p in out.iterdir())
+
+        capped = artifacts(tmp_path / "capped")
+        monkeypatch.setattr(linalg, "serial_blas", contextlib.nullcontext)
+        assert artifacts(tmp_path / "uncapped") == capped
 
 
 class TestSymmetrizedSweepCommand:

@@ -147,6 +147,46 @@ class TestToeplitzOpNorm:
         assert toeplitz_opnorm(c) == np.linalg.norm(_lower_toeplitz(c), 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
+def test_lower_toeplitz_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for col in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n)):
+        oracle = scipy.linalg.toeplitz(col, np.zeros(n, dtype=complex))
+        built = _lower_toeplitz(col)
+        assert built.dtype == oracle.dtype and built.tobytes() == oracle.tobytes()
+
+
+class TestSerialBlas:
+    """The cap on fake pools, so that it is checked whatever BLAS is loaded."""
+
+    @pytest.fixture
+    def fake_pools(self, monkeypatch):
+        counts = [4, 2]
+        pools = tuple((lambda i=i: counts[i], lambda c, i=i: counts.__setitem__(i, c))
+                      for i in range(len(counts)))
+        monkeypatch.setattr(linalg, "_openblas_pools", lambda: pools)
+        return counts
+
+    def test_one_thread_inside_nested_and_restored(self, fake_pools):
+        with linalg.serial_blas():
+            assert fake_pools == [1, 1]
+            with linalg.serial_blas():
+                assert fake_pools == [1, 1]
+            assert fake_pools == [1, 1]
+        assert fake_pools == [4, 2]
+
+    def test_restored_when_the_body_raises(self, fake_pools):
+        with pytest.raises(ZeroDivisionError):
+            with linalg.serial_blas():
+                1 / 0
+        assert fake_pools == [4, 2]
+
+    def test_no_pool_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_pools", lambda: ())
+        with linalg.serial_blas():
+            pass
+
+
 class TestSpectralRadius:
     def test_nilpotent_exact_zero(self):
         N = np.eye(6, k=-2)

@@ -79,6 +79,18 @@ class TestNilpotentShift:
         arrays = nilpotent_shift(n).constancy_intervals(lo, hi, scale=scale)
         assert list(zip(*(a.tolist() for a in arrays))) == ref
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_offset_follows_the_cell_rule_at_half_cells(self, k):
+        # t = (k + 1/2)/n opens the interval of the (k+1)-cell shift; rounding
+        # half to even would give k for even k
+        n = 8
+        sg = nilpotent_shift(n)
+        t = (k + 0.5) / n
+        t0s, t1s, ks = sg.constancy_intervals(0.0, 1.0)
+        (i,) = np.flatnonzero((t0s <= t) & (t < t1s))
+        assert sg.offset(t) == ks[i] == k + 1
+        assert sg.constancy_intervals(t, 1.0)[2][0] == k + 1
+
     def test_offgrid_requests_are_recorded(self):
         sg = nilpotent_shift(10)
         sg.materialize(0.3)
