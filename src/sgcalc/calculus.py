@@ -27,6 +27,7 @@ from .linalg import (
     _lower_toeplitz,
     banded_toeplitz_opnorm,
     op_norm,
+    opnorm_bound,
     spectral_radius,
     toeplitz_opnorm,
 )
@@ -260,22 +261,21 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
 
 
 def resolvent_identity_residuals(backend: SemigroupBackend, pairs) -> list[float]:
-    """||R(lam) - R(nu) - (nu - lam) R(lam) R(nu)|| for each (lam, nu) pair.
+    """Upper bound on ||R(lam) - R(nu) - (nu - lam) R(lam) R(nu)|| for each
+    (lam, nu) pair, from ``linalg.opnorm_bound``: the residual only meets a
+    "<= tolerance" gate.
 
     The resolvents come from one batch ``resolvent`` call.  On shift backends
     they are first columns, so the product is a truncated convolution and the
-    norm takes FFT matvecs; elsewhere both are dense.
+    bound is the column's 1-norm; elsewhere both are dense.
     """
     pairs = [(complex(lam), complex(nu)) for lam, nu in pairs]
     R = resolvent(backend, [z for pair in pairs for z in pair])
     shift = isinstance(backend, NilpotentShift)
     residuals = []
     for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2]):
-        if shift:
-            diff = R1 - R2 - (nu - lam) * np.convolve(R1, R2)[: backend.dim]
-            residuals.append(toeplitz_opnorm(diff))
-        else:
-            residuals.append(op_norm(R1 - R2 - (nu - lam) * (R1 @ R2)))
+        product = np.convolve(R1, R2)[: backend.dim] if shift else R1 @ R2
+        residuals.append(opnorm_bound(R1 - R2 - (nu - lam) * product))
     return residuals
 
 
@@ -336,12 +336,14 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
     """Check ||(F(-A) - F(lam) I)(A + lam I)^{-1}|| <= int t d|mu|(t) on a grid.
 
     Also recomputes the left side through the independent decomposition
-    F(lam) R(lam) + int K(t, lam) dmu(t) and reports the worst residual.
-    The bound needs a quasinilpotent contraction semigroup, and the nilpotent
-    shift is the one such model: there F(-A), R(lam) and K(t, lam) are
-    lower-triangular Toeplitz, so both sides are formed as first columns
-    (products become truncated convolutions), whose norms take FFT matvecs:
-    no n x n matrix is built.
+    F(lam) R(lam) + int K(t, lam) dmu(t) and reports the worst residual, as
+    the proved upper bound of ``linalg.opnorm_bound``.  The bound needs a
+    quasinilpotent contraction semigroup, and the nilpotent shift is the one
+    such model: there F(-A), R(lam) and K(t, lam) are lower-triangular
+    Toeplitz, so both sides are formed as first columns (products become
+    truncated convolutions), and the left sides' norms take FFT matvecs: no
+    n x n matrix is built.  A left side that is not finite in double is a
+    config error, refused before any norm is taken.
     """
     if not isinstance(backend, NilpotentShift):
         raise ConfigError("bound requires a quasinilpotent contraction semigroup "
@@ -356,11 +358,17 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
         if lam.real > _MAX_EXP_RE:
             raise ConfigError(f"the resolvent column overflows at lam = {lam} "
                               f"(Re lam > {_MAX_EXP_RE:.2f})")
+    lhs_ops = []
+    for lam, r in zip(lams, resolvent(backend, lams)):  # r: first column of R(lam)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            lhs_op = np.convolve(f, r)[: backend.dim] - laplace(mu, lam) * r
+        if not np.all(np.isfinite(lhs_op)):
+            raise ConfigError(f"the left side (F(-A) - F(lam)) R(lam) overflows "
+                              f"at lam = {lam}")
+        lhs_ops.append(lhs_op)
     rows = []
     worst_residual = 0.0
-    for lam, r in zip(lams, resolvent(backend, lams)):  # r: first column of R(lam)
-        F_lam = laplace(mu, lam)
-        lhs_op = np.convolve(f, r)[: backend.dim] - F_lam * r
+    for lam, lhs_op in zip(lams, lhs_ops):
         lhs = toeplitz_opnorm(lhs_op)
         margin = bound + _BOUND_SLACK + Fop.quadrature_budget - lhs
         if margin < 0:
@@ -377,8 +385,7 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
         for piece in mu.pieces:
             for t, w in zip(*_gauss_legendre(piece.a, piece.b)):
                 correction += w * piece(t) * _shift_kernel(backend, t, lam)
-        residual = toeplitz_opnorm(lhs_op - correction)
-        worst_residual = max(worst_residual, residual)
+        worst_residual = max(worst_residual, opnorm_bound(lhs_op - correction))
     return LemmaReport(tuple(rows), worst_residual, Fop.quadrature_budget)
 
 
@@ -398,7 +405,8 @@ def lemma_27_check(backend: SemigroupBackend, phi: CompactDistribution,
     Checks ||(F(-A) - F(lam) I) A^{-p} (A + lam I)^{-1}|| against
     sum_m c_m ||A^{m-p}|| + sum_m d_m sum_{k<m} |lam|^k ||A^{m-1-k-p}||
     with c_m, d_m the first and zeroth absolute moments of mu_m, and verifies
-    the exact algebraic rearrangement into per-order differences.
+    the exact algebraic rearrangement into per-order differences, reporting
+    the residual as the upper bound of ``linalg.opnorm_bound``.
     """
     A = backend.generator
     if A is None:
@@ -453,7 +461,7 @@ def lemma_27_check(backend: SemigroupBackend, phi: CompactDistribution,
             geom = sum((-lam) ** k * powers[m - 1 - k] for k in range(m))
             if m > 0:
                 B2 += Gm_lam * (geom @ powers[-p])
-        worst_residual = max(worst_residual, op_norm(B - B2))
+        worst_residual = max(worst_residual, opnorm_bound(B - B2))
     return LemmaReport(tuple(rows), worst_residual, Fop.quadrature_budget)
 
 
@@ -504,12 +512,23 @@ def empirical_eta(rows: list[SweepRow]) -> float:
     return eta
 
 
+def _difference_bound(a: OperatorValue, b: OperatorValue) -> float:
+    """``linalg.opnorm_bound`` of a - b, in the structure the two share."""
+    if a.shift_weights is not None and b.shift_weights is not None:
+        return opnorm_bound(_shift_column(a.dim, a.shift_weights)
+                            - _shift_column(b.dim, b.shift_weights))
+    if a.is_diag and b.is_diag:
+        return opnorm_bound(a.diag - b.diag, diagonal=True)
+    return opnorm_bound(a.to_dense() - b.to_dense())
+
+
 def symmetrized_sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> list[SweepRow]:
     """Symmetrized sweep: ||F(-uA) Ftilde(-uA)|| against (sup_x |F(x)|)^2.
 
     Ftilde is the transform of the reflected-conjugate measure; the direct
-    product is cross-checked against the single sweep of nu = mu * mu-bar,
-    whose transform is F Ftilde.
+    product is cross-checked against F(-uA) of nu = mu * mu-bar, whose
+    transform is F Ftilde: a proved upper bound on the norm of the difference
+    of the two operators (``_difference_bound``) must stay within _PATH_TOL.
     """
     require_mass_zero(mu)
     mu_bar = conj_reflect(mu)
@@ -521,12 +540,12 @@ def symmetrized_sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> 
         right = func_calc(backend, mu_bar, u)
         prod = left.matmul(right)
         direct = prod.norm()
-        via_conv = func_calc(backend, nu, u).norm()
-        if abs(direct - via_conv) > _PATH_TOL * max(1.0, direct):
+        gap = _difference_bound(prod, func_calc(backend, nu, u))
+        if gap > _PATH_TOL * max(1.0, direct):
             raise BoundViolationError(
                 "product path and convolution path disagree",
                 argument=u,
-                margin=abs(direct - via_conv),
+                margin=gap,
             )
         rows.append(SweepRow(u, direct, prod.spectral_radius(), ray2.value,
                              direct - ray2.value, prod.quadrature_budget))

@@ -6,7 +6,9 @@ lower-triangular Toeplitz matrix, given by its first column, goes through one
 front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
 that its public entry names: ``banded_toeplitz_opnorm`` for F(-uA) on the
 shift model (banded Gram matrix or Lanczos), ``toeplitz_opnorm`` for full
-columns such as resolvents (power iteration with FFT matvecs).
+columns such as resolvents (power iteration with FFT matvecs).  A norm that
+feeds only a "<= tolerance" gate takes ``opnorm_bound`` instead, a proved
+upper bound that needs no iteration.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ _POWER_MAX_ITER = 2000
 _SAFE_EXP = 200
 _LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
 _LANCZOS_NCV = 30  # Lanczos basis size
+# rounds a bound up past every rounding of |entry|, fsum, sqrt and product
+_ROUND_UP = 1.0 + 2.0**-50
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -125,12 +129,35 @@ def op_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def opnorm_bound(x: np.ndarray, diagonal: bool = False) -> float:
+    """Proved upper bound on an operator 2-norm, for "<= tolerance" gates.
+
+    A 1-D x is the first column c of a lower-triangular Toeplitz T, and by
+    Young's inequality ||T|| <= sqrt(||T||_1 ||T||_inf) = ||c||_1; with
+    ``diagonal`` it is the diagonal d of a diagonal matrix, of norm max |d_k|.
+    A 2-D x is a matrix M, bounded by sqrt(||M||_1 ||M||_inf).  Sums are
+    ``math.fsum`` and the result is rounded up by _ROUND_UP, so it stays a
+    bound in floating point.  Non-finite entries are refused.
+    """
+    a = np.abs(np.asarray(x))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("operator has non-finite entries")
+    if diagonal:
+        return float(np.max(a, initial=0.0)) * _ROUND_UP
+    if a.ndim == 1:
+        return math.fsum(a.tolist()) * _ROUND_UP
+    one = max(map(math.fsum, a.T.tolist()), default=0.0)
+    inf = max(map(math.fsum, a.tolist()), default=0.0)
+    return math.sqrt(one) * math.sqrt(inf) * _ROUND_UP
+
+
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column col: T[i, j] = col[i - j]
-    for i >= j, else 0.  Row i is the window u[n-1-i : 2n-1-i] of u = (col
-    reversed, then n - 1 zeros), copied out of one strided view."""
+    """The lower-triangular Toeplitz matrix with first column col, in col's
+    dtype: T[i, j] = col[i - j] for i >= j, else 0.  Row i is the window
+    u[n-1-i : 2n-1-i] of u = (col reversed, then n - 1 zeros), copied out of
+    one strided view."""
     n = len(col)
-    u = np.zeros(2 * n - 1, dtype=complex)
+    u = np.zeros(2 * n - 1, dtype=col.dtype)
     u[:n] = col[::-1]
     return sliding_window_view(u, n)[::-1].copy()
 

@@ -223,8 +223,21 @@ def _piece_tv_moment(p: Piece, k: int) -> float:
 
 
 def laplace(mu: CompactMeasure, z):
-    """L mu(z) = integral of e^{-z t} dmu(t).  Accepts scalar or ndarray z."""
-    z_arr = np.asarray(z, dtype=complex)
+    """L mu(z) = integral of e^{-z t} dmu(t).  Accepts scalar or ndarray z.
+
+    A real array z against a real measure gives a float64 array: the atoms
+    take real exp, and the density pieces keep their complex closed form, of
+    which the real part is kept.
+    """
+    z_arr = np.asarray(z)
+    if z_arr.ndim and not np.iscomplexobj(z_arr) and mu.is_real:
+        out = np.zeros(z_arr.shape)
+        for t, w in mu.atoms:
+            out += w.real * np.exp(-z_arr * t)
+        for p in mu.pieces:
+            out += _piece_laplace(p, z_arr.astype(complex)).real
+        return out
+    z_arr = z_arr.astype(complex)
     out = np.zeros(z_arr.shape, dtype=complex)
     for t, w in mu.atoms:
         out += w * np.exp(-z_arr * t)

@@ -48,7 +48,14 @@ class SemigroupBackend(ABC):
         return self._materialize(float(t))
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        return self.materialize(t) @ np.asarray(vec, dtype=complex)
+        """T(t) vec for a vector or a block of columns.  A real T(t) multiplies
+        the float64 view of the complex block, whose real and imaginary parts
+        interleave: one real product instead of a complex one."""
+        T = self.materialize(t)
+        vec = np.ascontiguousarray(vec, dtype=complex)
+        if np.iscomplexobj(T):
+            return T @ vec
+        return (T @ vec.reshape(len(vec), -1).view(float)).view(complex).reshape(vec.shape)
 
 
 class NilpotentShift(SemigroupBackend):
@@ -105,7 +112,7 @@ class RiemannLiouville(SemigroupBackend):
 
     Discretized with first-order product integration of the kernel on n
     cells (exact for piecewise-constant f), which tames the integrable
-    singularity as t -> 0+.
+    singularity as t -> 0+.  T(t) is real, and built in float64.
     """
 
     quasinilpotent = True
@@ -118,7 +125,7 @@ class RiemannLiouville(SemigroupBackend):
     def _materialize(self, t: float) -> np.ndarray:
         n = self.dim
         if t == 0.0:
-            return np.eye(n, dtype=complex)
+            return np.eye(n)
         if t < 0.0:
             raise ValueError("fractional integration needs t >= 0")
         h = 1.0 / n

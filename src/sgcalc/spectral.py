@@ -60,9 +60,9 @@ def character_set(backend: SemigroupBackend) -> CharacterSet:
     slices = {}
     radii = {}
     for m in range(0, top + 1):
-        idx = tuple(int(k) for k in np.where(lambdas.real <= m)[0])
-        slices[m] = idx
-        radii[m] = float(np.max(np.abs(lambdas[list(idx)]))) if idx else 0.0
+        idx = np.flatnonzero(lambdas.real <= m)
+        slices[m] = tuple(idx.tolist())
+        radii[m] = float(np.max(np.abs(lambdas[idx]))) if idx.size else 0.0
     return CharacterSet(tuple(complex(l) for l in lambdas), slices, radii)
 
 
@@ -326,11 +326,11 @@ def sharpness_demo(n: int, mu: CompactMeasure, u_list, ray: RayMaximum) -> Sharp
     require_mass_zero(mu)
     if not mu.is_real:
         raise ConfigError("sharpness demo expects a real measure")
-    backend = MultiplicationC0(n)
+    lambdas = MultiplicationC0(n).lambdas.real  # -log x_j, real: real exp in laplace
     rows = []
     for u in u_list:
         u = float(u)
-        norm_F = float(np.max(np.abs(laplace(mu, u * backend.lambdas))))
+        norm_F = float(np.max(np.abs(laplace(mu, u * lambdas))))
         rows.append(SharpnessRow(u, norm_F, abs(norm_F - ray.value)))
     note = (
         "norm equals spectral radius on this model; the continuum limit has "

@@ -24,15 +24,16 @@ from sgcalc.calculus import (
     sweep,
     symmetrized_sweep,
 )
-from sgcalc.cli import NAMED_MEASURES
+from sgcalc.cli import NAMED_MEASURES, _default_lambda_grid
 from sgcalc.errors import (
+    BoundViolationError,
     ConfigError,
     DivergentIntegralError,
     MassNotZeroError,
     NoGeneratorError,
     NotQuasinilpotentError,
 )
-from sgcalc.linalg import _lower_toeplitz, op_norm
+from sgcalc.linalg import _lower_toeplitz, op_norm, opnorm_bound
 from sgcalc.measures import (
     CompactDistribution,
     CompactMeasure,
@@ -213,25 +214,35 @@ class TestResolventIdentityResiduals:
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_shift_column_route_matches_dense_products(self, n):
-        # the residual is a difference of O(1) terms that cancel to O(n^-2), so
-        # the rounding of the product (a convolution here, a matmul in the
-        # oracle) moves it by a few 1e-12 relative at n = 512
+        # each residual is the proved bound ||c||_1 of its first column c, a
+        # truncated convolution that matches the dense products of the oracle
+        # (the residual cancels O(1) terms to O(n^-2), so rounding moves it by
+        # a few 1e-12 relative at n = 512) and bounds their norm from above
         sg = nilpotent_shift(n)
         pairs = _seed0_pairs()
         got = resolvent_identity_residuals(sg, pairs)
         assert len(got) == 5
         for (lam, nu), res in zip(pairs, got):
-            R1, R2 = (_lower_toeplitz(resolvent(sg, [z])[0]) for z in (lam, nu))
-            ref = op_norm(R1 - R2 - (nu - lam) * (R1 @ R2))
-            assert res == pytest.approx(ref, rel=1e-11)
+            r1, r2 = (resolvent(sg, [z])[0] for z in (lam, nu))
+            col = r1 - r2 - (nu - lam) * np.convolve(r1, r2)[:n]
+            assert res == opnorm_bound(col)
+            R1, R2 = _lower_toeplitz(r1), _lower_toeplitz(r2)
+            dense = R1 - R2 - (nu - lam) * (R1 @ R2)
+            assert np.linalg.norm(dense - _lower_toeplitz(col), 2) <= 1e-11 * res
+            assert res >= np.linalg.norm(_lower_toeplitz(col), 2)
+            assert res >= np.linalg.norm(dense, 2)
 
     def test_dense_backends_keep_the_dense_route(self):
-        sg = matrix_semigroup(np.array([[-3.0, 2.0], [0.0, -4.0]]))
+        rng = np.random.default_rng(32)
+        A = -5.0 * np.eye(32) + 0.5 * rng.normal(size=(32, 32)) / math.sqrt(32)
+        sg = matrix_semigroup(A)
         pairs = _seed0_pairs()[:2]
         R = resolvent(sg, [z for pair in pairs for z in pair])
-        ref = [op_norm(R1 - R2 - (nu - lam) * (R1 @ R2))
-               for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2])]
-        assert resolvent_identity_residuals(sg, pairs) == ref
+        dense = [R1 - R2 - (nu - lam) * (R1 @ R2)
+                 for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2])]
+        got = resolvent_identity_residuals(sg, pairs)
+        assert got == [opnorm_bound(M) for M in dense]
+        assert all(res >= np.linalg.norm(M, 2) for res, M in zip(got, dense))
 
 
 def _midpoint_sum(sg, f, a, b, scale=1.0, nodes=200_000):
@@ -442,6 +453,19 @@ class TestEpCalc:
             ep_calc(nilpotent_shift(8), phi, 0.5)
 
 
+def _spy_opnorm_bound(monkeypatch):
+    """Record each (operator, value) that calculus passes to opnorm_bound."""
+    calls = []
+
+    def spy(x, diagonal=False):
+        value = opnorm_bound(x, diagonal)
+        calls.append((np.array(x), value))
+        return value
+
+    monkeypatch.setattr(calculus, "opnorm_bound", spy)
+    return calls
+
+
 class TestLemma24:
     def test_shift_identity_and_bound(self):
         sg = nilpotent_shift(64)
@@ -462,13 +486,14 @@ class TestLemma24:
         from_atoms([(0.25, 1.0), (0.5, -1.0)]),
         from_atoms([(0.25, 1.0), (0.5, -1.0)]) + indicator(0.1, 0.3, 0.5),
     ], ids=["atoms", "atoms-and-density"])
-    def test_column_form_matches_dense_products(self, mu):
+    def test_column_form_matches_dense_products(self, mu, monkeypatch):
         # support inside the horizon, so F(-A) != 0 and the convolution is live
+        bounded = _spy_opnorm_bound(monkeypatch)
         sg = nilpotent_shift(64)
         lams = [0.0, 1.0, 2.0 + 1.0j, 0.5 - 3.0j]
         F = func_calc(sg, mu, 1.0).to_dense()
         assert np.any(F)
-        lhs_ref, res_ref = [], 0.0
+        lhs_ref, res_ref = [], []
         for lam in lams:
             R = _lower_toeplitz(resolvent(sg, [lam])[0])
             lhs_op = F @ R - laplace(mu, lam) * R
@@ -482,11 +507,35 @@ class TestLemma24:
             assert np.linalg.norm(section, 2) == pytest.approx(np.linalg.norm(lhs_op, 2),
                                                                 rel=1e-14)
             lhs_ref.append(op_norm(section))
-            res_ref = max(res_ref, op_norm(lhs_op - correction))
+            res_ref.append(lhs_op - correction)
         rep = lemma_24_check(sg, mu, lams)
         for row, ref in zip(rep.rows, lhs_ref):
             assert row[1] == pytest.approx(ref, rel=1e-12)
-        assert rep.identity_residual == pytest.approx(res_ref, abs=1e-12)
+        # the residual is the largest proved bound of the residual columns,
+        # each of which is the first column of the dense residual
+        assert [np.asarray(col).ndim for col, _ in bounded] == [1] * len(lams)
+        assert rep.identity_residual == max(value for _, value in bounded)
+        for (col, value), ref in zip(bounded, res_ref):
+            assert value == opnorm_bound(col)
+            assert np.max(np.abs(_lower_toeplitz(col) - ref)) <= 1e-14
+            assert value >= np.linalg.norm(_lower_toeplitz(col), 2)
+
+    def test_config_run_residual_is_the_proved_bound(self, monkeypatch):
+        # the lemma24 config: delta-difference on the 512-cell shift
+        bounded = _spy_opnorm_bound(monkeypatch)
+        rep = lemma_24_check(nilpotent_shift(512), NAMED_MEASURES["delta-difference"](),
+                             _default_lambda_grid())
+        assert len(bounded) == 20
+        assert rep.identity_residual == max(value for _, value in bounded)
+        for col, value in bounded:
+            assert value == opnorm_bound(col)
+            assert value >= np.linalg.norm(_lower_toeplitz(col), 2)
+
+    def test_left_side_overflow_is_a_config_error(self):
+        # R(100) is finite (about e^100 / 100), its product with F(-A) is not
+        mu = from_atoms([(0.5, 1e300), (0.25, -1e300)])
+        with pytest.raises(ConfigError, match=r"overflows at lam = \(100\+0j\)"):
+            lemma_24_check(nilpotent_shift(16), mu, [1.0, 100.0])
 
     def test_builds_no_dense_matrix(self):
         # one dense complex 2048 x 2048 matrix takes 64 MB
@@ -533,6 +582,21 @@ class TestLemma27:
         # bound column is the first absolute moment, 3.0 for D12
         assert all(r[2] == pytest.approx(3.0, abs=1e-12) for r in rep.rows)
         assert all(r[3] > 0 for r in rep.rows)
+
+    def test_config_residual_is_the_proved_bound(self, monkeypatch):
+        # the lemma27 config: order 1, (D12, D12) on diagonal-range 1..19,
+        # where B - B2 is diagonal and the bound is its largest entry
+        bounded = _spy_opnorm_bound(monkeypatch)
+        phi = CompactDistribution(1, (D12, D12))
+        grid = _default_lambda_grid(avoid_integers=True)
+        rep = lemma_27_check(diagonal_semigroup(np.arange(1.0, 20.0)), phi, grid)
+        assert len(bounded) == len(grid)
+        assert rep.identity_residual == max(value for _, value in bounded)
+        for M, value in bounded:
+            assert value == opnorm_bound(M)
+            assert not np.any(M - np.diag(np.diag(M)))
+            assert value >= np.linalg.norm(M, 2)
+            assert value == pytest.approx(np.linalg.norm(M, 2), rel=1e-15)
 
     def test_pole_guard(self):
         sg = diagonal_semigroup(np.arange(1.0, 7.0))
@@ -589,6 +653,17 @@ class TestSymmetrizedSweep:
         conv = sweep(sg, convolve(D12, D12), us)
         for a, b in zip(sym, conv):
             assert a.norm_F == pytest.approx(b.norm_F, abs=1e-9)
+
+    @pytest.mark.parametrize("sg", [
+        nilpotent_shift(64),
+        diagonal_semigroup(np.arange(1.0, 9.0)),
+        matrix_semigroup(np.array([[-1.0, 0.5], [0.2, -2.0]])),
+    ], ids=["shift", "diagonal", "matrix"])
+    def test_paths_with_equal_norms_but_different_operators_disagree(self, sg, monkeypatch):
+        # negating the convolution path keeps every norm and flips the operator
+        monkeypatch.setattr(calculus, "convolve", lambda a, b: -convolve(a, b))
+        with pytest.raises(BoundViolationError, match="disagree"):
+            symmetrized_sweep(sg, D12, [2 / 64, 4 / 64])
 
     def test_complex_measure_accepted(self):
         sg = nilpotent_shift(64)

@@ -205,8 +205,12 @@ class TestConfigDeterminedRefusals:
         ({"command": "sharpness", "measure": TWISTED, "n_list": [100]}, 2, None),
         ({"command": "lemma24", "measure": "delta-difference", "backend": SHIFT,
           "lambda_grid": [[1000, 0]]}, 2, None),
+        ({"command": "lemma24", "measure": {"atoms": [{"t": 0.5, "re": 1e300},
+                                                      {"t": 0.25, "re": -1e300}]},
+          "backend": SHIFT, "lambda_grid": [[100, 0]]}, 2, None),
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
-            "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow"])
+            "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow",
+            "lemma24-left-side-overflow"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"

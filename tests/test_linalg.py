@@ -20,6 +20,7 @@ from sgcalc.linalg import (
     banded_toeplitz_opnorm,
     expm,
     op_norm,
+    opnorm_bound,
     power_opnorm,
     spectral_radius,
     toeplitz_opnorm,
@@ -84,7 +85,8 @@ class TestOpNorm:
 
 @pytest.fixture(scope="module")
 def lemma24_columns():
-    """Every first column whose norm lemma_24_check takes in the lemma24 config's run."""
+    """Every first column whose norm lemma_24_check takes in the lemma24 config's
+    run: the left sides (its residuals take ``opnorm_bound``)."""
     cols = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calculus, "toeplitz_opnorm", lambda c: cols.append(c.copy()) or 0.0)
@@ -95,8 +97,8 @@ def lemma24_columns():
 
 class TestToeplitzOpNorm:
     def test_matches_dense_power_iteration_on_lemma24_columns(self, lemma24_columns):
-        # 20 lambdas, each with an lhs and a residual column
-        assert len(lemma24_columns) == 40
+        # 20 lambdas, one lhs column each
+        assert len(lemma24_columns) == 20
         for c in lemma24_columns:
             # the front end iterates on the reduced section of the column
             live, section = np.flatnonzero(c), c
@@ -129,7 +131,7 @@ class TestToeplitzOpNorm:
         # unscaled, T^H T v overflows at 2^300 and underflows to 0 at 2^-300,
         # so each route runs on the section scaled back into range
         if route == "fft":
-            norm, c = toeplitz_opnorm, lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
+            norm, c = toeplitz_opnorm, lemma24_columns[1]  # lhs at lam = -1.3i, norm 0.77
         else:
             # the step section at n = 64 (band b = 10) or at n = 1024 (b = 324)
             k, n = (5, 64) if route == "band" else (162, 1024)
@@ -141,7 +143,7 @@ class TestToeplitzOpNorm:
         assert norm(scaled) == math.ldexp(norm(c), exp)
 
     def test_unconverged_falls_back_to_dense_svd(self, lemma24_columns, monkeypatch):
-        c = lemma24_columns[2]  # lhs at lam = -1.3i, norm 0.77
+        c = lemma24_columns[1]  # lhs at lam = -1.3i, norm 0.77
         monkeypatch.setattr(linalg, "_POWER_MAX_ITER", 1)
         assert not _power_iteration(_toeplitz_gram(c, len(c)), len(c)).converged
         assert toeplitz_opnorm(c) == np.linalg.norm(_lower_toeplitz(c), 2)
@@ -151,9 +153,52 @@ class TestToeplitzOpNorm:
 def test_lower_toeplitz_matches_scipy_bit_for_bit(n):
     rng = np.random.default_rng(n)
     for col in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n)):
-        oracle = scipy.linalg.toeplitz(col, np.zeros(n, dtype=complex))
+        oracle = scipy.linalg.toeplitz(col, np.zeros(n, dtype=col.dtype))
         built = _lower_toeplitz(col)
         assert built.dtype == oracle.dtype and built.tobytes() == oracle.tobytes()
+
+
+class TestOpnormBound:
+    """The proved upper bound against dense SVD."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 64])
+    def test_toeplitz_column_bound_is_its_one_norm_and_above_svd(self, n):
+        rng = np.random.default_rng(n)
+        for c in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            bound = opnorm_bound(c)
+            assert bound >= math.fsum(np.abs(c).tolist())
+            assert bound == pytest.approx(np.sum(np.abs(c)), rel=1e-14)
+            assert bound >= np.linalg.norm(_lower_toeplitz(c), 2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (32, 32), (7, 3)])
+    def test_matrix_bound_is_above_svd(self, shape):
+        rng = np.random.default_rng(shape[0])
+        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        one, inf = np.linalg.norm(M, 1), np.linalg.norm(M, np.inf)
+        assert opnorm_bound(M) == pytest.approx(math.sqrt(one * inf), rel=1e-14)
+        assert opnorm_bound(M) >= np.linalg.norm(M, 2)
+
+    def test_diagonal_bound_is_the_largest_entry_rounded_up(self):
+        d = np.array([3.0, -4.0j, 1e-300, 0.5])
+        assert opnorm_bound(d, diagonal=True) > 4.0
+        assert opnorm_bound(d, diagonal=True) == opnorm_bound(np.diag(d))
+        assert opnorm_bound(d, diagonal=True) == pytest.approx(4.0, rel=1e-15)
+
+    def test_rank_one_all_ones_is_tight(self):
+        # sqrt(||M||_1 ||M||_inf) = n = ||M|| for the all-ones matrix
+        assert opnorm_bound(np.ones((6, 6))) == pytest.approx(6.0, rel=1e-15)
+        assert opnorm_bound(np.ones((6, 6))) >= 6.0
+
+    def test_zero_and_empty(self):
+        assert opnorm_bound(np.zeros(4)) == 0.0
+        assert opnorm_bound(np.zeros(0)) == 0.0
+        assert opnorm_bound(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, 0)])
+    def test_refuses_non_finite_entries(self, bad):
+        for x in (np.array([1.0, bad]), np.array([[1.0, bad], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                opnorm_bound(x)
 
 
 class TestSerialBlas:

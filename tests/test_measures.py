@@ -10,6 +10,7 @@ from sgcalc.measures import (
     CompactDistribution,
     CompactMeasure,
     Piece,
+    _piece_laplace,
     conj_reflect,
     convolve,
     dirac,
@@ -101,6 +102,42 @@ class TestLaplace:
         vals = laplace(STEP, zs)
         for z, v in zip(zs, vals):
             assert v == pytest.approx(laplace(STEP, complex(z)), abs=1e-13)
+
+    @pytest.mark.parametrize("mu", [dirac(0.5), dirac(2.0, -3.0), D12, D1234, STEP,
+                                    STEP + D12], ids=["dirac", "dirac-weighted", "d12",
+                                                      "four-atom", "step", "step-and-atoms"])
+    def test_real_array_stays_real(self, mu):
+        # real exp against complex exp: within 2 ulp of each atom's term
+        xs = np.concatenate([np.linspace(0.0, 40.0, 4001), -np.linspace(0.0, 3.0, 31)])
+        got = laplace(mu, xs)
+        ref = laplace(mu, xs.astype(complex))
+        assert got.dtype == np.float64
+        assert not np.any(ref.imag)
+        terms = sum(abs(w) * np.exp(-xs * t) for t, w in mu.atoms) + 0.0 * xs
+        assert np.all(np.abs(got - ref.real) <= 2 * len(mu.atoms) * np.spacing(terms))
+
+    @pytest.mark.parametrize("mu", [D12, STEP + D12, from_atoms([(1.0, 1j), (2.0, -1j)])],
+                             ids=["d12", "step-and-atoms", "complex-atoms"])
+    def test_complex_arrays_and_scalars_keep_their_bits(self, mu):
+        # the complex evaluation, written out as it stood before real arrays
+        # took their own route
+        def complex_laplace(z):
+            z_arr = np.asarray(z, dtype=complex)
+            out = np.zeros(z_arr.shape, dtype=complex)
+            for t, w in mu.atoms:
+                out += w * np.exp(-z_arr * t)
+            for p in mu.pieces:
+                out += _piece_laplace(p, z_arr)
+            return complex(out) if z_arr.shape == () else out
+
+        zs = np.array([0.0, 0.3, 1.0 + 2.0j, -0.2, 4.0, 0.1j])
+        assert laplace(mu, zs).tobytes() == complex_laplace(zs).tobytes()
+        for z in [0.0, 0.3, 4, 1.0 + 2.0j, np.float64(2.5), np.complex128(0.5j)]:
+            got, ref = laplace(mu, z), complex_laplace(z)
+            assert type(got) is complex and got == ref
+        if not mu.is_real:  # a real array against a complex measure stays complex
+            xs = np.linspace(0.0, 5.0, 11)
+            assert laplace(mu, xs).tobytes() == complex_laplace(xs).tobytes()
 
     def test_decay_bound(self):
         for mu in [D12, D1234, STEP]:

@@ -149,6 +149,24 @@ class TestRiemannLiouville:
             ref[idx[d:], idx[d:] - d] = w[d]
         assert np.array_equal(riemann_liouville(n).materialize(t), ref)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.7])
+    def test_materialize_is_float64(self, t):
+        assert riemann_liouville(32).materialize(t).dtype == np.float64
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 1.0])
+    def test_apply_multiplies_in_real_arithmetic_as_the_complex_product(self, t):
+        # a complex block (as feller_renorm passes it), a 1-D complex vector,
+        # and a real vector, each against the complexified matrix
+        n = 64
+        sg = riemann_liouville(n)
+        rng = np.random.default_rng(7)
+        Y = rng.normal(size=(n, 24)) + 1j * rng.normal(size=(n, 24))
+        ref_T = sg.materialize(t).astype(complex)
+        for vec in (Y, Y[:, 3], Y[:, ::2], Y.real[:, 0]):
+            got, ref = sg.apply(t, vec), ref_T @ vec
+            assert got.dtype == np.complex128 and got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
     def test_lgamma_scale_matches_scipy_gammaln(self):
         # the weights scale by h^t / Gamma(1 + t) = exp(t log h - lgamma(1 + t)),
         # so an absolute error in lgamma is a relative one in the weights; times:

@@ -49,6 +49,18 @@ class TestCharacterSet:
             assert set(cs.slices[m1]) <= set(cs.slices[m2])
         assert cs.slices[ms[-1]] == tuple(range(40))
 
+    @pytest.mark.parametrize("lambdas", [
+        np.arange(1.0, 200.0),  # the separation config's diagonal-range
+        np.random.default_rng(3).uniform(0, 12, 57) + 1j * np.random.default_rng(4).normal(size=57),
+    ], ids=["range", "random-complex"])
+    def test_slices_and_radii_match_brute_force(self, lambdas):
+        cs = character_set(diagonal_semigroup(lambdas))
+        lam = cs.lambdas
+        for m, idx in cs.slices.items():
+            ref = tuple(k for k in range(len(lam)) if lam[k].real <= m)
+            assert idx == ref and all(type(k) is int for k in idx)
+            assert cs.radii[m] == (float(np.max(np.abs([lam[k] for k in ref]))) if ref else 0.0)
+
     def test_reconstruction_handles_large_imaginary_parts(self):
         # -log(e^{-lambda}) wraps the imaginary part; extraction must still
         # accept the character values modulo 2 pi i
@@ -220,6 +232,16 @@ class TestSharpness:
         ]
         assert gaps[1] <= gaps[0] + 1e-6
         assert gaps[2] <= gaps[1] + 1e-6
+
+    def test_norm_is_the_real_evaluation_over_the_grid(self):
+        # the multiplication model's characters are real, -log x_j
+        n, us = 1000, [0.1, 2.0]
+        rep = sharpness_demo(n, D12, us, D12_RAY)
+        xs = np.arange(1, n + 1) / n
+        for u, row in zip(us, rep.rows):
+            assert row.norm_F == float(np.max(np.abs(laplace(D12, -u * np.log(xs)))))
+            assert row.norm_F == pytest.approx(
+                float(np.max(np.abs(xs**u - xs ** (2 * u)))), rel=1e-14)
 
     def test_rejects_nonzero_mass(self):
         # the mass check comes first, so the ray passed does not matter
