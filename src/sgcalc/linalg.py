@@ -129,21 +129,18 @@ def op_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def opnorm_bound(x: np.ndarray, diagonal: bool = False) -> float:
+def opnorm_bound(x: np.ndarray) -> float:
     """Proved upper bound on an operator 2-norm, for "<= tolerance" gates.
 
     A 1-D x is the first column c of a lower-triangular Toeplitz T, and by
-    Young's inequality ||T|| <= sqrt(||T||_1 ||T||_inf) = ||c||_1; with
-    ``diagonal`` it is the diagonal d of a diagonal matrix, of norm max |d_k|.
-    A 2-D x is a matrix M, bounded by sqrt(||M||_1 ||M||_inf).  Sums are
-    ``math.fsum`` and the result is rounded up by _ROUND_UP, so it stays a
-    bound in floating point.  Non-finite entries are refused.
+    Young's inequality ||T|| <= sqrt(||T||_1 ||T||_inf) = ||c||_1.  A 2-D x
+    is a matrix M, bounded by sqrt(||M||_1 ||M||_inf).  Sums are ``math.fsum``
+    and the result is rounded up by _ROUND_UP, so it stays a bound in
+    floating point.  Non-finite entries are refused.
     """
     a = np.abs(np.asarray(x))
     if not np.all(np.isfinite(a)):
         raise ValueError("operator has non-finite entries")
-    if diagonal:
-        return float(np.max(a, initial=0.0)) * _ROUND_UP
     if a.ndim == 1:
         return math.fsum(a.tolist()) * _ROUND_UP
     one = max(map(math.fsum, a.T.tolist()), default=0.0)

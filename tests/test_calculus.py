@@ -457,8 +457,8 @@ def _spy_opnorm_bound(monkeypatch):
     """Record each (operator, value) that calculus passes to opnorm_bound."""
     calls = []
 
-    def spy(x, diagonal=False):
-        value = opnorm_bound(x, diagonal)
+    def spy(x):
+        value = opnorm_bound(x)
         calls.append((np.array(x), value))
         return value
 

@@ -178,12 +178,6 @@ class TestOpnormBound:
         assert opnorm_bound(M) == pytest.approx(math.sqrt(one * inf), rel=1e-14)
         assert opnorm_bound(M) >= np.linalg.norm(M, 2)
 
-    def test_diagonal_bound_is_the_largest_entry_rounded_up(self):
-        d = np.array([3.0, -4.0j, 1e-300, 0.5])
-        assert opnorm_bound(d, diagonal=True) > 4.0
-        assert opnorm_bound(d, diagonal=True) == opnorm_bound(np.diag(d))
-        assert opnorm_bound(d, diagonal=True) == pytest.approx(4.0, rel=1e-15)
-
     def test_rank_one_all_ones_is_tight(self):
         # sqrt(||M||_1 ||M||_inf) = n = ||M|| for the all-ones matrix
         assert opnorm_bound(np.ones((6, 6))) == pytest.approx(6.0, rel=1e-15)
