@@ -139,11 +139,12 @@ def func_calc(
     backend: SemigroupBackend,
     mu: CompactMeasure,
     u: float,
-    force_generic: bool = False,
 ) -> OperatorValue:
     """F(-uA) = int_0^inf T(u xi) dmu(xi).
 
-    Atoms contribute weight * T(u t) exactly.  Density pieces are exact on
+    Atoms contribute weight * T(u t) exactly; on the shift, an atom time
+    u * t that is off the cell grid below the horizon is a ConfigError, since
+    rounding it would give another operator.  Density pieces are exact on
     shift and diagonal backends; elsewhere each piece gets Gauss-Legendre of
     order _DEFAULT_GL_ORDER, with the budget taken from a half-order
     comparison.
@@ -152,13 +153,16 @@ def func_calc(
         raise ValueError("scale u must be positive")
     prov = (type(backend).__name__, repr(mu)[:60], u)
 
-    if isinstance(backend, DiagonalSemigroup) and not force_generic:
+    if isinstance(backend, DiagonalSemigroup):
         vals = laplace(mu, u * backend.lambdas)
         return OperatorValue(None, np.asarray(vals, dtype=complex), prov, 0.0)
 
-    if isinstance(backend, NilpotentShift) and not force_generic:
+    if isinstance(backend, NilpotentShift):
         weights: dict[int, complex] = {}
         for t, w in mu.atoms:
+            if not backend.on_grid(u * t):
+                raise ConfigError(f"atom at t = {t:g} with u = {u:g} falls off the "
+                                  f"{backend.dim}-cell shift grid")
             k = backend.offset(u * t)
             weights[k] = weights.get(k, 0.0) + w
         for piece in mu.pieces:
@@ -247,11 +251,11 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
             for i in live:
                 panels[i] = panels[i] + w * np.exp(lams[i] * node) * T
         t += h
-        tail_norm = op_norm(backend.materialize(t))
+        tail_bound = opnorm_bound(backend.materialize(t))
         for i in live:
             sums[i] += panels[i]
         live = [i for i in live
-                if not (tail_norm * math.exp(max(lams[i].real, 0.0) * t)
+                if not (tail_bound * math.exp(max(lams[i].real, 0.0) * t)
                         < _RESOLVENT_TAIL_TOL and t >= 2.0)]
     if live:
         raise DivergentIntegralError(

@@ -284,9 +284,8 @@ def _cmd_symmetrized_sweep(cfg: RunConfig, out: Path):
 
 
 def _cmd_curve(cfg: RunConfig, out: Path):
-    F = complexfn.as_transform(cfg.measure)
-    ray = complexfn.ray_max(F)
-    curve = complexfn.jordan_curve(F, ray)
+    ray = complexfn.ray_max(cfg.measure)
+    curve = complexfn.jordan_curve(cfg.measure, ray)
     _write_csv(out / "curve_vertices.csv", ("re", "im"),
                [(z.real, z.imag) for z in curve.full_vertices])
     summary = {

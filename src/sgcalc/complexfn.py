@@ -1,10 +1,11 @@
 """Complex-function machinery behind the lower-estimate arguments.
 
-Works on entire functions given as Laplace transforms of compactly supported
-measures: locating the ray maximum of |F|, detecting the (even) vanishing
-order at the maximizer, certifying a small-disk/large-circle radius pair, and
-constructing the piecewise-linear Jordan curves that separate the maximizer
-from the rest of the spectrum-relevant region.
+Works on the entire function F = ``laplace(mu, .)`` of a compactly supported
+measure mu, which every function here takes: locating the ray maximum of
+|F|, detecting the (even) vanishing order at the maximizer, certifying a
+small-disk/large-circle radius pair, and constructing the piecewise-linear
+Jordan curves that separate the maximizer from the rest of the
+spectrum-relevant region.
 
 All curve constructions are a-posteriori certified by dense sampling; the
 underlying existence results guarantee that failure only ever signals
@@ -27,36 +28,6 @@ from .errors import (
     WindowViolationError,
 )
 from .measures import CompactMeasure, laplace, tv_moment
-
-
-class Transform:
-    """Vectorized evaluator for the Laplace transform of a compact measure.
-
-    Carries enough metadata (total variation, support bounds) to pick search
-    windows from the decay bound |F(x)| <= tv0 * exp(-x * support_min).
-    """
-
-    def __init__(self, source):
-        if not isinstance(source, CompactMeasure):
-            raise TypeError(f"cannot build a transform from {type(source)!r}")
-        self.source = source
-        self.support_min = source.support_min
-        self.support_max = source.support_max
-        self.is_real = source.is_real
-        self.tv0 = tv_moment(source, 0)
-
-    def __call__(self, z):
-        return laplace(self.source, z)
-
-    def decay_bound(self, x: float) -> float:
-        """Upper bound for |F| on the real ray at x >= 0."""
-        if self.source.is_zero:
-            return 0.0
-        return self.tv0 * math.exp(-x * self.support_min)
-
-
-def as_transform(source) -> Transform:
-    return source if isinstance(source, Transform) else Transform(source)
 
 
 @dataclass(frozen=True)
@@ -111,24 +82,33 @@ _RAY_GRID_POINTS = 4096
 _GOLDEN_ITERS = 90
 
 
-def ray_max(source) -> RayMaximum:
-    """Locate alpha >= 0 maximizing |F| on the positive ray.
+def _ray_window(mu: CompactMeasure) -> tuple[float, float]:
+    """Search window end X and zero floor for ``ray_max``.
 
-    The window [0, X] is grown until the decay bound falls below
-    _RAY_DECAY_FLOOR times the total variation, then the grid optimum is
-    refined by golden-section search.
+    |F(x)| <= tv0 * exp(-x * support_min) on the real ray, with
+    tv0 = int d|mu| (the bound is 0 for the zero measure).  X starts at
+    max(4 * support_max, 1) and grows by 1.5 until that bound falls below
+    floor = _RAY_DECAY_FLOOR * tv0.
     """
-    F = as_transform(source)
-    floor = _RAY_DECAY_FLOOR * max(F.tv0, 1e-300)
-
-    x_hi = max(4.0 * F.support_max, 1.0)
+    tv0 = tv_moment(mu, 0)
+    floor = _RAY_DECAY_FLOOR * max(tv0, 1e-300)
+    x_hi = max(4.0 * mu.support_max, 1.0)
     for _ in range(60):
-        if F.decay_bound(x_hi) < floor:
+        if tv0 * math.exp(-x_hi * mu.support_min) < floor:
             break
         x_hi *= 1.5
+    return x_hi, floor
 
+
+def ray_max(mu: CompactMeasure) -> RayMaximum:
+    """Locate alpha >= 0 maximizing |F| on the positive ray.
+
+    The grid optimum on the ``_ray_window`` is refined by golden-section
+    search.
+    """
+    x_hi, floor = _ray_window(mu)
     xs = np.linspace(0.0, x_hi, _RAY_GRID_POINTS)
-    vals = np.abs(F(xs))
+    vals = np.abs(laplace(mu, xs))
     best = float(np.max(vals))
     if best < floor:
         raise AllZeroError("transform is numerically zero on the sampled ray")
@@ -136,12 +116,12 @@ def ray_max(source) -> RayMaximum:
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, len(xs) - 1)]
 
-    alpha = _golden_max(lambda x: abs(F(x)), lo, hi)
-    value = abs(F(alpha))
+    alpha = _golden_max(lambda x: abs(laplace(mu, x)), lo, hi)
+    value = abs(laplace(mu, alpha))
 
     sign_flipped = False
-    if F.is_real:
-        raw = complex(F(alpha)).real
+    if mu.is_real:
+        raw = complex(laplace(mu, alpha)).real
         if raw < 0:
             sign_flipped = True
     return RayMaximum(alpha=float(alpha), value=float(value), sign_flipped=sign_flipped)
@@ -175,16 +155,15 @@ _ORDER_TOL = 1e-9
 _MAX_ORDER = 12
 
 
-def taylor_coefficients(F, alpha: float, radius: float, count: int):
+def taylor_coefficients(mu: CompactMeasure, alpha: float, radius: float, count: int):
     """Taylor coefficients of F at alpha via trapezoidal contour integrals.
 
     Exponentially accurate for entire functions; avoids the cancellation of
     high-order finite differences.
     """
-    F = as_transform(F)
     theta = 2.0 * np.pi * np.arange(_TAYLOR_NODES) / _TAYLOR_NODES
     ring = alpha + radius * np.exp(1j * theta)
-    vals = F(ring)
+    vals = laplace(mu, ring)
     coeffs = []
     for k in range(count):
         ck = np.mean(vals * np.exp(-1j * k * theta)) / radius**k
@@ -192,14 +171,13 @@ def taylor_coefficients(F, alpha: float, radius: float, count: int):
     return coeffs
 
 
-def vanishing_order(F, alpha: float):
+def vanishing_order(mu: CompactMeasure, alpha: float):
     """Smallest k >= 1 with F^{(k)}(alpha) != 0, plus the Taylor coefficient.
 
     Returns (m, F^{(m)}(alpha) / m!).
     """
-    F = as_transform(F)
     radius = max(alpha / 4.0, 0.05)
-    coeffs = taylor_coefficients(F, alpha, radius, _MAX_ORDER + 1)
+    coeffs = taylor_coefficients(mu, alpha, radius, _MAX_ORDER + 1)
     scale_ref = max(abs(c) * radius**k for k, c in enumerate(coeffs))
     for k in range(1, _MAX_ORDER + 1):
         if abs(coeffs[k]) * radius**k > _ORDER_TOL * max(scale_ref, 1.0):
@@ -225,20 +203,19 @@ _CIRCLE_SAMPLES = 1024
 _CIRCLE_CANDIDATES = 140
 
 
-def babylem_radius(F) -> RadiusPair:
+def babylem_radius(mu: CompactMeasure) -> RadiusPair:
     """Radii r < R with sup_{|z|<=r} |F| < min_{|z|=R} |F| - _CIRCLE_MARGIN.
 
     Scans candidate circles for one staying well away from zeros of F, then
     grows r from 0 while the boundary maximum (= the disk sup, by the maximum
     principle) stays below the certified circle minimum.
     """
-    F = as_transform(F)
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     ring = np.exp(1j * theta)
 
     best_R, best_delta = None, 0.0
     for R in np.geomspace(1e-2, 50.0, _CIRCLE_CANDIDATES):
-        dmin = float(np.min(np.abs(F(R * ring))))
+        dmin = float(np.min(np.abs(laplace(mu, R * ring))))
         if dmin > best_delta:
             best_R, best_delta = float(R), dmin
     if best_R is None or best_delta <= _CIRCLE_MARGIN:
@@ -246,14 +223,14 @@ def babylem_radius(F) -> RadiusPair:
 
     # re-certify the chosen circle at higher angular density
     theta_fine = 2.0 * np.pi * np.arange(4 * _CIRCLE_SAMPLES) / (4 * _CIRCLE_SAMPLES)
-    delta_circle = float(np.min(np.abs(F(best_R * np.exp(1j * theta_fine)))))
+    delta_circle = float(np.min(np.abs(laplace(mu, best_R * np.exp(1j * theta_fine)))))
     if delta_circle <= _CIRCLE_MARGIN:
         raise NoCircleFoundError("chosen circle failed the dense re-check")
 
     r_found = 0.0
     sup_inside = 0.0
     for r in np.linspace(best_R / 500.0, best_R, 500):
-        sup_inside = max(sup_inside, float(np.max(np.abs(F(r * ring[::4])))))
+        sup_inside = max(sup_inside, float(np.max(np.abs(laplace(mu, r * ring[::4])))))
         if sup_inside < delta_circle - _CIRCLE_MARGIN:
             r_found = float(r)
         else:
@@ -271,7 +248,7 @@ _GRID_REFINEMENTS = 4
 _SEGMENT_SAMPLES = 1000
 
 
-def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurve:
+def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurve:
     """Constructive version of the upper-half-plane separation curve.
 
     The level region U = {|F| > |F(a0)|} is explored by flood fill on a
@@ -280,10 +257,9 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
     guarantees, so exhaustion of the refinement budget raises
     ComponentClosedError (resolution, not mathematics).
     """
-    F = as_transform(F)
     alpha = ray.alpha
     f_alpha = ray.value
-    m, _coeff = vanishing_order(F, alpha)
+    m, _coeff = vanishing_order(mu, alpha)
 
     # --- a1 and the condition (i) fit
     seg_n = _SEGMENT_SAMPLES
@@ -294,7 +270,7 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
         cand = alpha + rho * np.exp(1j * np.pi / m)
         ts = np.linspace(0.0, 1.0, seg_n + 1)[1:]
         zs = alpha + ts * (cand - alpha)
-        vals = np.abs(F(zs))
+        vals = np.abs(laplace(mu, zs))
         ratios = (vals - f_alpha) / np.abs(zs - alpha) ** m
         dmin = float(np.min(ratios))
         if dmin > 0.0 and vals[-1] > f_alpha:
@@ -305,12 +281,12 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
     if a1 is None:
         raise OrderNotFoundError("could not fit a positive delta for condition (i)")
 
-    f_a1 = abs(complex(F(a1)))
+    f_a1 = abs(complex(laplace(mu, a1)))
 
     # --- a0 strictly between in modulus
     ts = np.linspace(0.0, 1.0, seg_n + 1)
     seg = alpha + ts * (a1 - alpha)
-    seg_vals = np.abs(F(seg))
+    seg_vals = np.abs(laplace(mu, seg))
     target = 0.5 * (f_alpha + f_a1)
     inner = np.where((seg_vals > f_alpha) & (seg_vals < f_a1))[0]
     if len(inner) == 0:
@@ -326,7 +302,7 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
 
     for _ in range(_GRID_REFINEMENTS + 1):
         result = _flood_fill_curve(
-            F, a1, f_a0=f_a0,
+            mu, a1, f_a0=f_a0,
             nx=nx, ny=ny, x_max=x_max, y_max=y_max,
             min_axis_height=min_axis_height,
         )
@@ -349,7 +325,7 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
     def seg_ok(z1, z2):
         ts_ = np.linspace(0.0, 1.0, 64)
         zz = z1 + ts_ * (z2 - z1)
-        return bool(np.all(np.abs(F(zz)) > f_a0 + level_margin))
+        return bool(np.all(np.abs(laplace(mu, zz)) > f_a0 + level_margin))
 
     gamma1 = _simplify_path([a1] + path_points + [a2], seg_ok)
     if not _is_simple_polyline(gamma1):
@@ -373,7 +349,7 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
     for z1, z2 in check_pts:
         ts_ = np.linspace(0.0, 1.0, max(8, seg_n // max(1, len(check_pts))))
         zz = z1 + ts_ * (z2 - z1)
-        cond2_margin = min(cond2_margin, float(np.min(np.abs(F(zz)) - f_a0)))
+        cond2_margin = min(cond2_margin, float(np.min(np.abs(laplace(mu, zz)) - f_a0)))
 
     return JordanCurve(
         alpha=float(alpha),
@@ -391,14 +367,14 @@ def jordan_curve(F, ray: RayMaximum, min_axis_height: float = 0.0) -> JordanCurv
     )
 
 
-def _flood_fill_curve(F, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
+def _flood_fill_curve(mu, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
     """Sweep the superlevel component of a1; return (path, a2, a3) or None."""
     dx = x_max / nx
     dy = y_max / ny
     xc = (np.arange(nx) + 0.5) * dx
     yc = (np.arange(ny) + 0.5) * dy
     Z = xc[None, :] + 1j * yc[:, None]  # [row=j (y), col=i (x)]
-    absF = np.abs(F(Z))
+    absF = np.abs(laplace(mu, Z))
     mask = absF > f_a0
 
     i1 = min(int(a1.real / dx), nx - 1)
@@ -444,10 +420,10 @@ def _flood_fill_curve(F, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
     a2 = complex(xc[0], yc[jc])
     a3 = 1j * yc[jc]
     # certify the actual axis point; scan within the contact cell if needed
-    if abs(complex(F(a3))) <= f_a0:
+    if abs(complex(laplace(mu, a3))) <= f_a0:
         ys = yc[jc] + dy * np.linspace(-0.5, 0.5, 41)
         ys = ys[(ys > min_axis_height) & (ys > 0)]
-        vals = np.abs(F(1j * ys))
+        vals = np.abs(laplace(mu, 1j * ys))
         k = int(np.argmax(vals))
         if vals[k] <= f_a0:
             return None
@@ -506,7 +482,7 @@ def _is_simple_polyline(points, closed: bool = False) -> bool:
 
 
 def separation_curve(
-    F,
+    mu: CompactMeasure,
     u: float,
     R_m: float,
     ray: RayMaximum,
@@ -515,18 +491,18 @@ def separation_curve(
     """Curve joining alpha/u on the real axis to v_k on the imaginary axis,
     with |v_k| > R_m and |F(u z)| >= |F(alpha)| along the path.
 
-    ``ray`` and ``radii`` are ``ray_max(F)`` and ``babylem_radius(F)``, which
+    ``ray`` and ``radii`` are ``ray_max(mu)`` and ``babylem_radius(mu)``, which
     the caller has already computed (``spectral.criterion_check`` does, once
     per run); the window u * R_m < radii.r is checked here.  Constructed at
     the natural scale of F (the curve for (F, u) is the curve of
-    z -> F(u z) rescaled by 1/u), which keeps the flood-fill grid resolution
-    independent of u.
+    z -> F(u z) rescaled by 1/u), which keeps the flood-fill grid
+    resolution independent of u.
     """
     if u * R_m >= radii.r:
         raise WindowViolationError(
             f"window violated: u*R_m = {u * R_m:.6g} >= r = {radii.r:.6g}"
         )
-    curve = jordan_curve(F, ray, min_axis_height=u * R_m)
+    curve = jordan_curve(mu, ray, min_axis_height=u * R_m)
     gamma0 = (
         [complex(curve.alpha)]
         + list(curve.gamma1_vertices)

@@ -5,9 +5,8 @@ Riemann-Liouville fractional integration (a smooth quasinilpotent Volterra
 family), bounded-generator matrix semigroups exp(tA), diagonal semigroups,
 and the sup-norm multiplication semigroup x -> x^t on a grid of (0,1].
 
-Backends keep no per-time state (the shift's off-grid roundings aside): each
-``materialize`` call builds T(t) afresh, and a caller that needs one time
-twice binds the matrix itself.
+Backends keep no per-time state: each ``materialize`` call builds T(t)
+afresh, and a caller that needs one time twice binds the matrix itself.
 """
 
 from __future__ import annotations
@@ -61,11 +60,10 @@ class SemigroupBackend(ABC):
 class NilpotentShift(SemigroupBackend):
     """Right shift on n uniform cells of (0,1); T(t) = 0 for t >= 1.
 
-    Times are rounded to the grid {k/n}; off-grid requests are honored and
-    recorded in ``offgrid_roundings``, which no artifact reports yet.  The
-    cell rule (T(t) is the k-cell shift on [(k - 1/2)/n, (k + 1/2)/n)) lives
-    only here: in ``offset`` for single times and in ``constancy_intervals``
-    for every integral over t.
+    The cell rule (T(t) is the k-cell shift on [(k - 1/2)/n, (k + 1/2)/n))
+    lives only here: in ``offset`` for single times, in ``on_grid`` for the
+    atom times that ``func_calc`` accepts, and in ``constancy_intervals`` for
+    every integral over t.
     """
 
     quasinilpotent = True
@@ -76,13 +74,14 @@ class NilpotentShift(SemigroupBackend):
             raise ValueError("need n >= 2 cells")
         super().__init__(n)
         self.grid_step = 1.0 / n
-        self.offgrid_roundings: list[float] = []
 
     def offset(self, t: float) -> int:
-        k = math.floor(t * self.dim + 0.5)
-        if abs(t * self.dim - k) > 1e-9:
-            self.offgrid_roundings.append(float(t))
-        return k
+        return math.floor(t * self.dim + 0.5)
+
+    def on_grid(self, t: float) -> bool:
+        """T(t) is this model's operator at t: t is within 1e-9 cells of the
+        grid {k/n}, or at or past the horizon, where T = 0 exactly."""
+        return t >= self.nilpotent_horizon or abs(t * self.dim - self.offset(t)) <= 1e-9
 
     def _materialize(self, t: float) -> np.ndarray:
         k = self.offset(t)

@@ -18,7 +18,6 @@ from .complexfn import (
     RadiusPair,
     RayMaximum,
     SeparationCurve,
-    as_transform,
     babylem_radius,
     ray_max,
     separation_curve,
@@ -99,7 +98,7 @@ def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> Criter
     """
     require_mass_zero(mu)
     ray = ray_max(mu)
-    radii = babylem_radius(as_transform(mu))
+    radii = babylem_radius(mu)
     lambdas = np.asarray(charset.lambdas)
     rows = []
     for u in u_list:
@@ -228,15 +227,14 @@ def separation_certificate(
     computed again.  Returns the report and the certified curve.
     """
     require_mass_zero(mu)
-    F = as_transform(mu)
     R_m = charset.radii[m]
-    curve = separation_curve(F, u, R_m, ray, radii)
+    curve = separation_curve(mu, u, R_m, ray, radii)
 
     # curve samples dominate the ray maximum (sample in the scale-1 frame)
     gamma = np.asarray(curve.gamma_k0_vertices)
     z1, z2 = gamma[:-1, None], gamma[1:, None]
     zz = z1 + np.linspace(0.0, 1.0, _SAMPLES_PER_SEGMENT) * (z2 - z1)
-    excess = np.abs(F(u * zz)) - ray.value
+    excess = np.abs(laplace(mu, u * zz)) - ray.value
     # the real-axis endpoint alpha_k attains the ray maximum exactly
     excess[np.abs(gamma[:-1] - curve.alpha_k) < 1e-15, 0] = np.inf
     min_excess = float(np.min(excess))
@@ -253,7 +251,7 @@ def separation_certificate(
 
     # every slice point p against every edge a -> b of the polygon
     lams = charset.slice_values(m)
-    margins = ray.value - np.abs(F(u * lams))
+    margins = ray.value - np.abs(laplace(mu, u * lams))
     p, a, b = lams[:, None], closed, np.roll(closed, -1)
     za, zb = a - p, b - p
     winding = np.sum(np.arctan2(za.real * zb.imag - za.imag * zb.real,

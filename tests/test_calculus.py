@@ -69,15 +69,22 @@ class TestFuncCalc:
 
     def test_shift_beyond_horizon_is_zero(self):
         sg = nilpotent_shift(16)
-        op = func_calc(sg, D12, 1.0)  # support {1, 2}, u t >= 1 throughout
-        assert op.norm() == 0.0
-        assert np.array_equal(op.to_dense(), np.zeros((16, 16)))
+        for u in (1.0, 1.03):  # support {1, 2}, u t >= 1 throughout, on or off the grid
+            op = func_calc(sg, D12, u)
+            assert op.norm() == 0.0
+            assert np.array_equal(op.to_dense(), np.zeros((16, 16)))
+
+    def test_offgrid_atom_is_refused(self):
+        # rounding u t = 0.001 and 0.002 to the 512-cell grid puts both atoms
+        # of delta-difference on cell 1, where they cancel
+        with pytest.raises(ConfigError, match=r"t = 1 with u = 0\.001"):
+            func_calc(NilpotentShift(512), NAMED_MEASURES["delta-difference"](), 0.001)
 
     def test_density_against_scalar_quadrature_oracle(self):
         lam = np.array([0.5, 1.0, 2.5])
         sg = matrix_semigroup(np.diag(-lam))
         u = 0.7
-        op = func_calc(sg, STEP, u, force_generic=True)
+        op = func_calc(sg, STEP, u)
         diag = np.diag(op.to_dense())
         for lk, got in zip(lam, diag):
             ref, _ = scipy.integrate.quad(
@@ -90,10 +97,9 @@ class TestFuncCalc:
 
     def test_diagonal_closed_form_matches_generic_path(self):
         lam = np.array([0.3, 1.0, 2.0 + 1.0j, 4.0])
-        sg = diagonal_semigroup(lam)
         u = 0.4
-        fast = func_calc(sg, STEP + D12, u)
-        slow = func_calc(sg, STEP + D12, u, force_generic=True)
+        fast = func_calc(diagonal_semigroup(lam), STEP + D12, u)
+        slow = func_calc(matrix_semigroup(np.diag(-lam)), STEP + D12, u)
         assert fast.is_diag
         assert np.max(np.abs(fast.to_dense() - slow.to_dense())) < 1e-10
 
@@ -185,6 +191,27 @@ class TestResolvent:
         assert len(times) == len(set(times))
         # the shift integrates cell-exactly on first columns: nothing to materialize
         assert bool(times) != isinstance(sg, NilpotentShift)
+
+    def test_generic_tail_stops_where_the_proved_bound_is_below_tolerance(self, monkeypatch):
+        # T(t) is e^(-t/5) times a rotation: its norm is e^(-t/5), and the
+        # bound sqrt(||T||_1 ||T||_inf) is up to sqrt(2) times that
+        A = np.array([[-0.2, -1.0], [1.0, -0.2]])
+        sg = matrix_semigroup(A)
+        lam = 0.3j
+        times = []
+        materialize = type(sg)._materialize
+        monkeypatch.setattr(type(sg), "_materialize",
+                            lambda self, t: times.append(t) or materialize(self, t))
+        R = resolvent(sg, [lam])[0]
+        panel_ends = [t for t in times if (2 * t).is_integer()]  # panels of width 1/2
+
+        def tail(t):
+            return opnorm_bound(materialize(sg, t)) * math.exp(max(lam.real, 0.0) * t)
+
+        tol = calculus._RESOLVENT_TAIL_TOL
+        assert tail(panel_ends[-1]) < tol
+        assert all(tail(t) >= tol for t in panel_ends[:-1] if t >= 2.0)
+        assert np.max(np.abs(R - np.linalg.inv(A + lam * np.eye(2)))) < 1e-10
 
     def test_fractional_integration_resolvent_identity(self):
         # the first-order product integration behind the fractional family

@@ -208,9 +208,12 @@ class TestConfigDeterminedRefusals:
         ({"command": "lemma24", "measure": {"atoms": [{"t": 0.5, "re": 1e300},
                                                       {"t": 0.25, "re": -1e300}]},
           "backend": SHIFT, "lambda_grid": [[100, 0]]}, 2, None),
+        ({"command": "sweep", "measure": "delta-difference",
+          "backend": {"kind": "nilpotent_shift", "n": 512},
+          "u_grid": {"values": [0.001]}}, 2, None),
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
             "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow",
-            "lemma24-left-side-overflow"])
+            "lemma24-left-side-overflow", "sweep-offgrid-atom"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
@@ -533,6 +536,15 @@ class TestVerifyAll:
         assert kept == self._resolvent_check(tmp_path, "b", "run", "--config", own)
         assert kept != self._resolvent_check(
             tmp_path, "c", "run", "--config", own, "--seed", "0")
+
+    def test_two_runs_write_byte_identical_trees(self, tmp_path):
+        trees = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            assert main(["verify-all", "--output", str(out)]) == 0
+            trees.append(sorted((str(p.relative_to(out)), p.read_bytes())
+                                for p in out.rglob("*") if p.is_file()))
+        assert trees[0] and trees[0] == trees[1]
 
     def test_empty_or_missing_registry_exits_2(self, tmp_path, monkeypatch):
         for registry in (tmp_path, tmp_path / "missing"):

@@ -8,7 +8,6 @@ import pytest
 from sgcalc import complexfn
 from sgcalc.complexfn import (
     _is_simple_polyline,
-    as_transform,
     babylem_radius,
     jordan_curve,
     ray_max,
@@ -17,9 +16,8 @@ from sgcalc.complexfn import (
     vanishing_order,
 )
 from sgcalc.cli import NAMED_MEASURES
-from sgcalc.errors import WindowViolationError
+from sgcalc.errors import AllZeroError, WindowViolationError
 from sgcalc.measures import (
-    CompactDistribution,
     convolve,
     from_atoms,
     indicator,
@@ -40,19 +38,20 @@ REAL_MEASURES = [D12, D1234, STEP]
 class TestTransform:
     @pytest.mark.parametrize("name", sorted(NAMED_MEASURES))
     def test_decay_bound_is_the_closed_form(self, name):
-        # ray_max grows its window from this bound, so a different rounding
-        # here would move the window and every artifact downstream
+        # ray_max samples [0, X], with X grown from the bound
+        # |F(x)| <= tv0 * exp(-x * support_min); a different rounding of it
+        # would move X and every artifact downstream
         mu = NAMED_MEASURES[name]()
-        F = as_transform(mu)
-        for x in (0.0, 0.5, math.log(2.0), 3.0, 17.25):
-            assert F.decay_bound(x) == tv_moment(mu, 0) * math.exp(-x * mu.support_min)
+        tv0 = tv_moment(mu, 0)
+        floor = 1e-9 * tv0
+        x = max(4.0 * mu.support_max, 1.0)
+        while tv0 * math.exp(-x * mu.support_min) >= floor:
+            x *= 1.5
+        assert complexfn._ray_window(mu) == (x, floor)
 
-    def test_zero_measure_decays_to_zero(self):
-        assert as_transform(zero_measure()).decay_bound(0.0) == 0.0
-
-    def test_distribution_is_refused(self):
-        with pytest.raises(TypeError):
-            as_transform(CompactDistribution(0, (D12,)))
+    def test_zero_measure_is_refused(self):
+        with pytest.raises(AllZeroError):
+            ray_max(zero_measure())
 
 
 class TestRayMax:
@@ -64,7 +63,7 @@ class TestRayMax:
         assert not ray.sign_flipped
 
     def test_sign_normalization(self):
-        ray = ray_max(as_transform(-D12))
+        ray = ray_max(-D12)
         assert ray.value == pytest.approx(0.25, abs=1e-10)
         assert ray.sign_flipped
 
@@ -99,40 +98,36 @@ class TestVanishingOrder:
         assert coeff == pytest.approx(fd / 2.0, abs=1e-5)
 
     def test_zeroth_coefficient_is_value(self):
-        coeffs = taylor_coefficients(as_transform(D12), math.log(2.0), 0.1, 3)
+        coeffs = taylor_coefficients(D12, math.log(2.0), 0.1, 3)
         assert coeffs[0] == pytest.approx(laplace(D12, math.log(2.0)), abs=1e-10)
 
     def test_even_order_at_interior_ray_maximum(self):
         squared = convolve(D12, D12)
         for mu in [D12, D1234, STEP, squared]:
-            F = as_transform(mu)
-            ray = ray_max(F)
-            Fn = as_transform(-mu) if ray.sign_flipped else F
-            m, _ = vanishing_order(Fn, ray.alpha)
+            ray = ray_max(mu)
+            m, _ = vanishing_order(-mu if ray.sign_flipped else mu, ray.alpha)
             assert m % 2 == 0
 
 
 class TestBabylem:
     @pytest.mark.parametrize("mu", REAL_MEASURES, ids=["atoms2", "atoms4", "step"])
     def test_disk_below_circle(self, mu):
-        F = as_transform(mu)
-        pair = babylem_radius(F)
+        pair = babylem_radius(mu)
         assert 0 < pair.r < pair.R
         assert pair.delta_circle > 0
         # dense a-posteriori check of the separation
         theta = np.linspace(0.0, 2 * math.pi, 720)
-        circle_min = float(np.min(np.abs(F(pair.R * np.exp(1j * theta)))))
+        circle_min = float(np.min(np.abs(laplace(mu, pair.R * np.exp(1j * theta)))))
         rad = np.linspace(0.0, pair.r, 60)[:, None]
-        disk_sup = float(np.max(np.abs(F(rad * np.exp(1j * theta)[None, :]))))
+        disk_sup = float(np.max(np.abs(laplace(mu, rad * np.exp(1j * theta)[None, :]))))
         assert disk_sup < circle_min - 1e-3
 
     def test_window_property_under_scaling(self):
         # shrinking the argument by u keeps the disk/circle separation
-        F = as_transform(D12)
-        pair = babylem_radius(F)
+        pair = babylem_radius(D12)
         u = 0.5 * pair.r / pair.R
         theta = np.linspace(0.0, 2 * math.pi, 360)
-        inner = float(np.max(np.abs(F(u * pair.R * np.exp(1j * theta)))))
+        inner = float(np.max(np.abs(laplace(D12, u * pair.R * np.exp(1j * theta)))))
         assert inner < pair.delta_circle
 
 
@@ -192,46 +187,45 @@ class TestJordanCurve:
 
 
 class TestSeparationCurve:
-    F = as_transform(D12)
-    RAY, RADII = ray_max(F), babylem_radius(F)
+    RAY, RADII = ray_max(D12), babylem_radius(D12)
 
     def test_axis_clearance(self):
-        curve = separation_curve(self.F, 0.01, 5.0, self.RAY, self.RADII)
+        curve = separation_curve(D12, 0.01, 5.0, self.RAY, self.RADII)
         assert curve.radius > 5.0
         assert curve.v_k.real == 0.0
 
     def test_scaling_relation(self):
-        c1 = separation_curve(self.F, 0.01, 5.0, self.RAY, self.RADII)
-        c2 = separation_curve(self.F, 0.02, 2.5, self.RAY, self.RADII)
+        c1 = separation_curve(D12, 0.01, 5.0, self.RAY, self.RADII)
+        c2 = separation_curve(D12, 0.02, 2.5, self.RAY, self.RADII)
         # same scale-1 construction, vertices differ by the ratio of scales
         ratio = 0.02 / 0.01
         assert c1.alpha_k == pytest.approx(c2.alpha_k * ratio, rel=1e-12)
 
     def test_window_violation(self):
         with pytest.raises(WindowViolationError):
-            separation_curve(self.F, 1.0, 2.0 * self.RADII.r, self.RAY, self.RADII)
+            separation_curve(D12, 1.0, 2.0 * self.RADII.r, self.RAY, self.RADII)
 
     def test_values_dominate_ray_maximum(self):
-        F, ray = self.F, self.RAY
+        ray = self.RAY
         u = 0.001
-        curve = separation_curve(F, u, 5.0, ray, self.RADII)
+        curve = separation_curve(D12, u, 5.0, ray, self.RADII)
         gamma = curve.gamma_k0_vertices
         for z1, z2 in zip(gamma, gamma[1:]):
             zz = np.asarray(z1) + np.linspace(0.0, 1.0, 200) * (np.asarray(z2) - np.asarray(z1))
-            vals = np.abs(F(u * zz))
+            vals = np.abs(laplace(D12, u * zz))
             if abs(z1 - curve.alpha_k) < 1e-12:
                 vals = vals[1:]
             assert np.all(vals >= ray.value - 1e-9)
 
 
-def _deque_flood_fill(F, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
+def _deque_flood_fill(mu, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
     """Reference: the queue-based BFS that the frontier sweep replaced."""
     dx = x_max / nx
     dy = y_max / ny
     xc = (np.arange(nx) + 0.5) * dx
     yc = (np.arange(ny) + 0.5) * dy
     Z = xc[None, :] + 1j * yc[:, None]
-    absF = np.abs(F(Z))
+    absF = np.abs(laplace(mu, Z))
     mask = absF > f_a0
 
     i1 = min(int(a1.real / dx), nx - 1)
@@ -267,10 +261,10 @@ def _deque_flood_fill(F, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
     jc, ic = contact
     a2 = complex(xc[ic], yc[jc])
     a3 = 1j * yc[jc]
-    if abs(complex(F(a3))) <= f_a0:
+    if abs(complex(laplace(mu, a3))) <= f_a0:
         ys = yc[jc] + dy * np.linspace(-0.5, 0.5, 41)
         ys = ys[(ys > min_axis_height) & (ys > 0)]
-        vals = np.abs(F(1j * ys))
+        vals = np.abs(laplace(mu, 1j * ys))
         k = int(np.argmax(vals))
         if vals[k] <= f_a0:
             return None
@@ -310,8 +304,7 @@ def test_frontier_sweep_matches_queue_bfs(monkeypatch, mu, min_axis_height):
         return result
 
     monkeypatch.setattr(complexfn, "_flood_fill_curve", compared)
-    F = as_transform(mu)
-    jordan_curve(F, ray_max(F), min_axis_height=min_axis_height)
+    jordan_curve(mu, ray_max(mu), min_axis_height=min_axis_height)
     assert calls and calls[-1] is not None
 
 

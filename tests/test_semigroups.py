@@ -91,13 +91,6 @@ class TestNilpotentShift:
         assert sg.offset(t) == ks[i] == k + 1
         assert sg.constancy_intervals(t, 1.0)[2][0] == k + 1
 
-    def test_offgrid_requests_are_recorded(self):
-        sg = nilpotent_shift(10)
-        sg.materialize(0.3)
-        assert sg.offgrid_roundings == []
-        sg.materialize(0.33)
-        assert sg.offgrid_roundings == [0.33]
-
 
 class TestRiemannLiouville:
     def test_t_one_is_integration_operator(self):
