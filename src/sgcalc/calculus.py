@@ -221,9 +221,12 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     lower-triangular Toeplitz there (``linalg._lower_toeplitz`` builds the
     matrix).  Every other backend returns n x n matrices: diagonal backends
     use the scalar closed form (convergent for Re lam below the spectral
-    abscissa); the rest use composite Gauss-Legendre panels extended until
-    the tail is provably below _RESOLVENT_TAIL_TOL; the batch shares them,
-    materializing each node once, and each lam stops at its own panel.
+    abscissa); the rest use composite Gauss-Legendre panels of width 1/2,
+    and a lam stops (from t = 2 on) at the first panel end t where the
+    integrand bound ``opnorm_bound(T(t))`` e^(max(Re lam, 0) t) is below
+    _RESOLVENT_TAIL_TOL.  That tests the integrand at one point, not the
+    omitted tail integral, which can be larger by the inverse decay rate.
+    The batch shares the panels, materializing each node once.
     """
     lams = [complex(lam) for lam in lams]
     if isinstance(backend, NilpotentShift):
@@ -238,7 +241,7 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
                 )
         return [np.diag(1.0 / (lam - backend.lambdas)) for lam in lams]
 
-    # open-ended integral: extend panels until the decay certifies each tail
+    # open-ended integral: extend panels until each lam's integrand bound is small
     n = backend.dim
     sums = [np.zeros((n, n), dtype=complex) for _ in lams]
     live = list(range(len(lams)))
@@ -419,6 +422,7 @@ def lemma_27_check(backend: SemigroupBackend, phi: CompactDistribution,
     p = phi.order
     n = backend.dim
     powers = _matrix_power_table(A, Ainv, -p - 1 - max(p - 1, 0), p)
+    norms = {j: op_norm(powers[j]) for j in range(-p, 1)}  # ||A^j||, the bound's only norms
     c = [tv_moment(m, 1) for m in phi.components]
     d = [tv_moment(m, 0) for m in phi.components]
     Fop = ep_calc(backend, phi, 1.0)
@@ -441,10 +445,8 @@ def lemma_27_check(backend: SemigroupBackend, phi: CompactDistribution,
         lhs = op_norm(B)
         bound = 0.0
         for m in range(p + 1):
-            bound += c[m] * op_norm(powers[m - p])
-            bound += d[m] * sum(
-                abs(lam) ** k * op_norm(powers[m - 1 - k - p]) for k in range(m)
-            )
+            bound += c[m] * norms[m - p]
+            bound += d[m] * sum(abs(lam) ** k * norms[m - 1 - k - p] for k in range(m))
         margin = bound + _BOUND_SLACK + Fop.quadrature_budget - lhs
         if margin < 0:
             raise BoundViolationError(

@@ -112,6 +112,8 @@ def _build_backend(spec):
 
 
 def _build_u_grid(spec, backend):
+    """{"values": [u, ...]}, or {"kind": "grid-aligned", "count": c}: u = k/n
+    for k = 1..c on an n-cell shift backend."""
     spec = _object(spec, "u_grid")
     if "values" in spec:
         vals = [_number(v) for v in spec["values"]]
@@ -120,12 +122,8 @@ def _build_u_grid(spec, backend):
             raise ConfigError("grid-aligned u_grid needs a shift backend")
         vals = [k * backend.grid_step for k in range(1, _number(spec["count"], int) + 1)]
     else:
-        start, stop = _number(spec["start"]), _number(spec["stop"])
-        count = _number(spec["count"], int)
-        if spec.get("spacing") == "log":
-            vals = list(np.geomspace(start, stop, count))
-        else:
-            vals = list(np.linspace(start, stop, count))
+        raise ConfigError('u_grid must be {"values": [...]} or '
+                          '{"kind": "grid-aligned", "count": ...}')
     if not vals or any(v <= 0 for v in vals) or any(
         b <= a for a, b in zip(vals, vals[1:])
     ):
@@ -356,6 +354,10 @@ def _cmd_resolvent_check(cfg: RunConfig, out: Path):
 
 def _cmd_idempotents(cfg: RunConfig, out: Path):
     charset = spectral.character_set(cfg.backend)
+    for m in (*cfg.m_list, cfg.m):
+        if m is not None and m not in charset.slices:
+            raise ConfigError(f"m = {m} names no slice of the character set, whose "
+                              f"slices are m = 0..{len(charset.slices) - 1}")
     m_list = cfg.m_list or tuple(sorted(charset.slices))[-4:]
     chain = spectral.build_idempotents(charset, m_list)
     u = cfg.u if cfg.u is not None else 1e-3

@@ -1,6 +1,11 @@
 """Linear-algebra plumbing: matrix exponential, operator norm, spectral radius,
 and the BLAS thread cap (``serial_blas``) that every command runs under.
 
+This is the one module that imports scipy.  The matrix exponential and the
+dense lower-triangular Toeplitz matrix are scipy's own (``scipy.linalg.expm``,
+``scipy.linalg.toeplitz``); ``expm`` and ``_lower_toeplitz`` only fix the
+result's dtype (complex, and the column's), so no other module calls scipy.
+
 Dense operator norms take power iteration on M*M.  Every norm of a
 lower-triangular Toeplitz matrix, given by its first column, goes through one
 front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
@@ -22,18 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
-from numpy.lib.stride_tricks import sliding_window_view
+import scipy.linalg
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-# Pade coefficients for the degree-13 diagonal approximant of exp.
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
 
 _SEED = 0  # start vectors of every power iteration
 _POWER_TOL = 1e-10
@@ -46,32 +42,8 @@ _ROUND_UP = 1.0 + 2.0**-50
 
 
 def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 Pade core."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("expm expects a square matrix")
-    nrm = np.linalg.norm(A, 1)
-    s = max(0, int(math.ceil(math.log2(nrm / _THETA13))) if nrm > _THETA13 else 0)
-    As = A / (2.0**s)
-
-    I = np.eye(n, dtype=complex)
-    A2 = As @ As
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    b = _PADE13
-    U = As @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
-    )
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
+    """Matrix exponential e^A as a complex array (``scipy.linalg.expm``)."""
+    return scipy.linalg.expm(np.asarray(A, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -150,13 +122,8 @@ def opnorm_bound(x: np.ndarray) -> float:
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
     """The lower-triangular Toeplitz matrix with first column col, in col's
-    dtype: T[i, j] = col[i - j] for i >= j, else 0.  Row i is the window
-    u[n-1-i : 2n-1-i] of u = (col reversed, then n - 1 zeros), copied out of
-    one strided view."""
-    n = len(col)
-    u = np.zeros(2 * n - 1, dtype=col.dtype)
-    u[:n] = col[::-1]
-    return sliding_window_view(u, n)[::-1].copy()
+    dtype: T[i, j] = col[i - j] for i >= j, else 0."""
+    return scipy.linalg.toeplitz(col, np.zeros_like(col))
 
 
 def toeplitz_opnorm(c: np.ndarray) -> float:

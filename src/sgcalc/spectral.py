@@ -324,7 +324,10 @@ def sharpness_demo(n: int, mu: CompactMeasure, u_list, ray: RayMaximum) -> Sharp
     require_mass_zero(mu)
     if not mu.is_real:
         raise ConfigError("sharpness demo expects a real measure")
-    lambdas = MultiplicationC0(n).lambdas.real  # -log x_j, real: real exp in laplace
+    try:
+        lambdas = MultiplicationC0(n).lambdas.real  # -log x_j, real: real exp in laplace
+    except ValueError as exc:
+        raise ConfigError(f"sharpness at n = {n}: {exc}") from None
     rows = []
     for u in u_list:
         u = float(u)

@@ -93,8 +93,12 @@ class TestConfigErrors:
          "u_grid": {"values": [0.25, 0.5]}},
         {"command": "resolvent-check",
          "backend": {"kind": "matrix", "matrix": [["-1.0", 0.0], [0.0, -2.0]]}},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"start": 0.25, "stop": 0.5, "count": 2}},
     ], ids=["lambda_grid", "t_grid", "u", "u_grid-count", "u_grid-list", "seed-overflow",
-            "backend-list", "n-fraction", "n-text", "atom-t-text", "matrix-text"])
+            "backend-list", "n-fraction", "n-text", "atom-t-text", "matrix-text",
+            "u_grid-start-stop"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload):
         cfg = _write_config(tmp_path / "c.json", payload)
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
@@ -190,6 +194,7 @@ class TestConfigDeterminedRefusals:
     failed check, 1 with the error in summary.json), never with a traceback."""
 
     SHIFT = {"kind": "nilpotent_shift", "n": 16}
+    RANGE = {"kind": "diagonal-range", "start": 1, "stop": 200}
     TWISTED = "twisted-delta-difference"
 
     @pytest.mark.parametrize("payload, code, error", [
@@ -211,9 +216,15 @@ class TestConfigDeterminedRefusals:
         ({"command": "sweep", "measure": "delta-difference",
           "backend": {"kind": "nilpotent_shift", "n": 512},
           "u_grid": {"values": [0.001]}}, 2, None),
+        ({"command": "idempotents", "measure": "delta-difference",
+          "backend": RANGE, "m_list": [50, 500]}, 2, None),
+        ({"command": "idempotents", "measure": "delta-difference",
+          "backend": RANGE, "m": 999}, 2, None),
+        ({"command": "sharpness", "measure": "delta-difference", "n_list": [5]}, 2, None),
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
             "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow",
-            "lemma24-left-side-overflow", "sweep-offgrid-atom"])
+            "lemma24-left-side-overflow", "sweep-offgrid-atom", "idempotents-m_list-no-slice",
+            "idempotents-m-no-slice", "sharpness-coarse-grid"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
