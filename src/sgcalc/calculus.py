@@ -38,7 +38,6 @@ from .measures import (
     convolve,
     laplace,
     laplace_distribution,
-    poly_moment,
     require_mass_zero,
     tv_moment,
 )
@@ -65,7 +64,7 @@ class OperatorValue:
 
     matrix: np.ndarray | None
     diag: np.ndarray | None
-    provenance: tuple
+    provenance: tuple  # always (); kept because callers pass the slot by position
     quadrature_budget: float
     shift_weights: dict | None = None
     dim: int = 0
@@ -98,9 +97,8 @@ class OperatorValue:
 
     def matmul(self, other: "OperatorValue") -> "OperatorValue":
         budget = self.quadrature_budget + other.quadrature_budget
-        prov = ("product", self.provenance, other.provenance)
         if self.is_diag and other.is_diag:
-            return OperatorValue(None, self.diag * other.diag, prov, budget)
+            return OperatorValue(None, self.diag * other.diag, (), budget)
         if self.shift_weights is not None and other.shift_weights is not None:
             combined: dict[int, complex] = {}
             for k1, w1 in self.shift_weights.items():
@@ -108,30 +106,39 @@ class OperatorValue:
                     k = k1 + k2
                     if k < self.dim:
                         combined[k] = combined.get(k, 0.0) + w1 * w2
-            return OperatorValue(None, None, prov, budget,
+            return OperatorValue(None, None, (), budget,
                                  shift_weights=combined, dim=self.dim)
-        return OperatorValue(self.to_dense() @ other.to_dense(), None, prov, budget)
+        return OperatorValue(self.to_dense() @ other.to_dense(), None, (), budget)
 
 
-def _shift_piece_weights(backend: NilpotentShift, piece, u: float) -> dict:
-    """Exact weights w_k with int p(t) T(ut) dt = sum_k w_k S^k on the shift model.
+def _shift_piece_weights(backend: NilpotentShift, piece, u: float):
+    """Arrays (k, w): int p(t) T(ut) dt = sum_i w[i] S^k[i] on the shift model.
 
-    T(ut) is constant on each interval of ``constancy_intervals`` at scale u,
-    so the piece integrates there in closed form.
+    T(ut) is constant on each interval [t0, t1) of ``constancy_intervals`` at
+    scale u, so the piece integrates there in closed form: w is
+    sum_j c_j (t1^(j+1) - t0^(j+1)) / (j + 1), summed in the order and with the
+    powers (Python's float pow) of ``measures.poly_moment``, so each weight
+    is the one poly_moment gives for its interval.
     """
-    weights: dict[int, complex] = {}
-    intervals = backend.constancy_intervals(piece.a, piece.b, scale=u)
-    for t0, t1, k in zip(*(a.tolist() for a in intervals)):
-        weights[k] = weights.get(k, 0.0) + poly_moment(piece.coeffs, t0, t1)
-    return weights
+    t0, t1, k = backend.constancy_intervals(piece.a, piece.b, scale=u)
+    w = np.zeros(len(k), dtype=complex)
+    for p, c in enumerate(piece.coeffs, start=1):
+        if p == 1:
+            d = t1 - t0
+        else:
+            d = np.array([b**p - a**p for a, b in zip(t0.tolist(), t1.tolist())])
+        w.real += c.real * d / p
+        w.imag += c.imag * d / p
+    return k, w
 
 
 def _shift_column(n: int, weights: dict) -> np.ndarray:
     """First column of sum_k w_k S^k on C^n."""
+    k = np.fromiter(weights, dtype=int, count=len(weights))
+    w = np.fromiter(weights.values(), dtype=complex, count=len(weights))
+    keep = k < n
     col = np.zeros(n, dtype=complex)
-    for k, w in weights.items():
-        if k < n:
-            col[k] = col[k] + w
+    col[k[keep]] = w[keep]
     return col
 
 
@@ -151,11 +158,10 @@ def func_calc(
     """
     if u <= 0:
         raise ValueError("scale u must be positive")
-    prov = (type(backend).__name__, repr(mu)[:60], u)
 
     if isinstance(backend, DiagonalSemigroup):
         vals = laplace(mu, u * backend.lambdas)
-        return OperatorValue(None, np.asarray(vals, dtype=complex), prov, 0.0)
+        return OperatorValue(None, np.asarray(vals, dtype=complex), (), 0.0)
 
     if isinstance(backend, NilpotentShift):
         weights: dict[int, complex] = {}
@@ -166,9 +172,10 @@ def func_calc(
             k = backend.offset(u * t)
             weights[k] = weights.get(k, 0.0) + w
         for piece in mu.pieces:
-            for k, w in _shift_piece_weights(backend, piece, u).items():
+            ks, ws = _shift_piece_weights(backend, piece, u)
+            for k, w in zip(ks.tolist(), ws.tolist()):
                 weights[k] = weights.get(k, 0.0) + w
-        return OperatorValue(None, None, prov, 0.0,
+        return OperatorValue(None, None, (), 0.0,
                              shift_weights=weights, dim=backend.dim)
 
     n = backend.dim
@@ -184,7 +191,7 @@ def func_calc(
         )
         M += fine
         budget += op_norm(fine - coarse)
-    return OperatorValue(M, None, prov, budget)
+    return OperatorValue(M, None, (), budget)
 
 
 def _gauss_legendre(a: float, b: float, order: int = _DEFAULT_GL_ORDER):
@@ -292,10 +299,9 @@ def resolvent_identity_residuals(backend: SemigroupBackend, pairs) -> list[float
 
 def ep_calc(backend: SemigroupBackend, phi: CompactDistribution, u: float) -> OperatorValue:
     """F(-uA) = sum_j (uA)^j G_j(-uA) for a distribution phi = (mu_0 .. mu_p)."""
-    prov = (type(backend).__name__, f"order-{phi.order} distribution", u)
     if isinstance(backend, DiagonalSemigroup):
         vals = laplace_distribution(phi, u * backend.lambdas)
-        return OperatorValue(None, np.asarray(vals, dtype=complex), prov, 0.0)
+        return OperatorValue(None, np.asarray(vals, dtype=complex), (), 0.0)
     A = backend.generator
     if A is None:
         raise NoGeneratorError("distribution calculus needs a bounded generator")
@@ -311,7 +317,7 @@ def ep_calc(backend: SemigroupBackend, phi: CompactDistribution, u: float) -> Op
         Gj = func_calc(backend, mu_j, u)
         M += power @ Gj.to_dense()
         budget += op_norm(power) * Gj.quadrature_budget
-    return OperatorValue(M, None, prov, budget)
+    return OperatorValue(M, None, (), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +354,8 @@ def lemma_24_check(backend: SemigroupBackend, mu: CompactMeasure, lam_grid) -> L
     quasinilpotent contraction semigroup, and the nilpotent shift is the one
     such model: there F(-A), R(lam) and K(t, lam) are lower-triangular
     Toeplitz, so both sides are formed as first columns (products become
-    truncated convolutions), and the left sides' norms take FFT matvecs: no
-    n x n matrix is built.  A left side that is not finite in double is a
+    truncated convolutions, and the left sides' norms iterate on the column):
+    no n x n matrix is built.  A left side that is not finite in double is a
     config error.
     """
     if not isinstance(backend, NilpotentShift):

@@ -11,9 +11,13 @@ lower-triangular Toeplitz matrix, given by its first column, goes through one
 front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
 that its public entry names: ``banded_toeplitz_opnorm`` for F(-uA) on the
 shift model (banded Gram matrix or Lanczos), ``toeplitz_opnorm`` for full
-columns such as resolvents (power iteration with FFT matvecs).  A norm that
-feeds only a "<= tolerance" gate takes ``opnorm_bound`` instead, a proved
-upper bound that needs no iteration.
+columns such as resolvents (power iteration).  Lanczos and power iteration
+share one Gram product, ``_toeplitz_gram``: direct convolution for narrow
+sections, an FFT of 2-3-5-smooth length for wide ones, whichever a cost rule
+fitted to measured timings (``_gram_fft_length``) finds cheaper; numpy's FFT,
+not scipy's, which would add to start-up.  A norm that feeds only a
+"<= tolerance" gate takes ``opnorm_bound`` instead, a proved upper bound that
+needs no iteration.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ _POWER_MAX_ITER = 2000
 _SAFE_EXP = 200
 _LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
 _LANCZOS_NCV = 30  # Lanczos basis size
+# Cost in ns of one Gram product (``_gram_fft_length``) by dtype kind, fitted
+# to timings on a 2-core x86-64 host with numpy 2.4 (pocketfft) and OpenBLAS:
+# (per call, per element) of each dot product of direct convolution, and
+# (fixed, per N log2 N) of the FFT kernel
+_DOT_NS = {"f": (22.0, 0.092), "c": (43.0, 0.33)}
+_FFT_NS = {"f": (48_000, 4.3), "c": (56_000, 7.2)}
 # rounds a bound up past every rounding of |entry|, fsum, sqrt and product
 _ROUND_UP = 1.0 + 2.0**-50
 
@@ -128,8 +138,8 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
 
 def toeplitz_opnorm(c: np.ndarray) -> float:
     """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c,
-    for full columns (resolvents and their products): ``_fft_power_opnorm``."""
-    return _toeplitz_opnorm(c, _fft_power_opnorm)
+    for full columns (resolvents and their products): ``_toeplitz_power_opnorm``."""
+    return _toeplitz_opnorm(c, _toeplitz_power_opnorm)
 
 
 def banded_toeplitz_opnorm(c: np.ndarray) -> float:
@@ -162,39 +172,87 @@ def _toeplitz_opnorm(c: np.ndarray, route) -> float:
     return math.ldexp(route(band, len(c) - k0), exp)
 
 
-def _fft_power_opnorm(c: np.ndarray, m: int) -> float:
-    """Route of ``toeplitz_opnorm``: power iteration with FFT matvecs,
-    O(m log m) each; the matrix is built only for the SVD fallback on
-    non-convergence."""
+def _toeplitz_power_opnorm(c: np.ndarray, m: int) -> float:
+    """Route of ``toeplitz_opnorm``: power iteration on ``_toeplitz_gram``;
+    the matrix is built only for the SVD fallback on non-convergence."""
     res = _power_iteration(_toeplitz_gram(c, m), m)
     if res.converged:
         return res.value
     return float(np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
 
 
-def _toeplitz_gram(c: np.ndarray, m: int):
-    """v -> T^H T v for the m x m lower-triangular Toeplitz T with first
-    column c, zero-padded to m.
+def _smooth_length(L: int) -> int:
+    """Smallest N >= L whose only prime factors are 2, 3 and 5 (1 for L <= 1)."""
+    best = 1 << max(L - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-L // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Each product is a circulant embedding of length N >= 2m - 1, so nothing
-    wraps around: T x = ifft(fft(c) fft(x))[:m], and T^H y is the same with
-    conj(fft(c)), a correlation with c.
+
+def _gram_fft_length(m: int, b: int, kind: str) -> int:
+    """FFT length N for ``_toeplitz_gram`` of an m x m section of half-bandwidth
+    b and dtype kind ("f" or "c"), or 0 where direct convolution costs less.
+
+    N is the smallest 2-3-5-smooth length >= m + b.  Direct convolution
+    takes one dot product of length at most b + 1 per output, 2 (m + b) of
+    them; the FFT kernel four transforms of length N.
     """
-    N = 1 << (2 * m - 2).bit_length()
-    fc = np.fft.fft(c, N)
-    fch = fc.conj()
+    N = _smooth_length(m + b)
+    per_dot, per_term = _DOT_NS[kind]
+    fixed, per_nlogn = _FFT_NS[kind]
+    direct_ns = 2 * (m + b) * (per_dot + per_term * (b + 1))
+    return N if fixed + per_nlogn * N * math.log2(N) < direct_ns else 0
 
-    def gram(v):
-        Tv = np.fft.ifft(fc * np.fft.fft(v, N))[:m]
-        return np.fft.ifft(fch * np.fft.fft(Tv, N))[:m]
 
+def _toeplitz_gram(c: np.ndarray, m: int):
+    """v -> T'^H T' v for the m x m lower-triangular Toeplitz T' whose first
+    column is c (len(c) = b + 1 <= m), zero beyond; v has c's dtype.
+
+    The kernel is the cheaper one by ``_gram_fft_length``.  Direct
+    convolution, O(m b): T'x = (c * x)[:m] and T'^H y = (conj(c) reversed
+    * y)[b:b+m].  Or a circular embedding of length N >= m + b, at which
+    neither product wraps around, O(N log N): T'x = ifft(fft(c) fft(x))[:m],
+    and T'^H y the same with conj(fft(c)), by rfft/irfft for a real c and
+    fft/ifft for a complex one.  The function's ``forward`` attribute is
+    x -> T'x from the same kernel.
+    """
+    b = len(c) - 1
+    N = _gram_fft_length(m, b, c.dtype.kind)
+    if not N:
+        rc = np.conj(c[::-1])
+
+        def forward(x):
+            return np.convolve(c, x.ravel())[:m]
+
+        def gram(v):
+            return np.convolve(rc, forward(v))[b: b + m]
+    else:
+        if c.dtype.kind == "c":
+            fft, ifft = np.fft.fft, np.fft.ifft
+        else:
+            fft, ifft = np.fft.rfft, functools.partial(np.fft.irfft, n=N)
+        fc = fft(c, N)
+        fch = fc.conj()
+
+        def forward(x):
+            return ifft(fc * fft(x.ravel(), N))[:m]
+
+        def gram(v):
+            return ifft(fch * fft(forward(v), N))[:m]
+
+    gram.forward = forward
     return gram
 
 
 def _band_or_lanczos_opnorm(c: np.ndarray, m: int) -> float:
     """Route of ``banded_toeplitz_opnorm``: a narrow band (b < _LANCZOS_MIN_BAND)
     takes sqrt(lambda_max) of its banded Gram matrix (``_band_opnorm``), a wider
-    one Lanczos with convolution matvecs (``_lanczos_opnorm``), falling back to
+    one Lanczos on ``_toeplitz_gram`` (``_lanczos_opnorm``), falling back to
     the band if ARPACK does not converge.  A real band stays real."""
     if not np.any(c.imag):
         c = c.real
@@ -229,23 +287,17 @@ def _band_opnorm(c: np.ndarray, m: int) -> float:
 def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
     """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', T' as in ``_band_opnorm``.
 
-    Each matvec is two convolutions with the first column, O(m b) flops:
-    T'x = (c * x)[:m] and T'^H y = (conj(c) reversed * y)[b:b+m].  The
-    value returned is the witness ||T'x|| / ||x|| of the Ritz vector x, a
+    Each matvec is a ``_toeplitz_gram`` product.  The value returned is the
+    witness ||T'x|| / ||x|| of the Ritz vector x, from the same kernel, a
     lower bound on ||T'|| whatever ARPACK converged to.  The start vector is
     fixed, so the result does not depend on earlier calls.
     """
-    b = len(c) - 1
-    rc = np.conj(c[::-1])
-
-    def gram(x):
-        return np.convolve(rc, np.convolve(c, x.ravel())[:m])[b: b + m]
-
+    gram = _toeplitz_gram(c, m)
     op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
     v0 = np.random.default_rng(_SEED).normal(size=m)
     _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
     x = vec[:, 0]
-    return float(np.linalg.norm(np.convolve(c, x)[:m]) / np.linalg.norm(x))
+    return float(np.linalg.norm(gram.forward(x)) / np.linalg.norm(x))
 
 
 def spectral_radius(M: np.ndarray) -> float:

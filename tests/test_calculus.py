@@ -13,6 +13,7 @@ from sgcalc import calculus, linalg
 from sgcalc.calculus import (
     OperatorValue,
     _gauss_legendre,
+    _shift_column,
     _shift_kernel,
     ep_calc,
     empirical_eta,
@@ -44,6 +45,7 @@ from sgcalc.measures import (
     indicator,
     laplace,
     laplace_distribution,
+    poly_moment,
     zero_measure,
 )
 from sgcalc.semigroups import (
@@ -58,7 +60,39 @@ D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 STEP = indicator(1, 2) + indicator(2, 3, -1.0)
 
 
+def _per_interval_column(backend: NilpotentShift, mu, u: float) -> np.ndarray:
+    """The shift column of F(-uA) summed cell by cell, one ``poly_moment`` per
+    interval of ``constancy_intervals``: the reference for the array weights."""
+    weights = {}
+    for t, w in mu.atoms:
+        k = backend.offset(u * t)
+        weights[k] = weights.get(k, 0.0) + w
+    for piece in mu.pieces:
+        t0, t1, ks = backend.constancy_intervals(piece.a, piece.b, scale=u)
+        for a, b, k in zip(t0.tolist(), t1.tolist(), ks.tolist()):
+            weights[k] = weights.get(k, 0.0) + poly_moment(piece.coeffs, a, b)
+    col = np.zeros(backend.dim, dtype=complex)
+    for k, w in weights.items():
+        if k < backend.dim:
+            col[k] = col[k] + w
+    return col
+
+
 class TestFuncCalc:
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("measure", ["step", "complex-indicator", "degree-2"])
+    def test_shift_cell_weights_match_the_per_interval_sums_bit_for_bit(self, measure, n):
+        mu = {
+            "step": STEP,
+            "complex-indicator": indicator(0.7, 2.3, 0.6 - 1.1j),
+            # powers past the first are Python's float pow, as in poly_moment
+            "degree-2": CompactMeasure(pieces=(Piece(0.3, 1.9, (0.5, -1.25 + 0.5j, 2 - 0.75j)),)),
+        }[measure]
+        sg = nilpotent_shift(n)
+        for u in (5 / n, 37 / n, 0.0123457, 1 / 3, 0.41):  # on the grid, then off it
+            got = _shift_column(n, func_calc(sg, mu, u).shift_weights)
+            assert got.tobytes() == _per_interval_column(sg, mu, u).tobytes()
+
     def test_shift_atoms_exact(self):
         sg = nilpotent_shift(32)
         u = 4 / 32

@@ -33,10 +33,11 @@ def _sweep_config(tmp_path, name="config.json", **overrides):
 
 
 def test_import_loads_neither_scipy_integrate_nor_signal():
-    # each costs start-up time (scipy.special about 0.1 s, the others a quarter
-    # second or more), and no shipped run needs it
+    # each costs start-up time (scipy.fft about 0.07 s, scipy.special about
+    # 0.1 s, the others a quarter second or more), and no shipped run needs it
     code = ("import sys, sgcalc.cli; print([m for m in "
-            "('scipy.integrate', 'scipy.signal', 'scipy.special') if m in sys.modules])")
+            "('scipy.fft', 'scipy.integrate', 'scipy.signal', 'scipy.special') "
+            "if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(sgcalc.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 import sgcalc
 from sgcalc import calculus, linalg
 from sgcalc.calculus import _shift_column, func_calc
-from sgcalc.cli import NAMED_MEASURES, _default_lambda_grid
+from sgcalc.cli import CONFIG_DIR, NAMED_MEASURES, _default_lambda_grid, main
 from sgcalc.linalg import (
     _LANCZOS_MIN_BAND,
+    _gram_fft_length,
+    _lanczos_opnorm,
     _lower_toeplitz,
     _power_iteration,
+    _smooth_length,
     _toeplitz_gram,
     banded_toeplitz_opnorm,
     expm,
@@ -149,6 +152,91 @@ class TestToeplitzOpNorm:
         monkeypatch.setattr(linalg, "_POWER_MAX_ITER", 1)
         assert not _power_iteration(_toeplitz_gram(c, len(c)), len(c)).converged
         assert toeplitz_opnorm(c) == np.linalg.norm(_lower_toeplitz(c), 2)
+
+
+def _force_kernel(monkeypatch, kernel):
+    """Make every ``_toeplitz_gram`` take direct convolution or the FFT."""
+    if kernel == "direct":
+        monkeypatch.setattr(linalg, "_gram_fft_length", lambda m, b, kind: 0)
+    else:
+        monkeypatch.setattr(linalg, "_gram_fft_length", lambda m, b, kind: _smooth_length(m + b))
+
+
+def _spy_kernel_choices(monkeypatch) -> list:
+    """(m, b, kind, FFT length or 0) of every ``_toeplitz_gram`` built from now on."""
+    choices = []
+    choose = linalg._gram_fft_length
+
+    def spy(m, b, kind):
+        choices.append((m, b, kind, choose(m, b, kind)))
+        return choices[-1][3]
+
+    monkeypatch.setattr(linalg, "_gram_fft_length", spy)
+    return choices
+
+
+class TestToeplitzGram:
+    @pytest.mark.parametrize("kernel", ["direct", "fft"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    # b = 0, b = m - 1, and m + b = 48, 199, 267, none a power of two
+    @pytest.mark.parametrize("m, b", [(1, 0), (40, 0), (64, 63), (37, 11), (100, 99), (250, 17)])
+    def test_matches_the_dense_gram_product(self, monkeypatch, kernel, dtype, m, b):
+        _force_kernel(monkeypatch, kernel)
+        rng = np.random.default_rng(1000 * m + b)
+        c, v = rng.normal(size=b + 1), rng.normal(size=m)
+        if dtype is complex:
+            c, v = c + 1j * rng.normal(size=b + 1), v + 1j * rng.normal(size=m)
+        T = _lower_toeplitz(np.pad(c, (0, m - b - 1)))
+        gram = _toeplitz_gram(c, m)
+        for got, want in ((gram(v), T.conj().T @ (T @ v)), (gram.forward(v), T @ v)):
+            assert got.shape == (m,) and got.dtype.kind == c.dtype.kind
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_smooth_length_matches_a_brute_force_search(self):
+        def smooth(N):
+            for p in (2, 3, 5):
+                while N % p == 0:
+                    N //= p
+            return N == 1
+
+        lengths = [N for N in range(1, 5121) if smooth(N)]
+        for L in range(1, 5001):
+            assert _smooth_length(L) == next(N for N in lengths if N >= L)
+
+    def test_lanczos_on_the_fft_kernel_agrees_with_the_direct_kernel(self, monkeypatch):
+        # step at n = 4096, u = 1/8: offsets 512..1536, so m = 3584 and b = 1024
+        n = 4096
+        op = func_calc(nilpotent_shift(n), NAMED_MEASURES["step"](), 1 / 8)
+        c = _shift_column(n, op.shift_weights).real
+        live = np.flatnonzero(c)
+        section, m = c[live[0]: live[-1] + 1], n - int(live[0])
+        assert (m, len(section) - 1) == (3584, 1024)
+        assert _gram_fft_length(m, 1024, "f") == _smooth_length(m + 1024) == 4608
+        fft = _lanczos_opnorm(section, m)
+        _force_kernel(monkeypatch, "direct")
+        direct = _lanczos_opnorm(section, m)
+        assert abs(fft - direct) <= 1e-14 * direct
+
+
+class TestKernelChoiceOnShippedConfigs:
+    """The shipped configs keep the kernels they had before the FFT Gram
+    product, so their artifacts stay byte-identical."""
+
+    def _run(self, tmp_path, stem):
+        assert main(["run", "--config", str(CONFIG_DIR / f"{stem}.json"),
+                     "--output", str(tmp_path / stem)]) == 0
+
+    def test_sweep_sections_take_direct_convolution(self, monkeypatch, tmp_path):
+        choices = _spy_kernel_choices(monkeypatch)
+        for stem in ("sweep-step", "sweep-flagship", "sweep-four-atom", "symmetrized-sweep"):
+            self._run(tmp_path, stem)
+        assert choices and all(N == 0 for *_, N in choices)
+        assert max(choices, key=lambda choice: choice[1])[:3] == (448, 128, "f")
+
+    def test_lemma24_columns_take_the_complex_fft_at_1024(self, monkeypatch, tmp_path):
+        choices = _spy_kernel_choices(monkeypatch)
+        self._run(tmp_path, "lemma24")
+        assert choices and all((kind, N) == ("c", 1024) for _, _, kind, N in choices)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
