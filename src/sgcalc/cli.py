@@ -199,11 +199,15 @@ def load_config(path: str, output=None, seed=None) -> RunConfig:
         tolerances=field("tolerances",
                          lambda spec: {k: _number(v) for k, v in dict(spec).items()}, {}),
     )
+    _, needs, reads = _DISPATCH[command]
+    unknown = sorted(set(cfg.tolerances) - set(reads))
+    if unknown:
+        raise ConfigError(f"{command} reads no tolerances {unknown}; it reads {list(reads)}")
     positive = [*cfg.t_grid, *cfg.m_list, *cfg.n_list,
                 *(v for v in (cfg.m, cfg.u) if v is not None)]
     if (cfg.seed or 0) < 0 or any(v <= 0 for v in positive):
         raise ConfigError("u, t_grid, m, m_list and n_list must be positive and seed >= 0")
-    missing = [name for name in _DISPATCH[command][1] if getattr(cfg, name) in (None, ())]
+    missing = [name for name in needs if getattr(cfg, name) in (None, ())]
     if missing:
         raise ConfigError(f"{command} needs {' and '.join(missing)}")
     return cfg
@@ -455,18 +459,20 @@ def _cmd_verify_all(cfg: RunConfig, out: Path):
     return {"passed": not failed, "failed": failed}
 
 
-# command -> (implementation, the RunConfig fields it cannot run without)
+# command -> (implementation, the RunConfig fields it cannot run without,
+#             the tolerances keys it reads; any other key is a ConfigError)
 _DISPATCH = {
-    "sweep": (_cmd_sweep, ("measure", "backend", "u_grid")),
-    "symmetrized-sweep": (_cmd_symmetrized_sweep, ("measure", "backend", "u_grid")),
-    "curve": (_cmd_curve, ("measure",)),
-    "lemma24": (_cmd_lemma24, ("measure", "backend")),
-    "lemma27": (_cmd_lemma27, ("distribution", "backend")),
-    "resolvent-check": (_cmd_resolvent_check, ("backend",)),
-    "idempotents": (_cmd_idempotents, ("measure", "backend")),
-    "sharpness": (_cmd_sharpness, ("measure",)),
-    "renormalization": (_cmd_renormalization, ("backend", "t_grid")),
-    "verify-all": (_cmd_verify_all, ()),
+    "sweep": (_cmd_sweep, ("measure", "backend", "u_grid"), ("min_margin",)),
+    "symmetrized-sweep": (_cmd_symmetrized_sweep, ("measure", "backend", "u_grid"),
+                          ("min_margin",)),
+    "curve": (_cmd_curve, ("measure",), ("m",)),
+    "lemma24": (_cmd_lemma24, ("measure", "backend"), ("identity_residual",)),
+    "lemma27": (_cmd_lemma27, ("distribution", "backend"), ("identity_residual",)),
+    "resolvent-check": (_cmd_resolvent_check, ("backend",), ("resolvent_identity",)),
+    "idempotents": (_cmd_idempotents, ("measure", "backend"), ()),
+    "sharpness": (_cmd_sharpness, ("measure",), ()),
+    "renormalization": (_cmd_renormalization, ("backend", "t_grid"), ()),
+    "verify-all": (_cmd_verify_all, (), ()),
 }
 
 

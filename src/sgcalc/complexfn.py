@@ -79,7 +79,8 @@ class SeparationCurve:
 
 _RAY_DECAY_FLOOR = 1e-9  # window ends where the decay bound drops below this * tv0
 _RAY_GRID_POINTS = 4096
-_GOLDEN_ITERS = 90
+_RAY_NEWTON_STEPS = 8  # a simple maximum takes 3-4
+_RAY_STEP_TOL = 1e-12  # times the window; the step after one this small is below rounding
 
 
 def _ray_window(mu: CompactMeasure) -> tuple[float, float]:
@@ -103,48 +104,40 @@ def _ray_window(mu: CompactMeasure) -> tuple[float, float]:
 def ray_max(mu: CompactMeasure) -> RayMaximum:
     """Locate alpha >= 0 maximizing |F| on the positive ray.
 
-    The grid optimum on the ``_ray_window`` is refined by golden-section
-    search.
+    The grid optimum x_i on the ``_ray_window`` is polished by Newton steps
+    on g = |F|^2, each read off one ``taylor_coefficients`` ring of radius one
+    grid step: with q_k = c_k / c_0, g'/g'' = Re q1 / (|q1|^2 + 2 Re q2), a
+    ratio that stays finite however large the weights of mu are.  The steps
+    stop once they fall to rounding, where g is not concave, or where they
+    would leave [x_{i-1}, x_{i+1}], so alpha never strays from the bracket
+    the grid found.
     """
     x_hi, floor = _ray_window(mu)
     xs = np.linspace(0.0, x_hi, _RAY_GRID_POINTS)
     vals = np.abs(laplace(mu, xs))
-    best = float(np.max(vals))
-    if best < floor:
-        raise AllZeroError("transform is numerically zero on the sampled ray")
     i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
+    if vals[i] < floor:
+        raise AllZeroError("transform is numerically zero on the sampled ray")
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    radius = xs[1] - xs[0]
 
-    alpha = _golden_max(lambda x: abs(laplace(mu, x)), lo, hi)
-    value = abs(laplace(mu, alpha))
-
-    sign_flipped = False
-    if mu.is_real:
-        raw = complex(laplace(mu, alpha)).real
-        if raw < 0:
-            sign_flipped = True
-    return RayMaximum(alpha=float(alpha), value=float(value), sign_flipped=sign_flipped)
-
-
-def _golden_max(f, lo, hi):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-14 * max(1.0, abs(a)):
+    alpha = float(xs[i])
+    for _ in range(_RAY_NEWTON_STEPS):
+        c0, c1, c2 = taylor_coefficients(mu, alpha, radius, 3)
+        q1, q2 = c1 / c0, c2 / c0
+        curvature = abs(q1) ** 2 + 2.0 * q2.real
+        if curvature >= 0.0:
             break
-    return 0.5 * (a + b)
+        step = -q1.real / curvature
+        if not lo <= alpha + step <= hi:
+            break
+        alpha += step
+        if abs(step) <= _RAY_STEP_TOL * x_hi:
+            break
+
+    f_alpha = complex(laplace(mu, alpha))
+    return RayMaximum(alpha=alpha, value=abs(f_alpha),
+                      sign_flipped=mu.is_real and f_alpha.real < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,18 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("sweep", "min_margn"), ("symmetrized-sweep", "identity_residual"),
+        ("curve", "min_margin"), ("lemma24", "m"), ("lemma27", "resolvent_identity"),
+        ("resolvent-check", "identity_residual"), ("renormalization", "m"),
+    ])
+    def test_unknown_tolerance_key_exits_2(self, tmp_path, capsys, command, key):
+        # a key the command does not read would otherwise leave its gate at
+        # the default without a word
+        cfg = _write_config(tmp_path / "c.json", {"command": command, "tolerances": {key: 1}})
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert f"reads no tolerances ['{key}']" in capsys.readouterr().err
+
     def test_missing_key_is_named(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json", {
             "command": "renormalization", "backend": {"kind": "riemann_liouville"},
@@ -276,8 +288,8 @@ class TestSerialBlas:
                 return fn(cfg, out)
             return wrapped
 
-        for name, (fn, needs) in list(cli._DISPATCH.items()):
-            monkeypatch.setitem(cli._DISPATCH, name, (recording(fn), needs))
+        for name, (fn, *fields) in list(cli._DISPATCH.items()):
+            monkeypatch.setitem(cli._DISPATCH, name, (recording(fn), *fields))
         return seen
 
     def test_one_thread_inside_and_restored_after_a_return(self, tmp_path, pools, inside):
@@ -410,6 +422,16 @@ class TestCurveCommand:
         assert summary["m"] == 2
         assert summary["delta"] > 0
 
+    def test_order_two_at_a_maximizer_off_the_grid(self, tmp_path):
+        # F = y (1 - y)(2 - y), y = e^{-x/2}: its maximizer is no grid point
+        # of ray_max, so m = 2 needs alpha polished well past sqrt(eps)
+        atoms = [{"t": t, "re": w} for t, w in ((0.5, 2.0), (1.0, -3.0), (1.5, 1.0))]
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "curve", "measure": {"atoms": atoms}, "tolerances": {"m": 2}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["m"] == 2
+
 
 class TestIdempotentsCommand:
     def test_certified_curve_is_built_once_and_written(self, tmp_path, monkeypatch):
@@ -482,6 +504,11 @@ class TestGates:
             assert main(["run", "--config", cfg, "--output", str(out)]) == code
             summary = json.loads((out / "summary.json").read_text())
             assert summary["passed"] is (code == 0)
+
+    def test_misspelled_gate_exits_2(self, tmp_path):
+        # a misspelled floor would leave the sweep gated on eta > 0, which it passes
+        cfg = _sweep_config(tmp_path, tolerances={"min_margn": 10})
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
     def test_lemma24_identity_residual_gate(self, tmp_path):
         cfg = _write_config(

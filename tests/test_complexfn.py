@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from collections import deque
@@ -33,6 +34,16 @@ D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D1234 = from_atoms([(1.0, 1.0), (2.0, -3.0), (3.0, 1.0), (4.0, 1.0)])
 STEP = indicator(1, 2) + indicator(2, 3, -1.0)
 REAL_MEASURES = [D12, D1234, STEP]
+# F = y (1 - y)(2 - y) with y = e^{-x/2}: F'(x) = 0 at y = 1 - 1/sqrt(3)
+CUBIC = from_atoms([(0.5, 2.0), (1.0, -3.0), (1.5, 1.0)])
+CUBIC_ALPHA = -2.0 * math.log(1.0 - 1.0 / math.sqrt(3.0))
+
+# zero-mass three-atom measures: each triple of atoms in {0.5, 1, ..., 3},
+# weighted by the patterns in turn
+_TRIPLES = itertools.combinations([0.5 * k for k in range(1, 7)], 3)
+_PATTERNS = [(1, -2, 1), (1, -3, 2), (2, -3, 1), (1, 1, -2), (-1, 3, -2)]
+THREE_ATOM = {f"{ts}{w}": from_atoms(list(zip(ts, w)))
+              for ts, w in zip(_TRIPLES, itertools.cycle(_PATTERNS))}
 
 
 class TestTransform:
@@ -58,9 +69,15 @@ class TestRayMax:
     def test_delta_difference_closed_form(self):
         # F(x) = e^{-x} - e^{-2x}, maximized where e^{-x} = 1/2
         ray = ray_max(D12)
-        assert ray.alpha == pytest.approx(math.log(2.0), abs=1e-7)
+        assert ray.alpha == pytest.approx(math.log(2.0), abs=1e-13)
         assert ray.value == pytest.approx(0.25, abs=1e-10)
         assert not ray.sign_flipped
+
+    def test_cubic_closed_form(self):
+        ray = ray_max(CUBIC)
+        assert ray.alpha == pytest.approx(CUBIC_ALPHA, abs=1e-12)
+        y = 1.0 - 1.0 / math.sqrt(3.0)
+        assert ray.value == pytest.approx(y * (1 - y) * (2 - y), abs=1e-15)
 
     def test_sign_normalization(self):
         ray = ray_max(-D12)
@@ -107,6 +124,13 @@ class TestVanishingOrder:
             ray = ray_max(mu)
             m, _ = vanishing_order(-mu if ray.sign_flipped else mu, ray.alpha)
             assert m % 2 == 0
+
+
+@pytest.mark.parametrize("mu", THREE_ATOM.values(), ids=THREE_ATOM.keys())
+def test_three_atom_curve_has_order_two(mu):
+    # F'(alpha) = 0 at the maximizer; an alpha only sqrt(eps) off it leaves
+    # F'(alpha) above vanishing_order's tolerance, and m reads 1
+    assert jordan_curve(mu, ray_max(mu)).m == 2
 
 
 class TestBabylem:
