@@ -170,7 +170,7 @@ def vanishing_order(mu: CompactMeasure, alpha: float):
     coeffs = taylor_coefficients(mu, alpha, radius, _MAX_ORDER + 1)
     scale_ref = max(abs(c) * radius**k for k, c in enumerate(coeffs))
     for k in range(1, _MAX_ORDER + 1):
-        if abs(coeffs[k]) * radius**k > _ORDER_TOL * max(scale_ref, 1.0):
+        if abs(coeffs[k]) * radius**k > _ORDER_TOL * scale_ref:
             return k, coeffs[k]
     raise OrderNotFoundError(
         f"no Taylor coefficient above tolerance up to order {_MAX_ORDER}"

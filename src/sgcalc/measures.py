@@ -230,55 +230,55 @@ def laplace(mu: CompactMeasure, z):
     which the real part is kept.
     """
     z_arr = np.asarray(z)
-    if z_arr.ndim and not np.iscomplexobj(z_arr) and mu.is_real:
-        out = np.zeros(z_arr.shape)
-        for t, w in mu.atoms:
-            out += w.real * np.exp(-z_arr * t)
-        for p in mu.pieces:
-            out += _piece_laplace(p, z_arr.astype(complex)).real
-        return out
-    z_arr = z_arr.astype(complex)
-    out = np.zeros(z_arr.shape, dtype=complex)
+    real = z_arr.ndim > 0 and not np.iscomplexobj(z_arr) and mu.is_real
+    if not real:
+        z_arr = z_arr.astype(complex)
+    out = np.zeros(z_arr.shape, dtype=float if real else complex)
     for t, w in mu.atoms:
-        out += w * np.exp(-z_arr * t)
+        out += (w.real if real else w) * np.exp(-z_arr * t)
     for p in mu.pieces:
-        out += _piece_laplace(p, z_arr)
-    if z_arr.shape == ():
-        return complex(out)
-    return out
+        val = _piece_laplace(p, z_arr.astype(complex, copy=False))
+        out += val.real if real else val
+    return out if z_arr.ndim else complex(out)
+
+
+# the series about a piece's centre runs up to |z|*h = max(degree, this)
+_SERIES_FLOOR = 0.125
+# its truncation, relative to sum |c_k| b^k (b - a) e^{-Re(zc)}, stays below this
+_SERIES_TAIL = 1e-17
 
 
 def _piece_laplace(p: Piece, z: np.ndarray) -> np.ndarray:
     """Closed-form integral of p(t) e^{-z t} over [a, b], vectorized in z.
 
-    Small |z|*b uses the Taylor series of e^{-zt} against exact polynomial
-    moments (this branch covers z = 0); elsewhere the one-term-up recurrence
-    for int t^k e^{-zt} dt applies.
+    With centre c and half-width h, |z|*h < max(degree, 1/8) takes the series
+    e^{-zc} sum_j (-z)^j/j! M_j with the exact centred moments
+    M_j = int_{-h}^{h} p(c+s) s^j ds (this branch covers z = 0).  Elsewhere
+    the upward recurrence for int t^k e^{-zt} dt applies; each of its steps
+    scales the rounding error by k/|z| <= h.
     """
-    out = np.zeros(z.shape, dtype=complex)
-    small = np.abs(z) * p.b <= 0.5
-    if np.any(small):
-        zs = z[small] if z.shape else z
-        acc = np.zeros(zs.shape, dtype=complex)
-        term = np.ones(zs.shape, dtype=complex)
-        coeffs = np.asarray(p.coeffs)  # numpy complex arithmetic in the moments
-        for j in range(60):
-            mj = poly_moment(coeffs, p.a, p.b, j)
-            contrib = term * mj
-            acc += contrib
-            if np.all(np.abs(contrib) <= 1e-18 * (np.abs(acc) + 1e-300)) and j > 4:
-                break
-            term = term * (-zs) / (j + 1)
-        if z.shape:
-            out[small] = acc
-        else:
-            out = acc
-    if np.any(~small):
-        zl = z[~small] if z.shape else z
-        acc = np.zeros(zl.shape, dtype=complex)
-        ea = np.exp(-zl * p.a)
-        eb = np.exp(-zl * p.b)
+    c, h = 0.5 * (p.a + p.b), 0.5 * (p.b - p.a)
+    out = np.empty(z.shape, dtype=complex)
+    series = np.abs(z) * h < max(p.degree, _SERIES_FLOOR)
+    zs = z[series]
+    if zs.size:
+        x = float(np.max(np.abs(zs))) * h
+        # sum_{j >= J} x^j/j! <= e^x x^J/J! bounds the tail
+        tail, terms = math.exp(x), 0
+        while tail > _SERIES_TAIL:
+            terms += 1
+            tail *= x / terms
+        # d_k h^(k+1), for p(c + s) = sum_k d_k s^k
+        d = _shift_coeffs(p.coeffs, -c) * h ** np.arange(1, p.degree + 2)
+        jk = np.arange(terms)[:, None] + np.arange(p.degree + 1)
+        moments = np.where(jk % 2 == 0, 2.0 / (jk + 1), 0.0) @ d  # M_j / h^j
+        inv_fact = np.cumprod(np.r_[1.0, 1.0 / np.arange(1, terms)])
+        out[series] = np.exp(-zs * c) * npoly.polyval(-zs * h, moments * inv_fact)
+    zl = z[~series]
+    if zl.size:
+        ea, eb = np.exp(-zl * p.a), np.exp(-zl * p.b)
         ik = (ea - eb) / zl
+        acc = np.zeros(zl.shape, dtype=complex)
         acc += p.coeffs[0] * ik
         ak, bk = 1.0, 1.0
         for k in range(1, len(p.coeffs)):
@@ -286,10 +286,7 @@ def _piece_laplace(p: Piece, z: np.ndarray) -> np.ndarray:
             bk *= p.b
             ik = (ak * ea - bk * eb) / zl + (k / zl) * ik
             acc += p.coeffs[k] * ik
-        if z.shape:
-            out[~small] = acc
-        else:
-            out = acc
+        out[~series] = acc
     return out
 
 
@@ -308,9 +305,7 @@ def laplace_distribution(phi: CompactDistribution, z):
     out = np.zeros(z_arr.shape, dtype=complex)
     for j, mu_j in enumerate(phi.components):
         out += (-z_arr) ** j * laplace(mu_j, z_arr)
-    if z_arr.shape == ():
-        return complex(out)
-    return out
+    return out if z_arr.ndim else complex(out)
 
 
 def conj_reflect(mu: CompactMeasure) -> CompactMeasure:
@@ -355,14 +350,18 @@ def _merge_atoms(atoms):
     return [(t, w) for t, w in merged if w != 0]
 
 
-def _shift_piece(p: Piece, tau: float, weight: complex) -> Piece:
-    """weight * p(t - tau) on [a + tau, b + tau]."""
-    n = len(p.coeffs)
-    out = np.zeros(n, dtype=complex)
-    for j, cj in enumerate(p.coeffs):
+def _shift_coeffs(coeffs, tau: float) -> np.ndarray:
+    """Ascending coefficients of p(t - tau)."""
+    out = np.zeros(len(coeffs), dtype=complex)
+    for j, cj in enumerate(coeffs):
         for i in range(j + 1):
             out[i] += cj * math.comb(j, i) * (-tau) ** (j - i)
-    return Piece(p.a + tau, p.b + tau, tuple(weight * c for c in out))
+    return out
+
+
+def _shift_piece(p: Piece, tau: float, weight: complex) -> Piece:
+    """weight * p(t - tau) on [a + tau, b + tau]."""
+    return Piece(p.a + tau, p.b + tau, tuple(weight * c for c in _shift_coeffs(p.coeffs, tau)))
 
 
 def _convolve_pieces(p: Piece, q: Piece) -> list[Piece]:

@@ -432,6 +432,16 @@ class TestCurveCommand:
         assert main(["run", "--config", cfg, "--output", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["m"] == 2
 
+    def test_order_two_at_small_weights(self, tmp_path):
+        # the level-curve construction is invariant under scaling mu, so
+        # 1e-9 (delta_1 - delta_2) has m = 2 as the unit-weight measure does
+        atoms = [{"t": 1.0, "re": 1e-9}, {"t": 2.0, "re": -1e-9}]
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "curve", "measure": {"atoms": atoms}, "tolerances": {"m": 2}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["m"] == 2
+
 
 class TestIdempotentsCommand:
     def test_certified_curve_is_built_once_and_written(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,7 +133,8 @@ class TestLaplace:
 
         zs = np.array([0.0, 0.3, 1.0 + 2.0j, -0.2, 4.0, 0.1j])
         assert laplace(mu, zs).tobytes() == complex_laplace(zs).tobytes()
-        for z in [0.0, 0.3, 4, 1.0 + 2.0j, np.float64(2.5), np.complex128(0.5j)]:
+        for z in [0.0, 0.3, 4, 1.0 + 2.0j, np.float64(2.5), np.complex128(0.5j),
+                  np.asarray(0.3)]:
             got, ref = laplace(mu, z), complex_laplace(z)
             assert type(got) is complex and got == ref
         if not mu.is_real:  # a real array against a complex measure stays complex
@@ -145,6 +147,58 @@ class TestLaplace:
             smin = mu.support_min
             for x in np.linspace(0, 20, 41):
                 assert abs(laplace(mu, x)) <= tv0 * math.exp(-x * smin) + 1e-12
+
+
+def _exact_piece_laplace(p: Piece, z: complex, tail_tol: float):
+    """int_a^b p(t) e^{-zt} dt for a double z, as exact rational (re, im).
+
+    The terms (-z)^j/j! int t^(k+j) dt are exact; the sum stops once the tail
+    past term J, at most sum |c_k| b^k (b - a) * 2 y^J/J! for y = |z| b <= J/2,
+    is below tail_tol.
+    """
+    a, b = Fraction(p.a), Fraction(p.b)
+    cs = [(Fraction(c.real), Fraction(c.imag)) for c in p.coeffs]
+    wr, wi = -Fraction(z.real), -Fraction(z.imag)
+    y = abs(z) * p.b
+    size = sum(abs(c) * p.b**k for k, c in enumerate(p.coeffs)) * (p.b - p.a)
+    sr = si = Fraction(0)
+    tr, ti = Fraction(1), Fraction(0)  # (-z)^j / j!
+    j, ratio = 0, 1.0  # ratio = y^j / j!
+    while j < 2 * y or 2 * ratio * size > tail_tol:
+        mr = mi = Fraction(0)
+        for k, (cr, ci) in enumerate(cs):
+            n = k + j + 1
+            m = (b**n - a**n) / n
+            mr += cr * m
+            mi += ci * m
+        sr += tr * mr - ti * mi
+        si += tr * mi + ti * mr
+        j += 1
+        tr, ti = (tr * wr - ti * wi) / j, (tr * wi + ti * wr) / j
+        ratio *= y / j
+    return sr, si
+
+
+# coefficients of mixed sign and phase, so the pieces' own cancellation shows
+_ORACLE_COEFFS = (1.0, -0.75, 0.5 + 0.5j, -1.0, 0.625, -0.25j)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 3.0), (0.25, 0.5), (1.0, 11.0)])
+@pytest.mark.parametrize("degree", range(6))
+def test_piece_laplace_against_exact_rationals(a, b, degree):
+    p = Piece(a, b, _ORACLE_COEFFS[: degree + 1])
+    h = 0.5 * (b - a)
+    # each side of the series/recurrence boundary, and just past |z| b = 1/2
+    radii = [0.99 * max(degree, 0.125) / h, 1.01 * max(degree, 0.125) / h, 0.505 / b]
+    phases = [1.0, 1j, (1 + 1j) / math.sqrt(2), (-1 + 1j) / math.sqrt(2)]
+    zs = np.array([r * ph for r in radii for ph in phases])
+    got = _piece_laplace(p, zs)
+    size = sum(abs(c) * max(a, b) ** k for k, c in enumerate(p.coeffs)) * (b - a)
+    for z, val in zip(zs, got):
+        bound = 8 * np.finfo(float).eps * size * math.exp(-min(a * z.real, b * z.real))
+        er, ei = _exact_piece_laplace(p, complex(z), 1e-3 * bound)
+        err = abs(complex(Fraction(val.real) - er, Fraction(val.imag) - ei))
+        assert err <= bound, (z, err / bound)
 
 
 class TestScale:
@@ -271,6 +325,15 @@ def test_convolution_multiplicative(mu, nu, k):
     rhs = laplace(mu, z) * laplace(nu, z)
     scale_ref = max(1.0, abs(rhs))
     assert abs(lhs - rhs) < 1e-11 * scale_ref
+
+
+def test_convolution_multiplicative_on_degree_five_pieces():
+    # the product of two quadratic pieces on [0.5, 1.5] has degree-5 pieces on
+    # [1, 3], evaluated here at |z| b = 0.55 (the first draw of seed 0)
+    mu = dirac(1.0, 0.125) + CompactMeasure(pieces=(Piece(0.5, 1.5, (1.0, 0.25, 1j)),))
+    nu = dirac(1.0, 0.125) + CompactMeasure(pieces=(Piece(0.5, 1.5, (0.125, 0.125, 1j)),))
+    z = 0.1257302210933933 - 0.1321048632913019j
+    assert abs(laplace(convolve(mu, nu), z) - laplace(mu, z) * laplace(nu, z)) <= 1e-13
 
 
 @settings(max_examples=30, deadline=None)
