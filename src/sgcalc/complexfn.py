@@ -253,12 +253,12 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
 
     # --- a1 and the condition (i) fit
     seg_n = _SEGMENT_SAMPLES
+    ts = np.linspace(0.0, 1.0, seg_n + 1)[1:]
     rho = max(alpha / 4.0, 0.05)
     a1 = None
     delta = 0.0
     for _ in range(48):
         cand = alpha + rho * np.exp(1j * np.pi / m)
-        ts = np.linspace(0.0, 1.0, seg_n + 1)[1:]
         zs = alpha + ts * (cand - alpha)
         vals = np.abs(laplace(mu, zs))
         ratios = (vals - f_alpha) / np.abs(zs - alpha) ** m
@@ -273,17 +273,14 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
 
     f_a1 = abs(complex(laplace(mu, a1)))
 
-    # --- a0 strictly between in modulus
-    ts = np.linspace(0.0, 1.0, seg_n + 1)
-    seg = alpha + ts * (a1 - alpha)
-    seg_vals = np.abs(laplace(mu, seg))
+    # --- a0 strictly between in modulus, among the samples of the a1 fit
     target = 0.5 * (f_alpha + f_a1)
-    inner = np.where((seg_vals > f_alpha) & (seg_vals < f_a1))[0]
+    inner = np.where((vals > f_alpha) & (vals < f_a1))[0]
     if len(inner) == 0:
         raise OrderNotFoundError("no admissible a0 on [alpha, a1]")
-    i0 = inner[np.argmin(np.abs(seg_vals[inner] - target))]
-    a0 = complex(seg[i0])
-    f_a0 = float(seg_vals[i0])
+    i0 = inner[np.argmin(np.abs(vals[inner] - target))]
+    a0 = complex(zs[i0])
+    f_a0 = float(vals[i0])
 
     # --- flood fill for the component V of a1 in {|F| > |F(a0)|}
     x_max = 3.0 * max(alpha, 1.0)
@@ -333,13 +330,11 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
     if not _is_simple_polyline(full, closed=True):
         raise SimplicityRepairFailedError("full curve self-intersects")
 
-    # --- condition (ii) certification on Gamma_1 and [a2, a3]
-    cond2_margin = math.inf
-    check_pts = list(zip(gamma1, gamma1[1:])) + [(a2, a3)]
-    for z1, z2 in check_pts:
-        ts_ = np.linspace(0.0, 1.0, max(8, seg_n // max(1, len(check_pts))))
-        zz = z1 + ts_ * (z2 - z1)
-        cond2_margin = min(cond2_margin, float(np.min(np.abs(laplace(mu, zz)) - f_a0)))
+    # --- condition (ii) certification on Gamma_1 and [a2, a3], in one laplace call
+    z1 = np.array(gamma1[:-1] + [a2])[:, None]
+    z2 = np.array(gamma1[1:] + [a3])[:, None]
+    zz = z1 + np.linspace(0.0, 1.0, max(8, seg_n // len(z1))) * (z2 - z1)
+    cond2_margin = float(np.min(np.abs(laplace(mu, zz)) - f_a0))
 
     return JordanCurve(
         alpha=float(alpha),

@@ -129,7 +129,7 @@ def test_03_resolvent_difference_bound(verify_all):
     assert len(grid) == 20
     assert all(l.real >= 0 and abs(l) <= 5 for l in grid)
     max_lhs = max(r["lhs"] for r in rep["rows"])
-    ok = max_lhs <= 3 + 1e-6 and rep["identity_residual"] <= 1e-7
+    ok = max_lhs <= 3 and rep["identity_residual"] <= 1e-7
     _report(
         "03 resolvent-difference bound",
         ok,

@@ -226,11 +226,12 @@ class TestResolvent:
         # the shift integrates cell-exactly on first columns: nothing to materialize
         assert bool(times) != isinstance(sg, NilpotentShift)
 
+    # T(t) is e^(-t/5) times a rotation: its norm is e^(-t/5), and the bound
+    # sqrt(||T||_1 ||T||_inf) is up to sqrt(2) times that
+    ROTATION = np.array([[-0.2, -1.0], [1.0, -0.2]])
+
     def test_generic_tail_stops_where_the_proved_bound_is_below_tolerance(self, monkeypatch):
-        # T(t) is e^(-t/5) times a rotation: its norm is e^(-t/5), and the
-        # bound sqrt(||T||_1 ||T||_inf) is up to sqrt(2) times that
-        A = np.array([[-0.2, -1.0], [1.0, -0.2]])
-        sg = matrix_semigroup(A)
+        sg = matrix_semigroup(self.ROTATION)
         lam = 0.3j
         times = []
         materialize = type(sg)._materialize
@@ -238,14 +239,29 @@ class TestResolvent:
                             lambda self, t: times.append(t) or materialize(self, t))
         R = resolvent(sg, [lam])[0]
         panel_ends = [t for t in times if (2 * t).is_integer()]  # panels of width 1/2
+        assert panel_ends == [0.5 * k for k in range(1, len(panel_ends) + 1)]
 
-        def tail(t):
-            return opnorm_bound(materialize(sg, t)) * math.exp(max(lam.real, 0.0) * t)
-
+        # q ||S_t|| / (1 - q) at each panel end t, S_t summed as the loop sums it
+        bounds = []
+        S = np.zeros((2, 2), dtype=complex)
+        for t in panel_ends:
+            panel = 0
+            for node, w in zip(*_gauss_legendre(t - 0.5, t)):
+                panel = panel + w * np.exp(lam * node) * materialize(sg, node)
+            S += panel
+            q = opnorm_bound(materialize(sg, t)) * math.exp(lam.real * t)
+            bounds.append(q * opnorm_bound(S) / (1 - q) if q < 1 else math.inf)
         tol = calculus._RESOLVENT_TAIL_TOL
-        assert tail(panel_ends[-1]) < tol
-        assert all(tail(t) >= tol for t in panel_ends[:-1] if t >= 2.0)
-        assert np.max(np.abs(R - np.linalg.inv(A + lam * np.eye(2)))) < 1e-10
+        assert bounds[-1] < tol
+        assert all(b >= tol for b in bounds[:-1])
+        assert np.array_equal(R, -S)
+        assert np.linalg.norm(R - np.linalg.inv(self.ROTATION + lam * np.eye(2)), 2) < 1e-12
+
+    def test_generic_tail_is_within_tolerance(self):
+        # the tail past t is about ||T(t)|| / 0.2, five times the integrand at t
+        lam = 0.9j
+        R = resolvent(matrix_semigroup(self.ROTATION), [lam])[0]
+        assert np.linalg.norm(R - np.linalg.inv(self.ROTATION + lam * np.eye(2)), 2) <= 1e-12
 
     def test_fractional_integration_resolvent_identity(self):
         # the first-order product integration behind the fractional family
@@ -658,6 +674,15 @@ class TestLemma27:
             assert not np.any(M - np.diag(np.diag(M)))
             assert value >= np.linalg.norm(M, 2)
             assert value == pytest.approx(np.linalg.norm(M, 2), rel=1e-15)
+
+    def test_margin_is_bound_minus_lhs_minus_budget(self):
+        # a density on a matrix backend: F(-A) by Gauss-Legendre, budget > 0
+        sg = matrix_semigroup(np.array([[-1.0, 4.0], [-4.0, -1.0]]))
+        phi = CompactDistribution(0, (NAMED_MEASURES["step"](),))
+        budget = ep_calc(sg, phi, 1.0).quadrature_budget
+        assert budget > 0
+        rep = lemma_27_check(sg, phi, _default_lambda_grid(avoid_integers=True))
+        assert all(margin == bound - lhs - budget for _, lhs, bound, margin in rep.rows)
 
     def test_pole_guard(self):
         sg = diagonal_semigroup(np.arange(1.0, 7.0))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sgcalc
-from sgcalc import cli, complexfn, linalg, semigroups, spectral
+from sgcalc import calculus, cli, complexfn, linalg, semigroups, spectral
 from sgcalc.calculus import func_calc
 from sgcalc.cli import main
 from sgcalc.measures import conj_reflect
@@ -502,6 +502,20 @@ class TestSharpnessCommand:
         assert len(rows) == 1 + 3 * 2
         assert json.loads((out / "sharpness.json").read_text())["ray_value"] == ray.value
 
+    def test_a_growing_gap_fails(self, tmp_path, monkeypatch):
+        # the gap grows by 4e-7 from n = 1000 to n = 10000: not monotone
+        def demo(n, mu, u_list, ray):
+            gap = {1000: 1e-7, 10000: 5e-7}[n]
+            row = spectral.SharpnessRow(0.5, ray.value - gap, gap)
+            return spectral.SharpnessReport(n, ray.value, (row,), "")
+        monkeypatch.setattr(spectral, "sharpness_demo", demo)
+        cfg = _write_config(tmp_path / "c.json", {"command": "sharpness",
+                                                  "measure": "delta-difference",
+                                                  "n_list": [1000, 10000]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 1
+        assert json.loads((out / "sharpness.json").read_text())["monotone"] is False
+
 
 class TestGates:
     def test_min_margin_gate(self, tmp_path):
@@ -536,6 +550,15 @@ class TestGates:
         assert summary["passed"] is False
         assert summary["identity_residual"] > 1e-30
         assert json.loads((out / "lemma24.json").read_text())["passed"] is False
+
+    def test_lemma24_bound_has_no_allowance(self, tmp_path, monkeypatch):
+        # a left side 5e-7 above the bound int t d|mu| = 3 of the shipped config
+        monkeypatch.setattr(calculus, "toeplitz_opnorm", lambda col: 3.0 + 5e-7)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cli.CONFIG_DIR / "lemma24.json"),
+                     "--output", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False and summary["error"] == "BoundViolationError"
 
 
 class TestVerifyAll:
