@@ -427,7 +427,7 @@ def _cmd_renormalization(cfg: RunConfig, out: Path):
     return {
         "contraction_margin": report.contraction_margin,
         "commutant_ok": report.commutant_ok,
-        "passed": bool(report.contraction_margin >= -1e-6 and report.commutant_ok),
+        "passed": bool(report.contraction_margin >= 0 and report.commutant_ok),
     }
 
 

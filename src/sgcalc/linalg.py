@@ -38,7 +38,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 _SEED = 0  # start vectors of every power iteration
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 2000
-_SAFE_EXP = 200
 _LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
 _LANCZOS_NCV = 30  # Lanczos basis size
 # Cost in ns of one Gram product (``_gram_fft_length``) by dtype kind, fitted
@@ -66,20 +65,23 @@ class PowerNormResult:
 def power_opnorm(M: np.ndarray) -> PowerNormResult:
     """Largest singular value by power iteration on M*M with a random start,
     on M scaled by an exact power of two (``_pow2_scaled``)."""
-    M, exp = _pow2_scaled(np.asarray(M, dtype=complex))
+    M, exp = _pow2_scaled(np.asarray(M))
     MH = M.conj().T
     res = _power_iteration(lambda v: MH @ (M @ v), M.shape[-1])
     return PowerNormResult(math.ldexp(res.value, exp), res.iterations, res.converged)
 
 
 def _pow2_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
-    """(X 2^-exp, exp): exp = 0 while the largest |entry| lies in
-    [2^-_SAFE_EXP, 2^_SAFE_EXP), 0 included; otherwise its binary exponent,
-    which brings it into [1/2, 1).  Scaling by a power of two is exact."""
+    """(X 2^-exp as a new complex array, exp): exp is the binary exponent of
+    the largest |entry|, 0 for a zero X, so the scaled one lies in [1/2, 1)
+    and every route sees the same entries for X and 2^k X.  ``ldexp`` scales
+    exactly, each part straight into the new array."""
     exp = math.frexp(float(np.max(np.abs(X), initial=0.0)))[1]
-    if -_SAFE_EXP < exp <= _SAFE_EXP:
-        return X, 0
-    return np.ldexp(X.real, -exp) + 1j * np.ldexp(X.imag, -exp), exp
+    out = np.zeros(X.shape, dtype=complex)
+    np.ldexp(X.real, -exp, out=out.real)
+    if X.dtype.kind == "c":
+        np.ldexp(X.imag, -exp, out=out.imag)
+    return out, exp
 
 
 def _power_iteration(gram, n: int) -> PowerNormResult:
@@ -94,7 +96,7 @@ def _power_iteration(gram, n: int) -> PowerNormResult:
             return PowerNormResult(0.0, it, True)
         new_sigma = math.sqrt(nw)
         v = w / nw
-        if abs(new_sigma - sigma) <= _POWER_TOL * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= _POWER_TOL * new_sigma:
             return PowerNormResult(new_sigma, it, True)
         sigma = new_sigma
     return PowerNormResult(sigma, _POWER_MAX_ITER, False)
@@ -102,13 +104,13 @@ def _power_iteration(gram, n: int) -> PowerNormResult:
 
 def op_norm(M: np.ndarray) -> float:
     """Operator 2-norm; power iteration with an SVD fallback on non-convergence."""
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
     if M.size == 0:
         return 0.0
     res = power_opnorm(M)
     if res.converged:
         return res.value
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(M.astype(complex), 2))
 
 
 def opnorm_bound(x: np.ndarray) -> float:

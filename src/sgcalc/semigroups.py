@@ -233,7 +233,8 @@ class RenormReport:
 
     ||x||_1 = sup_t ||T(t) x|| is sampled on a probe grid; the report records
     how far the induced norms fall short of contraction and whether commutant
-    probes R satisfy the restricted-norm inequality ||R||_1 <= ||R||.
+    probes R satisfy the restricted-norm inequality ||R||_1 <= ||R||; full,
+    the power-iteration ||R||, is a lower estimate, so est <= full is strict.
     """
 
     norm1_samples: dict
@@ -242,7 +243,7 @@ class RenormReport:
 
     @property
     def commutant_ok(self) -> bool:
-        return all(est <= full + 1e-6 for _, est, full in self.commutant_bound_checks)
+        return all(est <= full for _, est, full in self.commutant_bound_checks)
 
 
 def feller_renorm(

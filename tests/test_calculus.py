@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -40,13 +42,11 @@ from sgcalc.measures import (
     CompactMeasure,
     Piece,
     convolve,
-    dirac,
     from_atoms,
     indicator,
     laplace,
     laplace_distribution,
     poly_moment,
-    zero_measure,
 )
 from sgcalc.semigroups import (
     NilpotentShift,
@@ -55,6 +55,8 @@ from sgcalc.semigroups import (
     nilpotent_shift,
     riemann_liouville,
 )
+
+from measure_builders import dirac, zero_measure
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 STEP = indicator(1, 2) + indicator(2, 3, -1.0)
@@ -206,6 +208,25 @@ class TestResolvent:
         sg = matrix_semigroup(np.diag([-0.2]))
         with pytest.raises(DivergentIntegralError, match=r"lam = \(2\+0j\)$"):
             resolvent(sg, [0.0, 2.0, 3.0])
+
+    def test_divergent_lam_is_refused_without_overflow(self):
+        # s(A) = -0.2, so Re lam + s(A) = 3.8 >= 0: e^(4 t) once overflowed in
+        # the tail test and ended in a bare OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentIntegralError, match=r"lam = \(4\+0j\)$"):
+                resolvent(matrix_semigroup(np.diag([-0.2])), [4.0])
+
+    def test_divergent_lam_is_refused_before_any_panel(self, monkeypatch):
+        # Re lam + s(A) = 0.1: refused from the spectral abscissa alone
+        sg = matrix_semigroup(np.diag([-0.2]))
+        times = []
+        materialize = type(sg)._materialize
+        monkeypatch.setattr(type(sg), "_materialize",
+                            lambda self, t: times.append(t) or materialize(self, t))
+        with pytest.raises(DivergentIntegralError):
+            resolvent(sg, [0.0, 0.3])
+        assert times == []
 
     @pytest.mark.parametrize("sg", [
         matrix_semigroup(np.array([[-3.0, 2.0, 0.0], [0.0, -4.0, 1.0], [0.5, 0.0, -5.0]])),
@@ -684,6 +705,13 @@ class TestLemma27:
         rep = lemma_27_check(sg, phi, _default_lambda_grid(avoid_integers=True))
         assert all(margin == bound - lhs - budget for _, lhs, bound, margin in rep.rows)
 
+    def test_left_half_plane_is_refused_however_close(self):
+        # Re lam = -1e-13 once passed an absolute -1e-12 allowance
+        with pytest.raises(ConfigError, match="right half-plane"):
+            lemma_27_check(diagonal_semigroup(np.arange(1.0, 7.0)), self.PHI, [-1e-13])
+        with pytest.raises(ConfigError, match="right half-plane"):
+            lemma_24_check(nilpotent_shift(16), D12, [-1e-13])
+
     def test_pole_guard(self):
         sg = diagonal_semigroup(np.arange(1.0, 7.0))
         with pytest.raises(ConfigError, match="pole"):
@@ -724,8 +752,32 @@ class TestSweep:
         assert all(r.quadrature_budget == 0.0 for r in rows)
         assert all(r.margin > 0 for r in rows)
 
+    def test_budget_counts_against_the_norm(self):
+        # Riemann-Liouville takes Gauss-Legendre: each row carries a budget
+        rows = sweep(riemann_liouville(32), STEP, [0.1, 0.2])
+        assert all(r.quadrature_budget > 0 for r in rows)
+        for r in rows:
+            assert r.margin == r.norm_F - r.ray_max_value - r.quadrature_budget
+
 
 class TestSymmetrizedSweep:
+    def test_budget_counts_against_the_norm(self, monkeypatch):
+        # each factor carries 2^-20, so the product carries 2^-19
+        real = calculus.func_calc
+        monkeypatch.setattr(calculus, "func_calc", lambda *args: dataclasses.replace(
+            real(*args), quadrature_budget=2.0**-20))
+        for r in symmetrized_sweep(nilpotent_shift(64), D12, [k / 64 for k in range(1, 5)]):
+            assert r.quadrature_budget == 2.0**-19
+            assert r.margin == r.norm_F - r.ray_max_value - 2.0**-19
+
+    def test_path_check_is_relative_to_the_norm(self, monkeypatch):
+        # a 1e-10 disagreement between the paths is 1e-10 / ||F Ftilde|| relative,
+        # far past _PATH_TOL once mu is scaled by 2^-40
+        monkeypatch.setattr(calculus, "_difference_bound", lambda a, b: 1e-10)
+        symmetrized_sweep(nilpotent_shift(64), D12, [2 / 64])
+        with pytest.raises(BoundViolationError, match="disagree"):
+            symmetrized_sweep(nilpotent_shift(64), 2.0**-40 * D12, [2 / 64])
+
     def test_real_measure_squares_the_ray_value(self):
         sg = nilpotent_shift(64)
         rows = symmetrized_sweep(sg, D12, [k / 64 for k in range(1, 17)])

@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -502,19 +504,144 @@ class TestSharpnessCommand:
         assert len(rows) == 1 + 3 * 2
         assert json.loads((out / "sharpness.json").read_text())["ray_value"] == ray.value
 
-    def test_a_growing_gap_fails(self, tmp_path, monkeypatch):
-        # the gap grows by 4e-7 from n = 1000 to n = 10000: not monotone
-        def demo(n, mu, u_list, ray):
-            gap = {1000: 1e-7, 10000: 5e-7}[n]
-            row = spectral.SharpnessRow(0.5, ray.value - gap, gap)
-            return spectral.SharpnessReport(n, ray.value, (row,), "")
-        monkeypatch.setattr(spectral, "sharpness_demo", demo)
-        cfg = _write_config(tmp_path / "c.json", {"command": "sharpness",
-                                                  "measure": "delta-difference",
-                                                  "n_list": [1000, 10000]})
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--output", str(out)]) == 1
-        assert json.loads((out / "sharpness.json").read_text())["monotone"] is False
+
+def _up(x):
+    """The next float above x."""
+    return float(np.nextafter(x, math.inf))
+
+
+def _wrap(monkeypatch, module, name, change):
+    """Patch module.name so that its result passes through change."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: change(real(*args, **kw)))
+
+
+def _first_row_margin(command, value):
+    def patch(monkeypatch):
+        _wrap(monkeypatch, calculus, command,
+              lambda rows: [dataclasses.replace(rows[0], margin=value), *rows[1:]])
+    return patch
+
+
+def _replace(module, name, **fields):
+    return lambda monkeypatch: _wrap(monkeypatch, module, name,
+                                     lambda r: dataclasses.replace(r, **fields))
+
+
+def _step_budgets_just_past_the_margins(monkeypatch):
+    # margin = norm - ray - budget lands one ulp below 0 at every u
+    ray = complexfn.ray_max(cli.NAMED_MEASURES["step"]()).value
+    _wrap(monkeypatch, calculus, "func_calc", lambda op: dataclasses.replace(
+        op, quadrature_budget=_up(op.norm() - ray)))
+
+
+def _path_gap_just_past_tolerance(monkeypatch):
+    monkeypatch.setattr(calculus, "_difference_bound",
+                        lambda prod, conv: _up(calculus._PATH_TOL * prod.norm()))
+
+
+def _lemma24_lhs_just_past_the_bound(monkeypatch):
+    # the bound is int t d|mu| = 3 for delta-difference
+    monkeypatch.setattr(calculus, "toeplitz_opnorm", lambda col: _up(3.0))
+
+
+def _lemma27_budget_just_past_the_smallest_margin(monkeypatch):
+    cfg = cli.load_config(str(cli.CONFIG_DIR / "lemma27.json"))
+    rows = calculus.lemma_27_check(cfg.backend, cfg.distribution,
+                                   cli._default_lambda_grid(avoid_integers=True)).rows
+    budget = _up(min(row[3] for row in rows))
+    _wrap(monkeypatch, calculus, "ep_calc",
+          lambda op: dataclasses.replace(op, quadrature_budget=budget))
+
+
+def _separation_laplace(pick, value):
+    """Patch the |F| values of the separation check's laplace calls that pick
+    selects to value(ray), ray the delta-difference ray maximum."""
+    def patch(monkeypatch):
+        ray = complexfn.ray_max(cli.NAMED_MEASURES["delta-difference"]()).value
+        real = spectral.laplace
+
+        def laplace(mu, z):
+            return np.full(np.shape(z), value(ray)) if pick(np.asarray(z)) else real(mu, z)
+        monkeypatch.setattr(spectral, "laplace", laplace)
+    return patch
+
+
+def _slice_point_outside_the_curve(monkeypatch):
+    # |F| there is ~e^-1000, far below the ray maximum, but the winding is 0
+    def move(charset):
+        lambdas = list(charset.lambdas)
+        lambdas[charset.slices[150][0]] = 1e6 + 0j
+        return dataclasses.replace(charset, lambdas=tuple(lambdas))
+    _wrap(monkeypatch, spectral, "character_set", move)
+
+
+def _chain_missing_a_point(monkeypatch):
+    def drop(chain):
+        last = chain.diagonals[-1].copy()
+        last[-1] = 0
+        return dataclasses.replace(chain, diagonals=(*chain.diagonals[:-1], last))
+    _wrap(monkeypatch, spectral, "build_idempotents", drop)
+
+
+def _gap_growing_by_an_ulp(monkeypatch):
+    real, gaps = spectral.sharpness_demo, []
+
+    def demo(n, mu, u_list, ray):
+        rep = real(n, mu, u_list, ray)
+        if gaps:
+            rep = dataclasses.replace(rep, rows=tuple(
+                dataclasses.replace(row, gap=_up(gaps[-1])) for row in rep.rows))
+        gaps.append(rep.max_gap)
+        return rep
+    monkeypatch.setattr(spectral, "sharpness_demo", demo)
+
+
+def _commutant_estimates_just_past_the_norms(monkeypatch):
+    _wrap(monkeypatch, semigroups, "feller_renorm", lambda rep: dataclasses.replace(
+        rep, commutant_bound_checks=tuple(
+            (tag, _up(full), full) for tag, _, full in rep.commutant_bound_checks)))
+
+
+# gate -> (shipped config, patch that moves the gated value just past its
+# threshold).  The separation check's "touches the curve" gate is not here: a
+# slice point on the polygon fails the winding gate first.
+_GATE_CASES = {
+    "sweep-flagship-min-margin": ("sweep-flagship", _first_row_margin("sweep", 0.1)),
+    "sweep-four-atom-min-margin": ("sweep-four-atom", _first_row_margin("sweep", 0.0)),
+    "sweep-step-min-margin": ("sweep-step", _first_row_margin("sweep", 0.0)),
+    "sweep-step-budget": ("sweep-step", _step_budgets_just_past_the_margins),
+    "symmetrized-sweep-min-margin": ("symmetrized-sweep",
+                                     _first_row_margin("symmetrized_sweep", 0.0)),
+    "symmetrized-sweep-path": ("symmetrized-sweep", _path_gap_just_past_tolerance),
+    "curve-delta": ("curve", _replace(complexfn, "jordan_curve", delta=0.0)),
+    "curve-cond2-margin": ("curve", _replace(complexfn, "jordan_curve", cond2_margin=0.0)),
+    "curve-order": ("curve", _replace(complexfn, "jordan_curve", m=3)),
+    "lemma24-bound": ("lemma24", _lemma24_lhs_just_past_the_bound),
+    "lemma24-identity": ("lemma24", _replace(calculus, "lemma_24_check",
+                                             identity_residual=_up(1e-7))),
+    "lemma27-bound": ("lemma27", _lemma27_budget_just_past_the_smallest_margin),
+    "lemma27-identity": ("lemma27", _replace(calculus, "lemma_27_check",
+                                             identity_residual=_up(1e-7))),
+    "resolvent-check": ("resolvent-check", lambda monkeypatch: monkeypatch.setattr(
+        calculus, "resolvent_identity_residuals",
+        lambda backend, pairs: [_up(1e-4)] * len(pairs))),
+    # criterion_check evaluates F at all 200 characters, the certificate at
+    # the 150 of the slice and on a 2-D grid of curve samples
+    "separation-criterion": ("separation", _separation_laplace(
+        lambda z: z.shape == (200,), lambda ray: ray * (1.0 - spectral._DEGENERATE_TOL))),
+    "separation-exhaustive": ("separation", _chain_missing_a_point),
+    "separation-curve-excess": ("separation", _separation_laplace(
+        lambda z: z.ndim == 2, lambda ray: ray * (1.0 - 1e-10))),
+    "separation-slice-margin": ("separation", _separation_laplace(
+        lambda z: z.shape == (150,), lambda ray: ray)),
+    "separation-winding": ("separation", _slice_point_outside_the_curve),
+    "sharpness-monotone": ("sharpness", _gap_growing_by_an_ulp),
+    "renormalization-contraction": ("renormalization", _replace(
+        semigroups, "feller_renorm", contraction_margin=-5e-324)),
+    "renormalization-commutant": ("renormalization",
+                                  _commutant_estimates_just_past_the_norms),
+}
 
 
 class TestGates:
@@ -551,14 +678,103 @@ class TestGates:
         assert summary["identity_residual"] > 1e-30
         assert json.loads((out / "lemma24.json").read_text())["passed"] is False
 
-    def test_lemma24_bound_has_no_allowance(self, tmp_path, monkeypatch):
-        # a left side 5e-7 above the bound int t d|mu| = 3 of the shipped config
-        monkeypatch.setattr(calculus, "toeplitz_opnorm", lambda col: 3.0 + 5e-7)
+    @pytest.mark.parametrize("stem, patch", list(_GATE_CASES.values()), ids=list(_GATE_CASES))
+    def test_a_value_just_past_its_gate_fails(self, tmp_path, monkeypatch, stem, patch):
+        # every gate of every shipped check decides on its strict side: the
+        # gated value moved just past the threshold, on the unsafe side, fails
+        patch(monkeypatch)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cli.CONFIG_DIR / "lemma24.json"),
+        assert main(["run", "--config", str(cli.CONFIG_DIR / f"{stem}.json"),
                      "--output", str(out)]) == 1
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["passed"] is False and summary["error"] == "BoundViolationError"
+        assert json.loads((out / "summary.json").read_text())["passed"] is False
+
+
+# output fields homogeneous of degree 1 in mu (degree 2 on symmetrized-sweep,
+# which is quadratic in mu); every other field must not move at all
+_HOMOGENEOUS = {"norm_F", "rho_F", "ray_max", "margin", "min_margin", "max_quadrature_budget",
+                "lhs", "bound", "identity_residual", "max_lhs", "gap", "ray_value",
+                "max_gap_by_n", "max_gap"}
+
+
+def _scaled_spec(mu, c):
+    """The config spec of the measure c mu."""
+    return {"atoms": [{"t": t, "re": (c * w).real, "im": (c * w).imag} for t, w in mu.atoms],
+            "pieces": [{"a": p.a, "b": p.b, "coeffs": [[(c * x).real, (c * x).imag]
+                                                       for x in p.coeffs]}
+                       for p in mu.pieces]}
+
+
+def _scaled_run(tmp_path, stem, k):
+    """Run the shipped config stem with every weight times 2^k and every
+    absolute tolerance (defaults included) scaled to match; its output tree."""
+    cfg = json.loads((cli.CONFIG_DIR / f"{stem}.json").read_text())
+    c = 2.0**k
+    if "measure" in cfg:
+        cfg["measure"] = _scaled_spec(cli.NAMED_MEASURES[cfg["measure"]](), c)
+    for mu in cfg.get("distribution", {}).get("components", ()):
+        for atom in mu["atoms"]:
+            atom["re"] *= c
+    tol = cfg.setdefault("tolerances", {})
+    if cfg["command"] in ("lemma24", "lemma27"):
+        tol.setdefault("identity_residual", 1e-7)
+    degree = 2 if cfg["command"] == "symmetrized-sweep" else 1
+    cfg["tolerances"] = {key: value * c**degree for key, value in tol.items()}
+    out = tmp_path / f"{stem}-{k}"
+    code = main(["run", "--config", _write_config(tmp_path / f"{stem}-{k}.json", cfg),
+                 "--output", str(out)])
+    return code, out
+
+
+def _assert_scaled(base, scaled, factor, homogeneous=False):
+    """scaled equals base, times factor where homogeneous, bit for bit."""
+    if isinstance(base, dict):
+        assert base.keys() == scaled.keys()
+        for key in base:
+            _assert_scaled(base[key], scaled[key], factor, homogeneous or key in _HOMOGENEOUS)
+    elif isinstance(base, list):
+        assert len(base) == len(scaled)
+        for b, s in zip(base, scaled):
+            _assert_scaled(b, s, factor, homogeneous)
+    elif homogeneous and isinstance(base, float):
+        assert scaled == base * factor
+    else:
+        assert scaled == base
+
+
+def _read_tree(out):
+    """{file name: JSON payload, or CSV rows as {column: value}}."""
+    tree = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            tree[path.name] = json.loads(path.read_text())
+        else:
+            header, *rows = path.read_text().splitlines()
+            tree[path.name] = [dict(zip(header.split(","), map(float, row.split(","))))
+                               for row in rows]
+    return tree
+
+
+class TestScaleEquivariance:
+    """The paper's estimates are homogeneous in mu, and scaling by 2^k is exact
+    in floating point: every output of a check on 2^k mu is its output on mu
+    times 2^k bit for bit, and every verdict is the same.  curve and
+    separation stay out: their construction margins are still absolute."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        return {}, tmp_path_factory.mktemp("base")
+
+    @pytest.mark.parametrize("k", [-60, -40, 40, 60])
+    @pytest.mark.parametrize("stem", ["sweep-flagship", "sweep-four-atom", "sweep-step",
+                                      "symmetrized-sweep", "lemma24", "lemma27", "sharpness"])
+    def test_outputs_scale_exactly(self, tmp_path, base, stem, k):
+        cache, base_dir = base
+        if stem not in cache:
+            cache[stem] = _scaled_run(base_dir, stem, 0)
+        code, out = _scaled_run(tmp_path, stem, k)
+        assert code == cache[stem][0] == 0
+        degree = 2 if stem == "symmetrized-sweep" else 1
+        _assert_scaled(_read_tree(cache[stem][1]), _read_tree(out), 2.0 ** (k * degree))
 
 
 class TestVerifyAll:

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestToeplitzOpNorm:
         assert toeplitz_opnorm(np.zeros(5)) == 0.0
         assert toeplitz_opnorm(np.zeros(0)) == 0.0
 
-    @pytest.mark.parametrize("exp", [300, -300, 600, -600, 1000, -1000])
+    @pytest.mark.parametrize("exp", [-60, -40, 300, -300, 600, -600, 1000, -1000])
     @pytest.mark.parametrize("route", ["band", "lanczos", "fft"])
     def test_scale_by_power_of_two_is_exact(self, lemma24_columns, route, exp):
         # unscaled, T^H T v overflows at 2^300 and underflows to 0 at 2^-300,
@@ -146,6 +147,34 @@ class TestToeplitzOpNorm:
             assert (live[-1] - live[0] >= _LANCZOS_MIN_BAND) == (route == "lanczos")
         scaled = np.ldexp(c.real, exp) + 1j * np.ldexp(c.imag, exp)
         assert norm(scaled) == math.ldexp(norm(c), exp)
+
+    @pytest.mark.parametrize("k", [8, 16, 24])
+    def test_sweep_step_sections_scale_exactly(self, k):
+        # the step sections at u = k/512 take Lanczos; at 2^-40 their Gram
+        # eigenvalue fell below ARPACK's absolute threshold eps^(2/3) until
+        # every section was normalized, and the norms came out 4e-7 to 8e-5 low
+        op = func_calc(nilpotent_shift(512), NAMED_MEASURES["step"](), k / 512)
+        c = _shift_column(512, op.shift_weights)
+        for exp in (-60, -40, 100):
+            scaled = np.ldexp(c.real, exp) + 1j * np.ldexp(c.imag, exp)
+            assert banded_toeplitz_opnorm(scaled) == math.ldexp(banded_toeplitz_opnorm(c), exp)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_scaling_allocates_only_its_result(self, real):
+        # 2^300 M: the scaled copy is the one new array (complex, as the routes
+        # take it), with no full-size temporaries beside it
+        M = np.ldexp(np.random.default_rng(0).normal(size=(256, 256)), 300)
+        if not real:
+            M = M + 1j * M
+        tracemalloc.start()
+        try:
+            scaled, exp = linalg._pow2_scaled(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scaled.dtype == complex and 0.5 <= np.max(np.abs(scaled)) < 1.0
+        assert np.array_equal(scaled, M * 2.0**-exp)
+        assert peak < 1.1 * 256 * 256 * 16
 
     def test_unconverged_falls_back_to_dense_svd(self, lemma24_columns, monkeypatch):
         c = lemma24_columns[1]  # lhs at lam = -1.3i, norm 0.77

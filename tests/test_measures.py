@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sgcalc.errors import MassNotZeroError
 from sgcalc.measures import (
     CompactDistribution,
     CompactMeasure,
@@ -14,16 +15,16 @@ from sgcalc.measures import (
     _piece_laplace,
     conj_reflect,
     convolve,
-    dirac,
     from_atoms,
     indicator,
     laplace,
     laplace_distribution,
     mass,
-    scale,
+    require_mass_zero,
     tv_moment,
-    zero_measure,
 )
+
+from measure_builders import dirac, scale, zero_measure
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])  # delta_1 - delta_2
 D1234 = from_atoms([(1.0, 1.0), (2.0, -3.0), (3.0, 1.0), (4.0, 1.0)])
@@ -53,6 +54,28 @@ class TestMass:
     def test_simpson_oracle_on_quadratic(self):
         mu = CompactMeasure(pieces=(Piece(0.5, 2.5, (1.0, -0.5, 2.0)),))
         assert mass(mu) == pytest.approx(quad_piece(mu, lambda t: 1.0), abs=1e-10)
+
+
+class TestRequireMassZero:
+    def test_refuses_a_small_nonzero_mass(self):
+        # mass 1e-13 is all of |mu|: an absolute 1e-12 floor let it through
+        with pytest.raises(MassNotZeroError):
+            require_mass_zero(dirac(1.0, 1e-13))
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e6, 1e9])
+    def test_accepts_zero_mass_atoms_at_any_scale(self, s):
+        # (a s, b s, -(a + b) s) cancel to the rounding of the weights, which
+        # grows with s: 58 of these 200 failed an absolute floor at s = 1e9
+        rng = np.random.default_rng(0)
+        for a, b in rng.uniform(size=(200, 2)):
+            require_mass_zero(from_atoms([(1.0, a * s), (2.0, b * s), (3.0, -(a + b) * s)]))
+
+    @pytest.mark.parametrize("k", [-60, -40, 40, 60])
+    def test_same_verdict_for_mu_and_a_power_of_two_times_mu(self, k):
+        for mu in (D12, D1234, STEP):
+            require_mass_zero(2.0**k * mu)
+        with pytest.raises(MassNotZeroError):
+            require_mass_zero(2.0**k * dirac(1.0, 1e-13))
 
 
 class TestTvMoment:

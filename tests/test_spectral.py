@@ -10,7 +10,7 @@ from sgcalc.errors import (
     NotDiagonalError,
     WindowViolationError,
 )
-from sgcalc.measures import dirac, from_atoms, laplace
+from sgcalc.measures import from_atoms, laplace
 from sgcalc.semigroups import (
     diagonal_semigroup,
     multiplication_c0,
@@ -25,6 +25,8 @@ from sgcalc.spectral import (
     separation_certificate,
     sharpness_demo,
 )
+
+from measure_builders import dirac
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D12_RAY, D12_RADII = ray_max(D12), babylem_radius(D12)
@@ -74,10 +76,13 @@ class TestCharacterSet:
 
 
 class TestCriterion:
-    def test_strict_at_small_scale(self):
+    # the criterion is homogeneous in mu, so 2^k mu must get mu's verdict (not
+    # for k << 0 yet: babylem_radius's circle margin is absolute)
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_strict_at_small_scale(self, k):
         sg = diagonal_semigroup(np.arange(1.0, 201.0))
         cs = character_set(sg)
-        rep = criterion_check(cs, D12, [1e-3])
+        rep = criterion_check(cs, 2.0**k * D12, [1e-3])
         assert rep.all_strict
         row = rep.rows[0]
         assert row.rho < row.sup_ray
@@ -93,12 +98,13 @@ class TestCriterion:
         brute = max(abs(laplace(D12, u * l)) for l in cs.lambdas)
         assert rep.rows[0].rho == pytest.approx(brute, abs=1e-14)
 
-    def test_degenerate_equality_is_not_strict(self):
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_degenerate_equality_is_not_strict(self, k):
         # a character sitting exactly at the ray maximizer forces equality
         u = 0.01
         sg = diagonal_semigroup([math.log(2.0) / u])
         cs = character_set(sg)
-        rep = criterion_check(cs, D12, [u])
+        rep = criterion_check(cs, 2.0**k * D12, [u])
         assert not rep.all_strict
 
     def test_rejects_nonzero_mass(self):
