@@ -127,6 +127,14 @@ class CompactDistribution:
 # constructors
 
 
+def dirac(t: float, weight: complex = 1.0) -> CompactMeasure:
+    return CompactMeasure(atoms=((t, weight),))
+
+
+def zero_measure() -> CompactMeasure:
+    return CompactMeasure()
+
+
 def from_atoms(pairs) -> CompactMeasure:
     return CompactMeasure(atoms=tuple(pairs))
 
@@ -134,6 +142,19 @@ def from_atoms(pairs) -> CompactMeasure:
 def indicator(a: float, b: float, weight: complex = 1.0) -> CompactMeasure:
     """The density weight * chi_[a,b](t) dt."""
     return CompactMeasure(pieces=(Piece(a, b, (weight,)),))
+
+
+def scale(mu: CompactMeasure, u: float) -> CompactMeasure:
+    """Pushforward under t -> u*t, so laplace(scale(mu,u), z) == laplace(mu, u*z)."""
+    if u <= 0:
+        raise ValueError("scale factor must be positive")
+    atoms = tuple((u * t, w) for t, w in mu.atoms)
+    pieces = []
+    for p in mu.pieces:
+        # density q(tau) = p(tau/u) / u on [u*a, u*b]
+        coeffs = tuple(c / u ** (k + 1) for k, c in enumerate(p.coeffs))
+        pieces.append(Piece(u * p.a, u * p.b, coeffs))
+    return CompactMeasure(atoms, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +169,29 @@ def mass(mu: CompactMeasure) -> complex:
     return complex(total)
 
 
-# |mass| allowed per term that ``mass`` adds, relative to tv0 = tv_moment(mu, 0).
-# Adding N terms x_i errs by at most (N - 1) u sum|x_i| in each part (u = eps/2),
-# and each term is at most 3 roundings off (its weight; c (b - a) of a constant
-# piece), so a zero mass computes to <= sqrt(2) (N + 2) u sum|x_i|, which is
-# <= N _MASS_TOL tv0 for N >= 2 where sum|x_i| = tv0 (atoms, constant pieces).
-# Terms of higher-degree pieces can exceed tv0: the test then errs on refusing.
-_MASS_TOL = 2.0 * np.finfo(float).eps
+# |mass| allowed per term that ``mass`` adds, relative to S, the sum of the
+# terms' sizes: |w| per atom, |c_k| (|a|^n + |b|^n) / n per piece coefficient.
+# Each term c_k (b^n - a^n) / n is within 7 u of its size in each part (u =
+# eps/2; each power within an ulp, 2 u, the difference, the product and the
+# quotient u each), and adding N terms errs by at most (N - 1) u S more, so a
+# zero mass computes to <= sqrt(2) (N + 6) u S <= N _MASS_TOL S for N >= 2.
+# A single term is exact zero or no zero mass.  Both sides scale with mu.
+_MASS_TOL = 4.0 * np.finfo(float).eps
 
 
 def require_mass_zero(mu: CompactMeasure) -> None:
-    """Raise MassNotZeroError unless |mass(mu)| <= N _MASS_TOL tv_moment(mu, 0),
-    N the number of terms ``mass`` adds (one per atom and piece coefficient).
+    """Raise MassNotZeroError unless |mass(mu)| <= N _MASS_TOL S, N the number
+    of terms ``mass`` adds and S the sum of their sizes.
 
     The lower estimates, the strict criterion and the separation certificate
     are all statements about zero-mass measures.
     """
     m = mass(mu)
     terms = len(mu.atoms) + sum(len(p.coeffs) for p in mu.pieces)
-    if abs(m) > terms * _MASS_TOL * tv_moment(mu, 0):
+    size = sum(abs(w) for _, w in mu.atoms) + sum(
+        abs(c) * (abs(p.a) ** n + abs(p.b) ** n) / n
+        for p in mu.pieces for n, c in enumerate(p.coeffs, 1))
+    if abs(m) > terms * _MASS_TOL * size:
         raise MassNotZeroError(f"measure has mass {m:.3g}, the check needs mass 0")
 
 

@@ -42,11 +42,13 @@ from sgcalc.measures import (
     CompactMeasure,
     Piece,
     convolve,
+    dirac,
     from_atoms,
     indicator,
     laplace,
     laplace_distribution,
     poly_moment,
+    zero_measure,
 )
 from sgcalc.semigroups import (
     NilpotentShift,
@@ -55,8 +57,6 @@ from sgcalc.semigroups import (
     nilpotent_shift,
     riemann_liouville,
 )
-
-from measure_builders import dirac, zero_measure
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 STEP = indicator(1, 2) + indicator(2, 3, -1.0)

@@ -604,43 +604,68 @@ def _commutant_estimates_just_past_the_norms(monkeypatch):
 
 
 # gate -> (shipped config, patch that moves the gated value just past its
-# threshold).  The separation check's "touches the curve" gate is not here: a
-# slice point on the polygon fails the winding gate first.
+# threshold, output file, field, the value the failure leaves there or a test
+# of it).  Each field is one that only this gate's failure sets, so a run that
+# fails for another reason does not pass the case.  The separation check's
+# "touches the curve" gate is not here: a slice point on the polygon fails
+# the winding gate first.
 _GATE_CASES = {
-    "sweep-flagship-min-margin": ("sweep-flagship", _first_row_margin("sweep", 0.1)),
-    "sweep-four-atom-min-margin": ("sweep-four-atom", _first_row_margin("sweep", 0.0)),
-    "sweep-step-min-margin": ("sweep-step", _first_row_margin("sweep", 0.0)),
-    "sweep-step-budget": ("sweep-step", _step_budgets_just_past_the_margins),
+    "sweep-flagship-min-margin": ("sweep-flagship", _first_row_margin("sweep", 0.1),
+                                  "summary.json", "min_margin", 0.1),
+    "sweep-four-atom-min-margin": ("sweep-four-atom", _first_row_margin("sweep", 0.0),
+                                   "summary.json", "min_margin", 0.0),
+    "sweep-step-min-margin": ("sweep-step", _first_row_margin("sweep", 0.0),
+                              "summary.json", "min_margin", 0.0),
+    "sweep-step-budget": ("sweep-step", _step_budgets_just_past_the_margins,
+                          "summary.json", "min_margin", lambda m: m < 0),
     "symmetrized-sweep-min-margin": ("symmetrized-sweep",
-                                     _first_row_margin("symmetrized_sweep", 0.0)),
-    "symmetrized-sweep-path": ("symmetrized-sweep", _path_gap_just_past_tolerance),
-    "curve-delta": ("curve", _replace(complexfn, "jordan_curve", delta=0.0)),
-    "curve-cond2-margin": ("curve", _replace(complexfn, "jordan_curve", cond2_margin=0.0)),
-    "curve-order": ("curve", _replace(complexfn, "jordan_curve", m=3)),
-    "lemma24-bound": ("lemma24", _lemma24_lhs_just_past_the_bound),
+                                     _first_row_margin("symmetrized_sweep", 0.0),
+                                     "summary.json", "min_margin", 0.0),
+    "symmetrized-sweep-path": ("symmetrized-sweep", _path_gap_just_past_tolerance,
+                               "summary.json", "detail",
+                               "product path and convolution path disagree"),
+    "curve-delta": ("curve", _replace(complexfn, "jordan_curve", delta=0.0),
+                    "curve.json", "delta", 0.0),
+    "curve-cond2-margin": ("curve", _replace(complexfn, "jordan_curve", cond2_margin=0.0),
+                           "curve.json", "cond2_margin", 0.0),
+    "curve-order": ("curve", _replace(complexfn, "jordan_curve", m=3), "curve.json", "m", 3),
+    "lemma24-bound": ("lemma24", _lemma24_lhs_just_past_the_bound,
+                      "summary.json", "error", "BoundViolationError"),
     "lemma24-identity": ("lemma24", _replace(calculus, "lemma_24_check",
-                                             identity_residual=_up(1e-7))),
-    "lemma27-bound": ("lemma27", _lemma27_budget_just_past_the_smallest_margin),
+                                             identity_residual=_up(1e-7)),
+                         "lemma24.json", "identity_residual", _up(1e-7)),
+    "lemma27-bound": ("lemma27", _lemma27_budget_just_past_the_smallest_margin,
+                      "summary.json", "error", "BoundViolationError"),
     "lemma27-identity": ("lemma27", _replace(calculus, "lemma_27_check",
-                                             identity_residual=_up(1e-7))),
+                                             identity_residual=_up(1e-7)),
+                         "lemma27.json", "identity_residual", _up(1e-7)),
     "resolvent-check": ("resolvent-check", lambda monkeypatch: monkeypatch.setattr(
         calculus, "resolvent_identity_residuals",
-        lambda backend, pairs: [_up(1e-4)] * len(pairs))),
+        lambda backend, pairs: [_up(1e-4)] * len(pairs)),
+        "resolvent_check.json", "worst_residual", _up(1e-4)),
     # criterion_check evaluates F at all 200 characters, the certificate at
     # the 150 of the slice and on a 2-D grid of curve samples
     "separation-criterion": ("separation", _separation_laplace(
-        lambda z: z.shape == (200,), lambda ray: ray * (1.0 - spectral._DEGENERATE_TOL))),
-    "separation-exhaustive": ("separation", _chain_missing_a_point),
+        lambda z: z.shape == (200,), lambda ray: ray * (1.0 - spectral._DEGENERATE_TOL)),
+        "idempotents.json", "criterion.strict", False),
+    "separation-exhaustive": ("separation", _chain_missing_a_point,
+                              "idempotents.json", "chain.exhaustive", False),
     "separation-curve-excess": ("separation", _separation_laplace(
-        lambda z: z.ndim == 2, lambda ray: ray * (1.0 - 1e-10))),
+        lambda z: z.ndim == 2, lambda ray: ray * (1.0 - 1e-10)),
+        "summary.json", "detail", "curve dipped below the ray maximum"),
     "separation-slice-margin": ("separation", _separation_laplace(
-        lambda z: z.shape == (150,), lambda ray: ray)),
-    "separation-winding": ("separation", _slice_point_outside_the_curve),
-    "sharpness-monotone": ("sharpness", _gap_growing_by_an_ulp),
+        lambda z: z.shape == (150,), lambda ray: ray),
+        "summary.json", "detail", "slice point reaches the ray maximum"),
+    "separation-winding": ("separation", _slice_point_outside_the_curve,
+                           "summary.json", "detail", "winding number 0.000000 is not +-1"),
+    "sharpness-monotone": ("sharpness", _gap_growing_by_an_ulp,
+                           "sharpness.json", "monotone", False),
     "renormalization-contraction": ("renormalization", _replace(
-        semigroups, "feller_renorm", contraction_margin=-5e-324)),
+        semigroups, "feller_renorm", contraction_margin=-5e-324),
+        "summary.json", "commutant_ok", True),
     "renormalization-commutant": ("renormalization",
-                                  _commutant_estimates_just_past_the_norms),
+                                  _commutant_estimates_just_past_the_norms,
+                                  "summary.json", "commutant_ok", False),
 }
 
 
@@ -678,15 +703,22 @@ class TestGates:
         assert summary["identity_residual"] > 1e-30
         assert json.loads((out / "lemma24.json").read_text())["passed"] is False
 
-    @pytest.mark.parametrize("stem, patch", list(_GATE_CASES.values()), ids=list(_GATE_CASES))
-    def test_a_value_just_past_its_gate_fails(self, tmp_path, monkeypatch, stem, patch):
+    @pytest.mark.parametrize("stem, patch, name, field, expected", list(_GATE_CASES.values()),
+                             ids=list(_GATE_CASES))
+    def test_a_value_just_past_its_gate_fails(self, tmp_path, monkeypatch, stem, patch,
+                                              name, field, expected):
         # every gate of every shipped check decides on its strict side: the
         # gated value moved just past the threshold, on the unsafe side, fails
+        # the check, and fails it at that gate
         patch(monkeypatch)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cli.CONFIG_DIR / f"{stem}.json"),
                      "--output", str(out)]) == 1
         assert json.loads((out / "summary.json").read_text())["passed"] is False
+        value = json.loads((out / name).read_text())
+        for key in field.split("."):
+            value = value[key]
+        assert expected(value) if callable(expected) else value == expected
 
 
 # output fields homogeneous of degree 1 in mu (degree 2 on symmetrized-sweep,

@@ -23,12 +23,12 @@ from sgcalc.measures import (
     from_atoms,
     indicator,
     laplace,
+    scale,
     tv_moment,
+    zero_measure,
 )
 from sgcalc.semigroups import diagonal_semigroup
 from sgcalc.spectral import character_set
-
-from measure_builders import scale, zero_measure
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D1234 = from_atoms([(1.0, 1.0), (2.0, -3.0), (3.0, 1.0), (4.0, 1.0)])

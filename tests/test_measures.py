@@ -15,20 +15,22 @@ from sgcalc.measures import (
     _piece_laplace,
     conj_reflect,
     convolve,
+    dirac,
     from_atoms,
     indicator,
     laplace,
     laplace_distribution,
     mass,
     require_mass_zero,
+    scale,
     tv_moment,
+    zero_measure,
 )
-
-from measure_builders import dirac, scale, zero_measure
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])  # delta_1 - delta_2
 D1234 = from_atoms([(1.0, 1.0), (2.0, -3.0), (3.0, 1.0), (4.0, 1.0)])
 STEP = indicator(1, 2) + indicator(2, 3, -1)  # (chi_[1,2] - chi_[2,3]) dt
+LINEAR = CompactMeasure(pieces=(Piece(100.1, 101.3, (-100.7, 1.0)),))  # (t - 100.7) dt
 
 
 def quad_piece(mu, f):
@@ -70,9 +72,14 @@ class TestRequireMassZero:
         for a, b in rng.uniform(size=(200, 2)):
             require_mass_zero(from_atoms([(1.0, a * s), (2.0, b * s), (3.0, -(a + b) * s)]))
 
+    def test_accepts_a_zero_mass_linear_piece_away_from_the_origin(self):
+        # the terms of (t - 100.7) dt on [100.1, 101.3] are about +-120.84 and
+        # cancel to -1.4e-13, though int d|mu| is only 0.36
+        require_mass_zero(LINEAR)
+
     @pytest.mark.parametrize("k", [-60, -40, 40, 60])
     def test_same_verdict_for_mu_and_a_power_of_two_times_mu(self, k):
-        for mu in (D12, D1234, STEP):
+        for mu in (D12, D1234, STEP, LINEAR):
             require_mass_zero(2.0**k * mu)
         with pytest.raises(MassNotZeroError):
             require_mass_zero(2.0**k * dirac(1.0, 1e-13))

@@ -10,7 +10,7 @@ from sgcalc.errors import (
     NotDiagonalError,
     WindowViolationError,
 )
-from sgcalc.measures import from_atoms, laplace
+from sgcalc.measures import dirac, from_atoms, laplace
 from sgcalc.semigroups import (
     diagonal_semigroup,
     multiplication_c0,
@@ -25,8 +25,6 @@ from sgcalc.spectral import (
     separation_certificate,
     sharpness_demo,
 )
-
-from measure_builders import dirac
 
 D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D12_RAY, D12_RADII = ray_max(D12), babylem_radius(D12)
