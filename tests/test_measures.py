@@ -59,11 +59,6 @@ class TestMass:
 
 
 class TestRequireMassZero:
-    def test_refuses_a_small_nonzero_mass(self):
-        # mass 1e-13 is all of |mu|: an absolute 1e-12 floor let it through
-        with pytest.raises(MassNotZeroError):
-            require_mass_zero(dirac(1.0, 1e-13))
-
     @pytest.mark.parametrize("s", [1.0, 1e4, 1e6, 1e9])
     def test_accepts_zero_mass_atoms_at_any_scale(self, s):
         # (a s, b s, -(a + b) s) cancel to the rounding of the weights, which
@@ -72,13 +67,11 @@ class TestRequireMassZero:
         for a, b in rng.uniform(size=(200, 2)):
             require_mass_zero(from_atoms([(1.0, a * s), (2.0, b * s), (3.0, -(a + b) * s)]))
 
-    def test_accepts_a_zero_mass_linear_piece_away_from_the_origin(self):
-        # the terms of (t - 100.7) dt on [100.1, 101.3] are about +-120.84 and
-        # cancel to -1.4e-13, though int d|mu| is only 0.36
-        require_mass_zero(LINEAR)
-
-    @pytest.mark.parametrize("k", [-60, -40, 40, 60])
+    @pytest.mark.parametrize("k", [0, -60, -40, 40, 60])
     def test_same_verdict_for_mu_and_a_power_of_two_times_mu(self, k):
+        # LINEAR's terms are about +-120.84 and cancel to -1.4e-13, though
+        # int d|mu| is only 0.36; the mass of 1e-13 delta_1 is all of |mu|,
+        # and an absolute 1e-12 floor let it through
         for mu in (D12, D1234, STEP, LINEAR):
             require_mass_zero(2.0**k * mu)
         with pytest.raises(MassNotZeroError):
