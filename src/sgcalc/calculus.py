@@ -236,7 +236,9 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     times the whole integral, so ||tail|| <= q (||S_t|| + ||tail||), which
     is the bound.  It is proved on matrix backends; the Riemann-Liouville
     discretization satisfies the law only approximately, so there the rule
-    is not proved.  The batch shares the panels, materializing each node
+    is not proved, and a backend without a generator refuses once ||T(t)||
+    is 0 in double (the rule would stop on an underflow) or a panel or T(t)
+    is not finite.  The batch shares the panels, materializing each node
     once, and each lam stops on its own sum, as a single call would.
     """
     lams = [complex(lam) for lam in lams]
@@ -264,15 +266,22 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     t = 0.0
     while live and t < 200.0:
         panels = dict.fromkeys(live, 0)  # kept apart: a batch adds what a lone lam would
-        for node, w in zip(*_gauss_legendre(t, t + h)):
-            T = backend.materialize(node)
-            for i in live:
-                panels[i] = panels[i] + w * np.exp(lams[i] * node) * T
-        t += h
-        T_norm = opnorm_bound(backend.materialize(t))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+            for node, w in zip(*_gauss_legendre(t, t + h)):
+                T = backend.materialize(node)
+                for i in live:
+                    panels[i] = panels[i] + w * np.exp(lams[i] * node) * T
+            t += h
+            T = backend.materialize(t)
+        finite = np.all(np.isfinite(T)) and all(np.all(np.isfinite(panels[i])) for i in live)
+        T_norm = opnorm_bound(T) if finite else math.inf
+        if backend.generator is None and not 0.0 < T_norm < math.inf:
+            raise DivergentIntegralError(f"no stop rule past t = {t:.1f} for lam = {lams[live[0]]}"
+                                         f": ||T(t)|| bounds to {T_norm:.3g} or a panel overflows")
         for i in live:
             sums[i] += panels[i]
-        qs = [T_norm * math.exp(lams[i].real * t) for i in live]
+        qs = [T_norm * math.exp(lams[i].real * t) if lams[i].real * t < _MAX_EXP_RE
+              else math.inf for i in live]
         live = [i for i, q in zip(live, qs)
                 if not (q < 1.0 and q * opnorm_bound(sums[i]) / (1.0 - q) < _RESOLVENT_TAIL_TOL)]
     if live:

@@ -218,8 +218,6 @@ def load_config(path: str, output=None, seed=None) -> RunConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -233,14 +231,10 @@ def _write_csv(path: Path, header, rows):
 
 
 def _json_default(obj):
+    """complex -> {"re", "im"}: every payload is built of Python floats, ints,
+    bools, strings and complex values (``idempotents`` calls ``asdict``)."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not serializable: {type(obj)}")
 
 

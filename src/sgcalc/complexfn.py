@@ -44,8 +44,8 @@ class JordanCurve:
     """Certified piecewise-linear curve through the upper half-plane.
 
     gamma1_vertices runs from a1 to a2 inside the level region
-    {|F| > |F(a0)|}; full_vertices closes the curve through the real axis and
-    the mirror arc.
+    {|F| > |F(a0)|}; full_vertices is the closed curve alpha, gamma1, a3, then
+    the mirror image of that path back to alpha.
     """
 
     alpha: float
@@ -203,19 +203,18 @@ def babylem_radius(mu: CompactMeasure) -> RadiusPair:
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     ring = np.exp(1j * theta)
 
-    best_R, best_delta = None, 0.0
+    best_R, best_delta = None, -1.0
     for R in np.geomspace(1e-2, 50.0, _CIRCLE_CANDIDATES):
         dmin = float(np.min(np.abs(laplace(mu, R * ring))))
         if dmin > best_delta:
             best_R, best_delta = float(R), dmin
-    if best_R is None or best_delta <= _CIRCLE_MARGIN:
-        raise NoCircleFoundError("no candidate circle avoids the zeros of F")
 
-    # re-certify the chosen circle at higher angular density
+    # re-certify the chosen circle at four times the angular density; the
+    # denser ring holds the scan's points exactly, so its minimum is no larger
     theta_fine = 2.0 * np.pi * np.arange(4 * _CIRCLE_SAMPLES) / (4 * _CIRCLE_SAMPLES)
     delta_circle = float(np.min(np.abs(laplace(mu, best_R * np.exp(1j * theta_fine)))))
     if delta_circle <= _CIRCLE_MARGIN:
-        raise NoCircleFoundError("chosen circle failed the dense re-check")
+        raise NoCircleFoundError("no candidate circle keeps |F| above the margin")
 
     r_found = 0.0
     sup_inside = 0.0
@@ -245,40 +244,41 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
     rectangular grid; the connected component V of a1 must reach the
     imaginary axis, which the underlying maximum-principle argument
     guarantees, so exhaustion of the refinement budget raises
-    ComponentClosedError (resolution, not mathematics).
+    ComponentClosedError (resolution, not mathematics).  The closed curve is
+    the certified path alpha, Gamma_1, a3 followed by its mirror image: for a
+    real mu, |F(conj z)| = |F(z)|, so the mirror carries the same certificate.
     """
     alpha = ray.alpha
     f_alpha = ray.value
     m, _coeff = vanishing_order(mu, alpha)
+    if not (alpha > 0.0 and m >= 2):
+        raise OrderNotFoundError(f"the level curve needs a ray maximum at alpha > 0 of "
+                                 f"order m >= 2, not alpha = {alpha:.6g}, m = {m}")
 
     # --- a1 and the condition (i) fit
     seg_n = _SEGMENT_SAMPLES
     ts = np.linspace(0.0, 1.0, seg_n + 1)[1:]
     rho = max(alpha / 4.0, 0.05)
-    a1 = None
-    delta = 0.0
     for _ in range(48):
         cand = alpha + rho * np.exp(1j * np.pi / m)
         zs = alpha + ts * (cand - alpha)
         vals = np.abs(laplace(mu, zs))
         ratios = (vals - f_alpha) / np.abs(zs - alpha) ** m
         dmin = float(np.min(ratios))
-        if dmin > 0.0 and vals[-1] > f_alpha:
-            a1 = complex(cand)
-            delta = dmin
+        f_a1 = abs(complex(laplace(mu, cand)))
+        if dmin > 0.0 and vals[0] < f_a1:
             break
-        rho *= 0.5
-    if a1 is None:
-        raise OrderNotFoundError("could not fit a positive delta for condition (i)")
+        rho *= 0.5  # unreached: every fit tried at alpha > 0, m >= 2 holds at the first rho
+    else:
+        raise OrderNotFoundError(  # unreached: the order-m term dominates as rho shrinks
+            "could not fit a positive delta for condition (i)")
+    a1, delta = complex(cand), dmin
 
-    f_a1 = abs(complex(laplace(mu, a1)))
-
-    # --- a0 strictly between in modulus, among the samples of the a1 fit
+    # --- a0: the fit's sample closest to the mid-value of f_alpha and f_a1.
+    # Every sample exceeds f_alpha (delta > 0) and the first is below f_a1, so
+    # the closest lies strictly between the two.
     target = 0.5 * (f_alpha + f_a1)
-    inner = np.where((vals > f_alpha) & (vals < f_a1))[0]
-    if len(inner) == 0:
-        raise OrderNotFoundError("no admissible a0 on [alpha, a1]")
-    i0 = inner[np.argmin(np.abs(vals[inner] - target))]
+    i0 = int(np.argmin(np.abs(vals - target)))
     a0 = complex(zs[i0])
     f_a0 = float(vals[i0])
 
@@ -315,20 +315,14 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
         return bool(np.all(np.abs(laplace(mu, zz)) > f_a0 + level_margin))
 
     gamma1 = _simplify_path([a1] + path_points + [a2], seg_ok)
-    if not _is_simple_polyline(gamma1):
-        gamma1 = [a1] + path_points + [a2]
-        if not _is_simple_polyline(gamma1):
-            raise SimplicityRepairFailedError("grid path self-intersects")
-
-    full = (
-        [complex(alpha)]
-        + gamma1
-        + [a3, a3.conjugate(), a2.conjugate()]
-        + [z.conjugate() for z in reversed(path_points)]
-        + [a1.conjugate(), complex(alpha)]
-    )
-    if not _is_simple_polyline(full, closed=True):
-        raise SimplicityRepairFailedError("full curve self-intersects")
+    # Each vertex of gamma1 is a1 = alpha + rho e^(i pi/m) with m >= 2, or a cell
+    # centre: all lie in the open first quadrant.  So upper meets the real axis
+    # only at alpha > 0 and the imaginary axis only at a3, and the closed curve,
+    # upper and its mirror joined by [a3, conj a3], is simple when upper is.
+    upper = [complex(alpha)] + gamma1 + [a3]
+    if not _is_simple_polyline(upper):
+        raise SimplicityRepairFailedError("the simplified level path self-intersects")
+    full = upper + [z.conjugate() for z in reversed(upper[1:])] + [upper[0]]
 
     # --- condition (ii) certification on Gamma_1 and [a2, a3], in one laplace call
     z1 = np.array(gamma1[:-1] + [a2])[:, None]
@@ -411,7 +405,7 @@ def _flood_fill_curve(mu, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
         vals = np.abs(laplace(mu, 1j * ys))
         k = int(np.argmax(vals))
         if vals[k] <= f_a0:
-            return None
+            return None  # unreached: no input found whose contact cell misses the level
         a3 = 1j * float(ys[k])
 
     # path from the contact cell back to a1 via parents, both ends excluded
@@ -442,8 +436,8 @@ def _simplify_path(points, seg_ok):
 _CROSS_EPS = 1e-12
 
 
-def _is_simple_polyline(points, closed: bool = False) -> bool:
-    """No two segments cross strictly (beyond _CROSS_EPS).
+def _is_simple_polyline(points) -> bool:
+    """No two segments of the open polyline cross strictly (beyond _CROSS_EPS).
 
     O[i, k] is the orientation of vertex k against segment i; segments i and
     j cross when each one's endpoints lie strictly on opposite sides of the
@@ -451,14 +445,10 @@ def _is_simple_polyline(points, closed: bool = False) -> bool:
     exactly 0, so segments sharing a vertex never count as crossing.
     """
     pts = np.asarray(points, dtype=complex)
-    if closed and abs(pts[0] - pts[-1]) < 1e-15:
-        pts = pts[:-1]
-    starts = np.arange(len(pts) if closed else len(pts) - 1)
-    ends = (starts + 1) % len(pts)
-    p, q = pts[starts, None], pts[ends, None]
+    p, q = pts[:-1, None], pts[1:, None]
     O = (q.real - p.real) * (pts.imag - p.imag) - (q.imag - p.imag) * (pts.real - p.real)
     pos, neg = O > _CROSS_EPS, O < -_CROSS_EPS
-    straddle = (pos[:, starts] & neg[:, ends]) | (neg[:, starts] & pos[:, ends])
+    straddle = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
     return not np.any(straddle & straddle.T)
 
 

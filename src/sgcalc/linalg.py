@@ -105,8 +105,6 @@ def _power_iteration(gram, n: int) -> PowerNormResult:
 def op_norm(M: np.ndarray) -> float:
     """Operator 2-norm; power iteration with an SVD fallback on non-convergence."""
     M = np.asarray(M)
-    if M.size == 0:
-        return 0.0
     res = power_opnorm(M)
     if res.converged:
         return res.value
@@ -323,7 +321,7 @@ def _openblas_pools() -> tuple:
             try:
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
             except OSError:  # not loaded in this process
-                continue
+                continue  # unreached: host-dependent, a wheel's OpenBLAS left unloaded
             for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                          "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
                 get = getattr(lib, name.format("get"), None)

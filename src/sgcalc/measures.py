@@ -422,7 +422,11 @@ def _convolve_pieces(p: Piece, q: Piece) -> list[Piece]:
 
 
 def _normalize_pieces(pieces) -> list[Piece]:
-    """Re-split possibly overlapping pieces on a common breakpoint grid and sum."""
+    """Re-split possibly overlapping pieces on a common breakpoint grid and sum.
+
+    A summed piece whose coefficients all fall below _COEFF_DUST times the
+    largest input coefficient is dropped: relative, so 2^k mu sums as mu does.
+    """
     if not pieces:
         return []
     breaks = sorted({x for p in pieces for x in (p.a, p.b)})
@@ -435,7 +439,7 @@ def _normalize_pieces(pieces) -> list[Piece]:
     scale_ref = max(
         max((abs(c) for c in p.coeffs), default=0.0) for p in pieces
     )
-    dust = _COEFF_DUST * max(scale_ref, 1.0)
+    dust = _COEFF_DUST * scale_ref
     for lo, hi in zip(keep, keep[1:]):
         tm = 0.5 * (lo + hi)
         acc = np.zeros(1, dtype=complex)

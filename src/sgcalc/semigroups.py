@@ -140,8 +140,8 @@ class MatrixSemigroup(SemigroupBackend):
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("generator must be square")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+            raise ValueError("generator must be square and nonempty")
         super().__init__(A.shape[0])
         self._A = A
 

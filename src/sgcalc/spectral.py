@@ -265,19 +265,15 @@ def separation_certificate(
     dists = np.min(np.abs(p - (a + np.clip(t, 0.0, 1.0) * ab)), axis=1)
 
     reaches_max = margins <= 0
-    bad_winding = np.abs(np.abs(winding) - 1.0) > 1e-6
-    touches = dists <= 0
-    bad = reaches_max | bad_winding | touches
+    outside = (np.abs(np.abs(winding) - 1.0) > 1e-6) | (dists <= 0)
+    bad = reaches_max | outside
     if bad.any():
         k = int(np.argmax(bad))
         lam = complex(lams[k])
         if reaches_max[k]:
             raise CertificateFailedError("slice point reaches the ray maximum", point=lam)
-        if bad_winding[k]:
-            raise CertificateFailedError(
-                f"winding number {winding[k]:.6f} is not +-1", point=lam
-            )
-        raise CertificateFailedError("slice point touches the curve", point=lam)
+        raise CertificateFailedError(f"winding number {winding[k]:.6f} is not +-1 or the point "
+                                     f"touches the curve (distance {dists[k]:.3g})", point=lam)
 
     return SeparationReport(
         u=float(u),

@@ -35,6 +35,7 @@ from sgcalc.errors import (
     MassNotZeroError,
     NoGeneratorError,
     NotQuasinilpotentError,
+    SingularGeneratorError,
 )
 from sgcalc.linalg import _lower_toeplitz, op_norm, opnorm_bound
 from sgcalc.measures import (
@@ -283,6 +284,22 @@ class TestResolvent:
         lam = 0.9j
         R = resolvent(matrix_semigroup(self.ROTATION), [lam])[0]
         assert np.linalg.norm(R - np.linalg.inv(self.ROTATION + lam * np.eye(2)), 2) <= 1e-12
+
+    def test_slow_decay_is_refused_at_the_horizon(self):
+        # ||T(t)|| = e^(-t/20): at t = 200 the tail bound is still ~1e-3
+        with pytest.raises(DivergentIntegralError, match="did not converge by t = 200.0"):
+            resolvent(matrix_semigroup(np.diag([-0.05])), [0.0])
+
+    @pytest.mark.parametrize("n, lam, why", [
+        (8, 6.0, "118.5"),  # e^(6 t) overflows in a panel: once a bare OverflowError
+        (64, 4.0, "96.5"),  # ||T(t)|| underflows to 0: once a "converged" sum of 3e23
+        (64, 6.0, "96.5"),
+    ])
+    def test_riemann_liouville_refuses_where_it_cannot_stop(self, n, lam, why):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentIntegralError, match=f"past t = {why} "):
+                resolvent(riemann_liouville(n), [lam])
 
     def test_fractional_integration_resolvent_identity(self):
         # the first-order product integration behind the fractional family
@@ -550,6 +567,13 @@ class TestEpCalc:
         with pytest.raises(NoGeneratorError):
             ep_calc(nilpotent_shift(8), phi, 0.5)
 
+    def test_zero_component_on_the_generator_path(self):
+        # phi = (0, delta_1): the zero mu_0 adds nothing, F(-uA) = uA e^{uA}
+        lam = np.array([1.0, 2.0])
+        phi = CompactDistribution(1, (zero_measure(), dirac(1.0)))
+        op = ep_calc(matrix_semigroup(np.diag(-lam)), phi, 0.3)
+        assert np.allclose(np.diag(op.to_dense()), -0.3 * lam * np.exp(-0.3 * lam), atol=1e-14)
+
 
 def _spy_opnorm_bound(monkeypatch):
     """Record each (operator, value) that calculus passes to opnorm_bound."""
@@ -711,6 +735,14 @@ class TestLemma27:
             lemma_27_check(diagonal_semigroup(np.arange(1.0, 7.0)), self.PHI, [-1e-13])
         with pytest.raises(ConfigError, match="right half-plane"):
             lemma_24_check(nilpotent_shift(16), D12, [-1e-13])
+
+    @pytest.mark.parametrize("sg, error", [
+        (riemann_liouville(8), NoGeneratorError),
+        (matrix_semigroup(np.diag([-1.0, 0.0])), SingularGeneratorError),
+    ], ids=["no-generator", "singular"])
+    def test_needs_an_invertible_generator(self, sg, error):
+        with pytest.raises(error):
+            lemma_27_check(sg, self.PHI, [0.21])
 
     def test_pole_guard(self):
         sg = diagonal_semigroup(np.arange(1.0, 7.0))

@@ -15,7 +15,14 @@ import sgcalc
 from sgcalc import calculus, cli, complexfn, linalg, semigroups, spectral
 from sgcalc.calculus import func_calc
 from sgcalc.cli import main
-from sgcalc.measures import conj_reflect
+from sgcalc.measures import conj_reflect, laplace
+
+
+def _child_env():
+    """The environment with sgcalc's source directory first on PYTHONPATH,
+    keeping whatever PYTHONPATH already held."""
+    path = [str(Path(sgcalc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 def _write_config(path, payload):
@@ -40,7 +47,7 @@ def test_import_loads_neither_scipy_integrate_nor_signal():
     code = ("import sys, sgcalc.cli; print([m for m in "
             "('scipy.fft', 'scipy.integrate', 'scipy.signal', 'scipy.special') "
             "if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(Path(sgcalc.__file__).parents[1])}
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
@@ -66,6 +73,12 @@ class TestConfigErrors:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["sweep"]) == 2
         assert main(["run"]) == 2
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        (tmp_path / "broken.json").write_text("{")
+        for name in ("absent.json", "broken.json"):
+            assert main(["run", "--config", str(tmp_path / name)]) == 2
+            assert "cannot read config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         {"command": "lemma24", "measure": "delta-difference",
@@ -99,9 +112,17 @@ class TestConfigErrors:
         {"command": "sweep", "measure": "delta-difference",
          "backend": {"kind": "nilpotent_shift", "n": 64},
          "u_grid": {"start": 0.25, "stop": 0.5, "count": 2}},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "nilpotent_shift", "n": 64},
+         "u_grid": {"values": [0.25, 0.5]}, "seed": -1},
+        {"command": "sweep", "measure": "delta-difference", "backend": {"kind": "shift"},
+         "u_grid": {"values": [0.25, 0.5]}},
+        {"command": "sweep", "measure": "delta-difference",
+         "backend": {"kind": "diagonal", "lambdas": [1.0, 2.0]},
+         "u_grid": {"kind": "grid-aligned", "count": 4}},
     ], ids=["lambda_grid", "t_grid", "u", "u_grid-count", "u_grid-list", "seed-overflow",
             "backend-list", "n-fraction", "n-text", "atom-t-text", "matrix-text",
-            "u_grid-start-stop"])
+            "u_grid-start-stop", "seed-negative", "backend-kind", "u_grid-aligned-diagonal"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload):
         cfg = _write_config(tmp_path / "c.json", payload)
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
@@ -243,7 +264,7 @@ class TestConfigDeterminedRefusals:
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
-        env = {**os.environ, "PYTHONPATH": str(Path(sgcalc.__file__).parents[1])}
+        env = _child_env()
         proc = subprocess.run(
             [sys.executable, "-m", "sgcalc.cli", "run", "--config", cfg, "--output", str(out)],
             env=env, capture_output=True, text=True, timeout=120)
@@ -255,6 +276,12 @@ class TestConfigDeterminedRefusals:
         else:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["passed"] is False and summary["error"] == error
+
+
+def test_json_refuses_what_no_payload_holds(tmp_path):
+    # payloads hold Python floats, ints, bools, strings and complex values only
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "x.json", {"value": np.float32(1.0)})
 
 
 class TestSerialBlas:
@@ -366,6 +393,26 @@ class TestSymmetrizedSweepCommand:
                  @ func_calc(backend, conj_reflect(mu), u).to_dense())
             ref = float(np.max(np.abs(np.linalg.eigvals(P))))
             assert float(row.split(",")[2]) == pytest.approx(ref, rel=1e-12)
+
+
+    def test_diagonal_backend_rho_is_the_norm(self, tmp_path):
+        # a diagonal F(-uA) Ftilde(-uA) has norm = spectral radius =
+        # max |F(u lambda)|^2 for the real delta-difference
+        lambdas = [1.0, 2.0 + 1.0j, 3.5]
+        u_grid = [0.5, 1.0, 2.0]
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "symmetrized-sweep", "measure": "delta-difference",
+            "backend": {"kind": "diagonal", "lambdas": [1.0, [2.0, 1.0], 3.5]},
+            "u_grid": {"values": u_grid}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        mu = cli.NAMED_MEASURES["delta-difference"]()
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        for u, row in zip(u_grid, rows, strict=True):
+            _, norm_F, rho_F, *_ = map(float, row.split(","))
+            assert rho_F == norm_F
+            ref = np.max(np.abs(laplace(mu, u * np.array(lambdas))) ** 2)
+            assert norm_F == pytest.approx(ref, rel=1e-14)
 
 
 class TestDeterminism:
@@ -480,6 +527,25 @@ class TestIdempotentsCommand:
         assert rows[0] == "re,im"
         assert [complex(*map(float, r.split(","))) for r in rows[1:]] == list(
             curve.gamma_k0_vertices)
+
+
+    def test_multiplication_c0_backend(self, tmp_path):
+        # lambda_j = -log(j/20): slices m = 0..3, the last one holding all 20
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "idempotents", "measure": "delta-difference",
+            "backend": {"kind": "multiplication_c0", "n": 20}, "u": 1e-3})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        payload = json.loads((out / "idempotents.json").read_text())
+        assert payload["chain"] == {"m_list": [0, 1, 2, 3], "exhaustive": True}
+
+    def test_no_slice_in_the_window_exits_2(self, tmp_path, capsys):
+        # at u = 10 even the smallest slice has u R_m far beyond the disk radius r
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "idempotents", "measure": "delta-difference",
+            "backend": {"kind": "diagonal-range", "start": 1, "stop": 5}, "u": 10.0})
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "no slice fits the separation window" in capsys.readouterr().err
 
 
 class TestSharpnessCommand:
@@ -607,8 +673,8 @@ def _commutant_estimates_just_past_the_norms(monkeypatch):
 # threshold, output file, field, the value the failure leaves there or a test
 # of it).  Each field is one that only this gate's failure sets, so a run that
 # fails for another reason does not pass the case.  The separation check's
-# "touches the curve" gate is not here: a slice point on the polygon fails
-# the winding gate first.
+# winding gate also fails a slice point on the polygon (distance 0), with the
+# same message.
 _GATE_CASES = {
     "sweep-flagship-min-margin": ("sweep-flagship", _first_row_margin("sweep", 0.1),
                                   "summary.json", "min_margin", 0.1),
@@ -657,7 +723,8 @@ _GATE_CASES = {
         lambda z: z.shape == (150,), lambda ray: ray),
         "summary.json", "detail", "slice point reaches the ray maximum"),
     "separation-winding": ("separation", _slice_point_outside_the_curve,
-                           "summary.json", "detail", "winding number 0.000000 is not +-1"),
+                           "summary.json", "detail",
+                           lambda d: d.startswith("winding number 0.000000 is not +-1 ")),
     "sharpness-monotone": ("sharpness", _gap_growing_by_an_ulp,
                            "sharpness.json", "monotone", False),
     "renormalization-contraction": ("renormalization", _replace(
@@ -826,6 +893,14 @@ class TestVerifyAll:
         assert payload["checks"]["a-good"]["passed"] is True
         assert payload["checks"]["b-bad"]["error"] == "MassNotZeroError"
         assert (out / "a-good" / "sweep.csv").exists()
+
+    def test_verify_all_config_in_the_registry_exits_2(self, tmp_path, monkeypatch, capsys):
+        registry = tmp_path / "configs"
+        registry.mkdir()
+        _write_config(registry / "loop.json", {"command": "verify-all"})
+        monkeypatch.setattr(cli, "CONFIG_DIR", registry)
+        assert main(["verify-all", "--output", str(tmp_path / "out")]) == 2
+        assert "verify-all cannot be a check" in capsys.readouterr().err
 
     @staticmethod
     def _resolvent_check(tmp_path, name, *args):

@@ -17,9 +17,17 @@ from sgcalc.complexfn import (
     vanishing_order,
 )
 from sgcalc.cli import NAMED_MEASURES
-from sgcalc.errors import AllZeroError, WindowViolationError
+from sgcalc.errors import (
+    AllZeroError,
+    ComponentClosedError,
+    NoCircleFoundError,
+    OrderNotFoundError,
+    SimplicityRepairFailedError,
+    WindowViolationError,
+)
 from sgcalc.measures import (
     convolve,
+    dirac,
     from_atoms,
     indicator,
     laplace,
@@ -91,6 +99,15 @@ class TestRayMax:
         assert ray.value == pytest.approx(brute, abs=1e-9)
         assert ray.value >= brute - 1e-9
 
+    @pytest.mark.parametrize("mu, value", [
+        (dirac(1.0), 1.0),  # F = e^-x: g = |F|^2 is convex, the steps stop at once
+        (from_atoms([(1.0, 1.0), (2.0, -0.5)]), 0.5),  # the step leaves [0, x_1]
+    ], ids=["convex", "step-leaves-bracket"])
+    def test_boundary_maximum_stays_at_zero(self, mu, value):
+        ray = ray_max(mu)
+        assert ray.alpha == 0.0
+        assert ray.value == pytest.approx(value, rel=1e-15)
+
     def test_scale_covariance(self):
         base = ray_max(D12)
         for u in [0.25, 3.0]:
@@ -113,6 +130,11 @@ class TestVanishingOrder:
             + laplace(D12, math.log(2) - h)
         ) / h**2
         assert coeff == pytest.approx(fd / 2.0, abs=1e-5)
+
+    def test_no_coefficient_above_tolerance_is_refused(self):
+        # F = e^(-1e-9 z) is constant to 5e-11 on the radius-0.05 ring
+        with pytest.raises(OrderNotFoundError):
+            vanishing_order(dirac(1e-9), 0.0)
 
     def test_zeroth_coefficient_is_value(self):
         coeffs = taylor_coefficients(D12, math.log(2.0), 0.1, 3)
@@ -145,6 +167,16 @@ class TestBabylem:
         rad = np.linspace(0.0, pair.r, 60)[:, None]
         disk_sup = float(np.max(np.abs(laplace(mu, rad * np.exp(1j * theta)[None, :]))))
         assert disk_sup < circle_min - 1e-3
+
+    def test_no_circle_above_the_margin(self):
+        # |F| < 2^-38 everywhere on the candidate circles, below _CIRCLE_MARGIN
+        with pytest.raises(NoCircleFoundError, match="no candidate circle"):
+            babylem_radius(2.0**-40 * D12)
+
+    def test_no_inner_radius(self):
+        # F = e^-z: |F| near 0 is about 1, above the circle minimum e^-R
+        with pytest.raises(NoCircleFoundError, match="no positive inner radius"):
+            babylem_radius(dirac(1.0))
 
     def test_window_property_under_scaling(self):
         # shrinking the argument by u keeps the disk/circle separation
@@ -202,9 +234,13 @@ class TestJordanCurve:
     def test_simple_and_mirror_symmetric(self, curve):
         verts = curve.full_vertices
         assert verts[0] == verts[-1]
-        mirrored = sorted((z.real, abs(z.imag)) for z in verts)
-        straight = sorted((z.real, abs(z.imag)) for z in np.conj(verts))
-        assert mirrored == straight
+        assert set(verts) == set(np.conj(verts))
+        assert _pairwise_is_simple(verts, closed=True)
+
+    def test_closed_curve_is_the_certified_path_and_its_mirror(self, curve):
+        upper = (complex(curve.alpha), *curve.gamma1_vertices, curve.a3)
+        mirror = tuple(z.conjugate() for z in reversed(upper[1:]))
+        assert curve.full_vertices == upper + mirror + upper[:1]
 
     def test_builds_quickly(self, curve):
         assert TestJordanCurve.built["seconds"] < 30.0
@@ -240,6 +276,71 @@ class TestSeparationCurve:
             if abs(z1 - curve.alpha_k) < 1e-12:
                 vals = vals[1:]
             assert np.all(vals >= ray.value - 1e-9)
+
+
+class TestJordanCurveFallbacks:
+    def test_boundary_maximum_is_refused(self):
+        # alpha = 0 and m = 1: a1 would sit on the negative real axis
+        with pytest.raises(OrderNotFoundError, match="alpha > 0"):
+            jordan_curve(dirac(1.0), ray_max(dirac(1.0)))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        fill = complexfn._flood_fill_curve
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["nx"], fill(*args, **kwargs)))
+            return calls[-1][1]
+        monkeypatch.setattr(complexfn, "_flood_fill_curve", spy)
+        return calls
+
+    def test_grid_refines_past_a_cell_below_the_level(self, monkeypatch):
+        # on one cell, its centre lies below |F(a0)|, so the nudge finds no
+        # start cell and the grid doubles until a fill reaches the axis
+        monkeypatch.setattr(complexfn, "_GRID_CELLS", 1)
+        calls = self._spy(monkeypatch)
+        curve = jordan_curve(STEP, ray_max(STEP))
+        assert calls[0] == (1, None)
+        assert [nx for nx, _ in calls] == [2**k for k in range(len(calls))]
+        assert calls[-1][1] is not None and curve.delta > 0 and curve.cond2_margin > 0
+
+    def test_grid_refines_past_a_component_off_the_axis(self, monkeypatch):
+        # on 3 x 3 cells the component of a1 reaches column 0 only below the
+        # axis height 1, so the first fill finds no contact
+        mu = from_atoms([(0.5, 1.0), (1.0, 1.0), (3.0, -2.0)])
+        monkeypatch.setattr(complexfn, "_GRID_CELLS", 3)
+        calls = self._spy(monkeypatch)
+        curve = jordan_curve(mu, ray_max(mu), min_axis_height=1.0)
+        assert calls[0] == (3, None) and calls[-1][1] is not None
+        assert curve.a3.imag > 1.0 and curve.cond2_margin > 0
+
+    def test_refinement_budget_ends_in_component_closed(self, monkeypatch):
+        monkeypatch.setattr(complexfn, "_GRID_CELLS", 1)
+        monkeypatch.setattr(complexfn, "_GRID_REFINEMENTS", 0)
+        with pytest.raises(ComponentClosedError):
+            jordan_curve(STEP, ray_max(STEP))
+
+    def test_axis_point_scanned_inside_the_contact_cell(self):
+        # the lowest contact cell's centre is above |F(a0)| and its point on
+        # the imaginary axis is not: a3 moves within the cell to one that is
+        mu = from_atoms([(0.5, 2.0), (1.25, -3.0), (2.0, 1.0), (3.25, 1.0), (3.75, -1.0)])
+        curve = jordan_curve(mu, ray_max(mu))
+        dy = 6.0 * max(curve.alpha, 1.0) / complexfn._GRID_CELLS
+        assert curve.a3.imag != curve.a2.imag
+        assert abs(curve.a3.imag - curve.a2.imag) <= dy / 2 * (1 + 1e-12)  # edge included
+        assert abs(laplace(mu, curve.a3)) > curve.f_a0_abs and curve.cond2_margin > 0
+
+    def test_self_crossing_path_is_refused(self, monkeypatch):
+        # no input is known whose simplified level path crosses itself, so
+        # the simplification is replaced by one whose second segment crosses
+        # the ascent [alpha, a1] (a1 = alpha + i rho for m = 2)
+        def crossing(points, seg_ok):
+            a1, a2 = points[0], points[-1]
+            return [a1, a1 + 0.1 - 0.5j * a1.imag, a1 - 0.1 - 0.5j * a1.imag, a2]
+        monkeypatch.setattr(complexfn, "_simplify_path", crossing)
+        with pytest.raises(SimplicityRepairFailedError):
+            jordan_curve(D12, ray_max(D12))
 
 
 def _deque_flood_fill(mu, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
@@ -356,8 +457,7 @@ def _pairwise_is_simple(points, closed=False):
     return True
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-def test_orientation_array_matches_pairwise_segment_test(closed):
+def test_orientation_array_matches_pairwise_segment_test():
     rng = np.random.default_rng(7)
     verdicts = []
     for n in range(3, 40):
@@ -368,7 +468,7 @@ def test_orientation_array_matches_pairwise_segment_test(closed):
         star = rng.uniform(0.5, 1.5, n) * np.exp(1j * angles)
         for pts in (walk, star, np.append(star, star[0])):
             pts = [complex(z) for z in pts]
-            expected = _pairwise_is_simple(pts, closed)
-            assert _is_simple_polyline(pts, closed) == expected
+            expected = _pairwise_is_simple(pts)
+            assert _is_simple_polyline(pts) == expected
             verdicts.append(expected)
     assert any(verdicts) and not all(verdicts)

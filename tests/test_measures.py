@@ -250,6 +250,15 @@ class TestConvolve:
         for z in [1.0, 0.5 + 1.0j, 2.0, 0.0]:
             assert laplace(conv, z) == pytest.approx(laplace(box, z) ** 2, abs=1e-12)
 
+    def test_breakpoints_closer_than_rounding_collapse(self):
+        # [1, 2] * [1, 2 + 1e-14] has breakpoints 3 and 3 + 1e-14: no piece
+        # is built on the gap, and the transform stays multiplicative
+        a, b = indicator(1, 2), indicator(1, 2 + 1e-14)
+        conv = convolve(a, b)
+        assert all(p.b - p.a > 1e-13 for p in conv.pieces)
+        for z in [1.0, 0.5 + 1.0j]:
+            assert laplace(conv, z) == pytest.approx(laplace(a, z) * laplace(b, z), abs=1e-12)
+
     def test_triangle_shape(self):
         # chi_[1,2] * chi_[1,2] is the triangle peaking at t = 3
         conv = convolve(indicator(1, 2), indicator(1, 2))
@@ -400,3 +409,21 @@ def test_invariants_rejected():
         Piece(2.0, 1.0, (1.0,))
     with pytest.raises(ValueError):
         CompactMeasure(pieces=(Piece(1, 3, (1.0,)), Piece(2, 4, (1.0,))))
+    with pytest.raises(ValueError):
+        Piece(1.0, 2.0, ())
+    with pytest.raises(ValueError):
+        CompactDistribution(-1, ())
+    with pytest.raises(ValueError):
+        scale(dirac(1.0), 0.0)
+    with pytest.raises(ValueError):
+        tv_moment(dirac(1.0), -1)
+
+
+def test_piece_sum_below_unit_scale_keeps_its_pieces():
+    # the dust floor is relative to the largest coefficient summed: at 2^-60
+    # an absolute floor of 1e-14 once dropped every piece
+    tiny = 2.0**-60
+    summed = tiny * indicator(1, 2) + tiny * indicator(2, 3, -1.0)
+    scaled = tiny * (indicator(1, 2) + indicator(2, 3, -1.0))
+    assert len(summed.pieces) == 2
+    assert summed.pieces == scaled.pieces

@@ -196,9 +196,21 @@ class TestMatrixSemigroup:
         res = op_norm(sg.materialize(0.3) @ sg.materialize(0.7) - sg.materialize(1.0))
         assert res < 1e-10
 
-    def test_rejects_nonsquare(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
+    def test_rejects_nonsquare(self, shape):
         with pytest.raises(ValueError):
-            matrix_semigroup(np.zeros((2, 3)))
+            matrix_semigroup(np.zeros(shape))
+
+
+def test_backend_sizes_rejected():
+    with pytest.raises(ValueError):
+        nilpotent_shift(1)
+    with pytest.raises(ValueError):
+        riemann_liouville(1)
+    with pytest.raises(ValueError):
+        diagonal_semigroup([])
+    with pytest.raises(MemoryError):
+        diagonal_semigroup(np.arange(1.0, 5002.0)).generator
 
 
 class TestDiagonalSemigroup:

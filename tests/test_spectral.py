@@ -72,6 +72,12 @@ class TestCharacterSet:
         with pytest.raises(NotDiagonalError):
             character_set(nilpotent_shift(8))
 
+    def test_rejects_a_character_lost_to_underflow(self):
+        # e^-740 is subnormal, with about 6 significant bits: -log of it misses
+        # 740 by 2.6e-3
+        with pytest.raises(NotDiagonalError, match="reconstruction"):
+            character_set(diagonal_semigroup([1.0, 740.0]))
+
 
 class TestCriterion:
     # the criterion is homogeneous in mu, so 2^k mu must get mu's verdict (not
@@ -157,6 +163,19 @@ class TestBoundedGenerator:
         assert by_t[1e-3].defect == pytest.approx(1.0 - math.exp(-0.1), abs=1e-10)
         assert by_t[1e-2].defect == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
         assert rows[0].generator_bound == 100.0
+
+    def test_empty_slice_has_no_rows(self):
+        # lambdas from 1: the slice m = 0 is empty and gives no row
+        sg = diagonal_semigroup(np.arange(1.0, 5.0))
+        chain = build_idempotents(character_set(sg), [0, 2])
+        rows = bounded_generator_check(sg, chain, [1e-3])
+        assert [row.m for row in rows] == [2]
+
+    def test_rejects_non_diagonal(self):
+        sg = diagonal_semigroup(np.arange(1.0, 5.0))
+        chain = build_idempotents(character_set(sg), [2])
+        with pytest.raises(NotDiagonalError):
+            bounded_generator_check(nilpotent_shift(4), chain, [1e-3])
 
     def test_defect_vanishes_with_t(self):
         sg = diagonal_semigroup(np.arange(1.0, 51.0))
