@@ -1,9 +1,9 @@
 """Command-line front door.
 
-Subcommands map one-to-one onto module operations; the CLI only formats
-their outputs (CSV/JSON artifacts plus a summary with pass/fail), never
-computes anything itself.  Identical config and seed give byte-identical
-artifacts.
+Subcommands map one-to-one onto module operations, which compute and
+report; the CLI makes every pass/fail decision, from one list of gates per
+command, and writes the CSV/JSON artifacts, the gates and a summary.
+Identical config and seed give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,9 +226,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -245,45 +245,70 @@ def _write_json(path: Path, payload):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# gates and command implementations
+#
+# Each command returns (summary, gates, artifacts); artifacts maps a file name
+# to a JSON payload or, for .csv, to (header, rows).  ``run`` decides and writes.
 
 
-def _sweep_summary(rows, cfg: RunConfig, out: Path, **extra):
-    """Write sweep.csv and gate the rows.
+class Gate(NamedTuple):
+    """One pass/fail decision of a check: ``value op threshold``."""
 
-    With ``tolerances.min_margin`` every row must lie above it; without it
-    the sweep passes on a positive prefix (eta > 0).
-    """
-    _write_csv(out / "sweep.csv", ("u", "norm_F", "rho_F", "ray_max", "margin"),
-               [(r.u, r.norm_F, r.rho_F, r.ray_max_value, r.margin) for r in rows])
+    name: str
+    value: float
+    op: str  # a key of _OPS
+    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.threshold))
+
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+        "==": operator.eq}
+
+# symmetrized-sweep: the product and convolution paths give one operator up to
+# rounding, so their proved difference bound must stay below this times the norm
+_PATH_TOL = 1e-9
+# rho and ray.value are computed values of |F|, each a few ulps off, so a tie
+# shows only to that rounding: rho this close (relatively) below ray.value
+# counts as equality, for mu and 2^k mu alike.
+_DEGENERATE_TOL = 1e-12
+# a winding number is an integer, computed as a sum of angles: +-1 within
+# this relative rounding allowance counts as +-1
+_WINDING_TOL = 1e-6
+
+
+def _sweep_result(rows, cfg: RunConfig, gates=(), **extra):
+    """With ``tolerances.min_margin`` every row must lie above it, that is
+    min_margin > floor; without it the sweep passes on a positive prefix
+    (eta > 0)."""
     eta = calculus.empirical_eta(rows)
+    min_margin = min(r.margin for r in rows)
     floor = cfg.tolerances.get("min_margin")
-    passed = eta > 0 if floor is None else all(r.margin > floor for r in rows)
-    return {
-        "eta": eta,
-        "min_margin": min(r.margin for r in rows),
-        "rows": len(rows),
-        "passed": bool(passed),
-        **extra,
-    }
+    gate = (Gate("eta", eta, ">", 0.0) if floor is None
+            else Gate("min_margin", min_margin, ">", floor))
+    summary = {"eta": eta, "min_margin": min_margin, "rows": len(rows), **extra}
+    csv = (("u", "norm_F", "rho_F", "ray_max", "margin"),
+           [(r.u, r.norm_F, r.rho_F, r.ray_max_value, r.margin) for r in rows])
+    return summary, [gate, *gates], {"sweep.csv": csv}
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path):
+def _cmd_sweep(cfg: RunConfig):
     rows = calculus.sweep(cfg.backend, cfg.measure, cfg.u_grid)
-    return _sweep_summary(rows, cfg, out, max_quadrature_budget=max(
+    return _sweep_result(rows, cfg, max_quadrature_budget=max(
         r.quadrature_budget for r in rows))
 
 
-def _cmd_symmetrized_sweep(cfg: RunConfig, out: Path):
+def _cmd_symmetrized_sweep(cfg: RunConfig):
     rows = calculus.symmetrized_sweep(cfg.backend, cfg.measure, cfg.u_grid)
-    return _sweep_summary(rows, cfg, out)
+    path = Gate("path_gap", max(r.path_gap - _PATH_TOL * r.norm_F for r in rows), "<=", 0.0)
+    return _sweep_result(rows, cfg, gates=[path])
 
 
-def _cmd_curve(cfg: RunConfig, out: Path):
+def _cmd_curve(cfg: RunConfig):
     ray = complexfn.ray_max(cfg.measure)
     curve = complexfn.jordan_curve(cfg.measure, ray)
-    _write_csv(out / "curve_vertices.csv", ("re", "im"),
-               [(z.real, z.imag) for z in curve.full_vertices])
     summary = {
         "alpha": curve.alpha,
         "m": curve.m,
@@ -292,48 +317,46 @@ def _cmd_curve(cfg: RunConfig, out: Path):
         "f_a0_abs": curve.f_a0_abs,
         "cond2_margin": curve.cond2_margin,
         "vertices": len(curve.full_vertices),
-        "passed": bool(curve.delta > 0 and curve.cond2_margin > 0
-                       and cfg.tolerances.get("m", curve.m) == curve.m),
     }
-    _write_json(out / "curve.json", summary)
-    return summary
+    gates = [Gate("delta", curve.delta, ">", 0.0),
+             Gate("cond2_margin", curve.cond2_margin, ">", 0.0)]
+    if "m" in cfg.tolerances:
+        gates.append(Gate("m", curve.m, "==", cfg.tolerances["m"]))
+    return summary, gates, {
+        "curve_vertices.csv": (("re", "im"), [(z.real, z.imag) for z in curve.full_vertices]),
+        "curve.json": summary,
+    }
 
 
-def _lemma_summary(cfg: RunConfig, out: Path, report):
-    """Write <command>.json; the check itself raises if a bound fails, so the
-    gate left here is the decomposition identity residual."""
-    tol = float(cfg.tolerances.get("identity_residual", 1e-7))
-    passed = bool(report.identity_residual <= tol)
+def _lemma_result(cfg: RunConfig, report):
+    """<command>.json, and the gates: every margin and the identity residual."""
     payload = {
         "rows": [
             {"lambda": lam, "lhs": lhs, "bound": bound, "margin": margin}
             for lam, lhs, bound, margin in report.rows
         ],
         "identity_residual": report.identity_residual,
-        "passed": passed,
     }
-    _write_json(out / f"{cfg.command}.json", payload)
-    return {
-        "max_lhs": report.max_lhs,
-        "identity_residual": report.identity_residual,
-        "passed": passed,
-    }
+    gates = [Gate("min_margin", min(row[3] for row in report.rows), ">=", 0.0),
+             Gate("identity_residual", report.identity_residual, "<=",
+                  cfg.tolerances.get("identity_residual", 1e-7))]
+    summary = {"max_lhs": report.max_lhs, "identity_residual": report.identity_residual}
+    return summary, gates, {f"{cfg.command}.json": payload}
 
 
-def _cmd_lemma24(cfg: RunConfig, out: Path):
+def _cmd_lemma24(cfg: RunConfig):
     grid = cfg.lambda_grid or _default_lambda_grid()
-    return _lemma_summary(cfg, out, calculus.lemma_24_check(cfg.backend, cfg.measure, grid))
+    return _lemma_result(cfg, calculus.lemma_24_check(cfg.backend, cfg.measure, grid))
 
 
-def _cmd_lemma27(cfg: RunConfig, out: Path):
+def _cmd_lemma27(cfg: RunConfig):
     grid = cfg.lambda_grid or _default_lambda_grid(avoid_integers=True)
-    return _lemma_summary(
-        cfg, out, calculus.lemma_27_check(cfg.backend, cfg.distribution, grid))
+    return _lemma_result(cfg, calculus.lemma_27_check(cfg.backend, cfg.distribution, grid))
 
 
-def _cmd_resolvent_check(cfg: RunConfig, out: Path):
+def _cmd_resolvent_check(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    tol = float(cfg.tolerances.get("resolvent_identity", 1e-4))
+    tol = cfg.tolerances.get("resolvent_identity", 1e-4)
     # five (lam, nu) pairs, lam drawn first in each
     lams = [complex(rng.uniform(0, 3), rng.uniform(-3, 3)) for _ in range(10)]
     pairs = list(zip(lams[::2], lams[1::2]))
@@ -341,13 +364,12 @@ def _cmd_resolvent_check(cfg: RunConfig, out: Path):
     rows = [{"lambda": lam, "nu": nu, "residual": res}
             for (lam, nu), res in zip(pairs, residuals)]
     worst = max(residuals)
-    payload = {"pairs": rows, "worst_residual": worst, "tolerance": tol,
-               "passed": bool(worst <= tol)}
-    _write_json(out / "resolvent_check.json", payload)
-    return {"worst_residual": worst, "passed": payload["passed"]}
+    payload = {"pairs": rows, "worst_residual": worst, "tolerance": tol}
+    return ({"worst_residual": worst}, [Gate("worst_residual", worst, "<=", tol)],
+            {"resolvent_check.json": payload})
 
 
-def _cmd_idempotents(cfg: RunConfig, out: Path):
+def _cmd_idempotents(cfg: RunConfig):
     charset = spectral.character_set(cfg.backend)
     for m in (*cfg.m_list, cfg.m):
         if m is not None and m not in charset.slices:
@@ -357,48 +379,59 @@ def _cmd_idempotents(cfg: RunConfig, out: Path):
     chain = spectral.build_idempotents(charset, m_list)
     u = cfg.u if cfg.u is not None else 1e-3
     crit = spectral.criterion_check(charset, cfg.measure, [u])
-    m = cfg.m if cfg.m is not None else crit.rows[0].window_m
+    row = crit.rows[0]
+    m = cfg.m if cfg.m is not None else row.window_m
     if m is None:
         raise ConfigError("no slice fits the separation window at this u")
     cert, curve = spectral.separation_certificate(charset, cfg.measure, u, m,
                                                   crit.ray, crit.radii)
     t_grid = cfg.t_grid or (1e-3,)
     bg_rows = spectral.bounded_generator_check(cfg.backend, chain, t_grid)
+
+    criterion = Gate("rho", row.rho, "<", row.sup_ray * (1.0 - _DEGENERATE_TOL))
+    certificate = [
+        Gate("curve_min_excess", cert.curve_min_excess, ">=", 0.0),
+        Gate("min_slice_margin", min((mg for _, mg in cert.lam_margins), default=math.inf),
+             ">", 0.0),
+        Gate("winding_defect", cert.winding_defect, "<=", _WINDING_TOL),
+    ]
+    cert_payload = dataclasses.asdict(cert)
+    del cert_payload["winding_defect"]  # reported in gates.json
     payload = {
-        "criterion": dataclasses.asdict(crit.rows[0]),
+        "criterion": {**dataclasses.asdict(row), "strict": criterion.passed},
         "chain": {"m_list": list(chain.m_list), "exhaustive": chain.exhaustive},
         "generator_bounds": [dataclasses.asdict(r) for r in bg_rows],
-        "certificate": dataclasses.asdict(cert),
-        "passed": bool(crit.all_strict and chain.exhaustive and cert.passed),
+        "certificate": {**cert_payload, "passed": all(g.passed for g in certificate)},
     }
-    _write_json(out / "idempotents.json", payload)
-    _write_csv(out / "certificate_curve.csv", ("re", "im"),
-               [(z.real, z.imag) for z in curve.gamma_k0_vertices])
-    return {"passed": payload["passed"], "m": m, "u": u,
-            "rho": crit.rows[0].rho, "sup_ray": crit.rows[0].sup_ray,
-            "min_distance": cert.min_distance}
+    summary = {"m": m, "u": u, "rho": row.rho, "sup_ray": row.sup_ray,
+               "min_distance": cert.min_distance}
+    gates = [criterion, Gate("exhaustive", chain.exhaustive, "==", True), *certificate]
+    return summary, gates, {
+        "idempotents.json": payload,
+        "certificate_curve.csv": (("re", "im"),
+                                  [(z.real, z.imag) for z in curve.gamma_k0_vertices]),
+    }
 
 
-def _cmd_sharpness(cfg: RunConfig, out: Path):
+def _cmd_sharpness(cfg: RunConfig):
     n_list = cfg.n_list or (1000, 10000, 100000)
     grid = cfg.u_grid or [0.1, 0.5, 1.0, 2.0]
     ray = complexfn.ray_max(cfg.measure)
     reports = [spectral.sharpness_demo(n, cfg.measure, grid, ray) for n in n_list]
-    rows = []
-    for rep in reports:
-        for row in rep.rows:
-            rows.append((rep.n, row.u, row.norm_F, row.gap))
-    _write_csv(out / "sharpness.csv", ("n", "u", "norm_F", "gap"), rows)
-    monotone = all(b.max_gap <= a.max_gap for a, b in zip(reports, reports[1:]))
+    rows = [(rep.n, row.u, row.norm_F, row.gap) for rep in reports for row in rep.rows]
+    # the largest rise of max_gap from one n to the next
+    rise = max((b.max_gap - a.max_gap for a, b in zip(reports, reports[1:])), default=0.0)
+    monotone = Gate("gap_rise", rise, "<=", 0.0)
     payload = {
         "ray_value": reports[0].ray_value,
         "max_gap_by_n": {str(r.n): r.max_gap for r in reports},
-        "monotone": monotone,
+        "monotone": monotone.passed,
         "note": reports[0].note,
-        "passed": bool(monotone),
     }
-    _write_json(out / "sharpness.json", payload)
-    return {"passed": payload["passed"], "max_gap": reports[-1].max_gap}
+    return {"max_gap": reports[-1].max_gap}, [monotone], {
+        "sharpness.csv": (("n", "u", "norm_F", "gap"), rows),
+        "sharpness.json": payload,
+    }
 
 
 def _default_lambda_grid(avoid_integers: bool = False):
@@ -416,36 +449,35 @@ def _default_lambda_grid(avoid_integers: bool = False):
     return pts[:20]
 
 
-def _cmd_renormalization(cfg: RunConfig, out: Path):
+def _cmd_renormalization(cfg: RunConfig):
     report = semigroups.feller_renorm(cfg.backend, cfg.t_grid, seed=cfg.seed)
-    return {
-        "contraction_margin": report.contraction_margin,
-        "commutant_ok": report.commutant_ok,
-        "passed": bool(report.contraction_margin >= 0 and report.commutant_ok),
-    }
+    excess = max(est - full for _, est, full in report.commutant_bound_checks)
+    commutant = Gate("commutant_excess", excess, "<=", 0.0)
+    gates = [Gate("contraction_margin", report.contraction_margin, ">=", 0.0), commutant]
+    return {"contraction_margin": report.contraction_margin,
+            "commutant_ok": commutant.passed}, gates, {}
 
 
-def _cmd_verify_all(cfg: RunConfig, out: Path):
+def _cmd_verify_all(cfg: RunConfig):
     """Run every config in CONFIG_DIR, in sorted order, as ``sgcalc run`` does.
 
-    Each check is named by its file stem and writes to out/<stem>/; a check
-    that raises is recorded as failed and the rest still run.  A seed given
-    to verify-all replaces each check's own.
+    Each check is named by its file stem, writes to <output>/<stem>/ and is one
+    gate; a check that raises is recorded as failed and the rest still run.  A
+    seed given to verify-all replaces each check's own.
     """
     paths = sorted(CONFIG_DIR.glob("*.json"))
     if not paths:
         raise ConfigError(f"no check configs in {CONFIG_DIR}")
     checks = {}
     for path in paths:
-        check = load_config(str(path), output=out / path.stem, seed=cfg.seed)
+        check = load_config(str(path), output=cfg.output / path.stem, seed=cfg.seed)
         if check.command == "verify-all":
             raise ConfigError(f"{path.name}: verify-all cannot be a check")
         run(check)
         checks[path.stem] = json.loads((check.output / "summary.json").read_text())
     failed = [name for name, summary in checks.items() if not summary["passed"]]
-    _write_json(out / "verify_all.json",
-                {"checks": checks, "passed": not failed, "failed": failed})
-    return {"passed": not failed, "failed": failed}
+    gates = [Gate(name, summary["passed"], "==", True) for name, summary in checks.items()]
+    return {"failed": failed}, gates, {"verify_all.json": {"checks": checks, "failed": failed}}
 
 
 # command -> (implementation, the RunConfig fields it cannot run without,
@@ -466,19 +498,33 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Run one command with BLAS at one thread (``linalg.serial_blas``) and
-    write its summary.json; the exit code says whether the check passed."""
+    """Run one command with BLAS at one thread (``linalg.serial_blas``).
+
+    ``passed`` is the conjunction of the command's gates, written into
+    summary.json and every JSON artifact; gates.json lists each gate with its
+    verdict.  A check that cannot compute (an SgcalcError other than a
+    ConfigError) writes only summary.json, with passed false and the error.
+    """
     out = cfg.output
     out.mkdir(parents=True, exist_ok=True)
     try:
         with linalg.serial_blas():
-            summary = _DISPATCH[cfg.command][0](cfg, out)
+            summary, gates, artifacts = _DISPATCH[cfg.command][0](cfg)
     except ConfigError:
         raise
     except SgcalcError as exc:
-        summary = {"passed": False, "error": type(exc).__name__, "detail": str(exc)}
-    _write_json(out / "summary.json", {"command": cfg.command, **summary})
-    return EXIT_OK if summary.get("passed", True) else EXIT_CHECK_FAILED
+        summary, passed = {"error": type(exc).__name__, "detail": str(exc)}, False
+    else:
+        passed = all(gate.passed for gate in gates)
+        for name, payload in artifacts.items():
+            if name.endswith(".csv"):
+                _write_csv(out / name, *payload)
+            else:
+                _write_json(out / name, {**payload, "passed": passed})
+        _write_json(out / "gates.json",
+                    [{**gate._asdict(), "passed": gate.passed} for gate in gates])
+    _write_json(out / "summary.json", {"command": cfg.command, **summary, "passed": passed})
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

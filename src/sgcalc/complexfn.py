@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     AllZeroError,
     ComponentClosedError,
+    ConfigError,
     NoCircleFoundError,
     OrderNotFoundError,
     SimplicityRepairFailedError,
@@ -78,7 +79,8 @@ class SeparationCurve:
 # ray maximum
 
 _RAY_DECAY_FLOOR = 1e-9  # window ends where the decay bound drops below this * tv0
-_RAY_GRID_POINTS = 4096
+_RAY_GRID_POINTS = 4096  # at least; more where the support reaches far (``ray_max``)
+_RAY_GRID_MAX = 2**20
 _RAY_NEWTON_STEPS = 8  # a simple maximum takes 3-4
 _RAY_STEP_TOL = 1e-12  # times the window; the step after one this small is below rounding
 
@@ -104,16 +106,22 @@ def _ray_window(mu: CompactMeasure) -> tuple[float, float]:
 def ray_max(mu: CompactMeasure) -> RayMaximum:
     """Locate alpha >= 0 maximizing |F| on the positive ray.
 
-    The grid optimum x_i on the ``_ray_window`` is polished by Newton steps
-    on g = |F|^2, each read off one ``taylor_coefficients`` ring of radius one
-    grid step: with q_k = c_k / c_0, g'/g'' = Re q1 / (|q1|^2 + 2 Re q2), a
-    ratio that stays finite however large the weights of mu are.  The steps
-    stop once they fall to rounding, where g is not concave, or where they
-    would leave [x_{i-1}, x_{i+1}], so alpha never strays from the bracket
-    the grid found.
+    |F| varies on the scale 1/support_max, so the grid on the ``_ray_window``
+    steps at most 1/(8 support_max); a measure that needs more than
+    _RAY_GRID_MAX points is refused.  The grid optimum x_i is polished by
+    Newton steps on g = |F|^2, each read off one ``taylor_coefficients`` ring
+    of radius one grid step: with q_k = c_k / c_0, g'/g'' = Re q1 / (|q1|^2 +
+    2 Re q2), a ratio that stays finite however large the weights of mu are.
+    The steps stop once they fall to rounding, where g is not concave, or
+    where they would leave [x_{i-1}, x_{i+1}], so alpha never strays from the
+    bracket the grid found.
     """
     x_hi, floor = _ray_window(mu)
-    xs = np.linspace(0.0, x_hi, _RAY_GRID_POINTS)
+    points = max(_RAY_GRID_POINTS, math.ceil(8.0 * x_hi * mu.support_max))
+    if points > _RAY_GRID_MAX:
+        raise ConfigError(f"the ray grid needs {points} points on [0, {x_hi:.3g}], "
+                          f"more than {_RAY_GRID_MAX}")
+    xs = np.linspace(0.0, x_hi, points)
     vals = np.abs(laplace(mu, xs))
     i = int(np.argmax(vals))
     if vals[i] < floor:
@@ -194,7 +202,8 @@ _CIRCLE_CANDIDATES = 140
 
 
 def babylem_radius(mu: CompactMeasure) -> RadiusPair:
-    """Radii r < R with sup_{|z|<=r} |F| < min_{|z|=R} |F| - _CIRCLE_MARGIN.
+    """Radii r < R with sup_{|z|<=r} |F| < min_{|z|=R} |F| - margin, where
+    margin = _CIRCLE_MARGIN * int d|mu| scales with mu.
 
     Scans candidate circles for one staying well away from zeros of F, then
     grows r from 0 while the boundary maximum (= the disk sup, by the maximum
@@ -202,6 +211,7 @@ def babylem_radius(mu: CompactMeasure) -> RadiusPair:
     """
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     ring = np.exp(1j * theta)
+    margin = _CIRCLE_MARGIN * tv_moment(mu, 0)
 
     best_R, best_delta = None, -1.0
     for R in np.geomspace(1e-2, 50.0, _CIRCLE_CANDIDATES):
@@ -213,14 +223,14 @@ def babylem_radius(mu: CompactMeasure) -> RadiusPair:
     # denser ring holds the scan's points exactly, so its minimum is no larger
     theta_fine = 2.0 * np.pi * np.arange(4 * _CIRCLE_SAMPLES) / (4 * _CIRCLE_SAMPLES)
     delta_circle = float(np.min(np.abs(laplace(mu, best_R * np.exp(1j * theta_fine)))))
-    if delta_circle <= _CIRCLE_MARGIN:
+    if delta_circle <= margin:
         raise NoCircleFoundError("no candidate circle keeps |F| above the margin")
 
     r_found = 0.0
     sup_inside = 0.0
     for r in np.linspace(best_R / 500.0, best_R, 500):
         sup_inside = max(sup_inside, float(np.max(np.abs(laplace(mu, r * ring[::4])))))
-        if sup_inside < delta_circle - _CIRCLE_MARGIN:
+        if sup_inside < delta_circle - margin:
             r_found = float(r)
         else:
             break
@@ -307,7 +317,7 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
     path_points, a2, a3 = result
 
     # --- simplify the grid path inside U, keeping a strict level margin
-    level_margin = 1e-12 * max(f_a0, 1.0)
+    level_margin = 1e-12 * f_a0
 
     def seg_ok(z1, z2):
         ts_ = np.linspace(0.0, 1.0, 64)

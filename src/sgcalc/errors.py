@@ -53,22 +53,5 @@ class MassNotZeroError(SgcalcError):
     """Measure must have total mass zero."""
 
 
-class BoundViolationError(SgcalcError):
-    """A proved inequality was violated beyond the combined tolerance."""
-
-    def __init__(self, message, argument=None, margin=None):
-        super().__init__(message)
-        self.argument = argument
-        self.margin = margin
-
-
-class CertificateFailedError(SgcalcError):
-    """Separation certificate failed at a specific point."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
-
 class ConfigError(SgcalcError):
     """Invalid run configuration."""

@@ -224,9 +224,9 @@ def _piece_tv_moment(p: Piece, k: int) -> float:
     # of a second of every run's start-up
     from scipy.integrate import quad
 
-    val, err = quad(
-        lambda t: abs(npoly.polyval(t, c)) * t**k, p.a, p.b, epsabs=1e-10, limit=200
-    )
+    # a relative tolerance only, so that 2^k mu gets 2^k times the moment of mu
+    val, err = quad(lambda t: abs(npoly.polyval(t, c)) * t**k, p.a, p.b,
+                    epsabs=0.0, epsrel=1e-10, limit=200)
     return val
 
 

@@ -3,8 +3,8 @@
 A diagonal semigroup T(t) = diag(e^{-lambda_k t}) realizes the character
 picture exactly: each coordinate is a character with value a_chi = lambda_k.
 This module slices the character set, builds the exhaustive chain of 0/1
-coordinate projections, checks the strict spectral-radius criterion, and
-certifies the separating curve that encloses a slice.
+coordinate projections, and computes both sides of the strict spectral-radius
+criterion and the certificate of the separating curve that encloses a slice.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .complexfn import (
     ray_max,
     separation_curve,
 )
-from .errors import CertificateFailedError, ConfigError, NotDiagonalError
+from .errors import ConfigError, NotDiagonalError
 from .measures import CompactMeasure, laplace, require_mass_zero
 from .semigroups import DiagonalSemigroup, MultiplicationC0, SemigroupBackend
 
@@ -70,7 +70,6 @@ class CriterionRow:
     u: float
     rho: float
     sup_ray: float
-    strict: bool
     window_m: int | None  # largest slice with u * R_m < r, None if none fits
 
 
@@ -80,24 +79,13 @@ class CriterionReport:
     ray: RayMaximum  # sup_{x>0} |F(x)| and its maximizer
     radii: RadiusPair  # the separation window is u * R_m < radii.r
 
-    @property
-    def all_strict(self) -> bool:
-        return all(row.strict for row in self.rows)
-
-
-# rho and ray.value are computed values of |F|, each a few ulps off, so a tie
-# shows only to that rounding: rho this close (relatively) below ray.value
-# counts as equality, for mu and 2^k mu alike.
-_DEGENERATE_TOL = 1e-12
-
 
 def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> CriterionReport:
-    """Strict criterion rho(F(-uA)) < sup_{x>0} |F(x)| over the character set.
+    """Both sides of the strict criterion rho(F(-uA)) < sup_{x>0} |F(x)|.
 
-    rho is the exhaustive maximum of |F(u a_chi)|; rho >= sup (1 -
-    _DEGENERATE_TOL) counts as failure because the decomposition theorem needs
-    the strict inequality.  The report keeps the ray maximum and the radius
-    pair, which the separation certificate reuses.
+    rho is the exhaustive maximum of |F(u a_chi)| over the character set.  The
+    report keeps the ray maximum and the radius pair, which the separation
+    certificate reuses.
     """
     require_mass_zero(mu)
     ray = ray_max(mu)
@@ -107,12 +95,11 @@ def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> Criter
     for u in u_list:
         u = float(u)
         rho = float(np.max(np.abs(laplace(mu, u * lambdas))))
-        strict = rho < ray.value * (1.0 - _DEGENERATE_TOL)
         window_m = None
         for m in sorted(charset.slices):
             if charset.slices[m] and u * charset.radii[m] < radii.r:
                 window_m = m
-        rows.append(CriterionRow(u, rho, ray.value, strict, window_m))
+        rows.append(CriterionRow(u, rho, ray.value, window_m))
     return CriterionReport(tuple(rows), ray, radii)
 
 
@@ -204,7 +191,8 @@ class SeparationReport:
     curve_min_excess: float  # min over curve samples of |F(uz)| - F(alpha)
     lam_margins: tuple  # (lambda, F(alpha) - |F(u lambda)|)
     min_distance: float
-    passed: bool
+    # max over the slice of ||winding number| - 1|, inf for a point on the polygon
+    winding_defect: float
 
 
 _SAMPLES_PER_SEGMENT = 200
@@ -219,15 +207,15 @@ def separation_certificate(
     ray: RayMaximum,
     radii: RadiusPair,
 ) -> tuple[SeparationReport, SeparationCurve]:
-    """Certify that the slice Lambda_m sits strictly inside the curve Gamma_k.
+    """The numbers that certify the slice Lambda_m strictly inside the curve Gamma_k.
 
     The closed curve is Gamma_{k,0}, the left semicircle of radius |v_k|, and
-    the conjugate arc.  Each lambda in the slice must have |F(u lambda)|
-    strictly below the ray maximum that the curve values dominate, winding
-    number +-1 and positive distance to the polygon; the first point to fail,
-    in slice order and in that order of checks, raises.  ``ray`` and
-    ``radii`` are those of ``criterion_check``'s report, so neither is
-    computed again.  Returns the report and the certified curve.
+    the conjugate arc.  The certificate holds when the curve samples stay at
+    or above the ray maximum (curve_min_excess >= 0) and each lambda in the
+    slice has |F(u lambda)| strictly below it (lam_margins), winding number
+    +-1 and positive distance to the polygon.  ``ray`` and ``radii`` are
+    those of ``criterion_check``'s report, so neither is computed again.
+    Returns the report and the curve.
     """
     require_mass_zero(mu)
     R_m = charset.radii[m]
@@ -241,10 +229,6 @@ def separation_certificate(
     # the real-axis endpoint alpha_k attains the ray maximum exactly
     excess[np.abs(gamma[:-1] - curve.alpha_k) < 1e-15, 0] = np.inf
     min_excess = float(np.min(excess))
-    if min_excess < 0:
-        raise CertificateFailedError(
-            "curve dipped below the ray maximum", point=complex(u)
-        )
 
     # closed polygon: gamma up, left semicircle, conjugate arc down
     radius = curve.radius
@@ -263,17 +247,7 @@ def separation_certificate(
     denom = np.abs(ab) ** 2
     t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / np.where(denom == 0, 1.0, denom)
     dists = np.min(np.abs(p - (a + np.clip(t, 0.0, 1.0) * ab)), axis=1)
-
-    reaches_max = margins <= 0
-    outside = (np.abs(np.abs(winding) - 1.0) > 1e-6) | (dists <= 0)
-    bad = reaches_max | outside
-    if bad.any():
-        k = int(np.argmax(bad))
-        lam = complex(lams[k])
-        if reaches_max[k]:
-            raise CertificateFailedError("slice point reaches the ray maximum", point=lam)
-        raise CertificateFailedError(f"winding number {winding[k]:.6f} is not +-1 or the point "
-                                     f"touches the curve (distance {dists[k]:.3g})", point=lam)
+    defects = np.where(dists > 0, np.abs(np.abs(winding) - 1.0), math.inf)
 
     return SeparationReport(
         u=float(u),
@@ -285,7 +259,7 @@ def separation_certificate(
         curve_min_excess=min_excess,
         lam_margins=tuple((complex(lam), float(mg)) for lam, mg in zip(lams, margins)),
         min_distance=float(np.min(dists, initial=math.inf)),
-        passed=True,
+        winding_defect=float(np.max(defects, initial=0.0)),
     ), curve
 
 

@@ -222,7 +222,7 @@ class TestSweepCommand:
             assert main(["run", "--config", cfg, "--output", str(out)]) == 0
             assert json.loads((out / "summary.json").read_text())["passed"] is True
             norms.append(float((out / "sweep.csv").read_text().splitlines()[1].split(",")[1]))
-        assert norms[1] == pytest.approx(scale * norms[0], rel=1e-14)
+        assert norms[1] == pytest.approx(scale * norms[0], rel=1e-14, abs=0)
 
 
 class TestConfigDeterminedRefusals:
@@ -312,9 +312,9 @@ class TestSerialBlas:
         seen = []
 
         def recording(fn):
-            def wrapped(cfg, out):
+            def wrapped(cfg):
                 seen.append(self._counts(pools))
-                return fn(cfg, out)
+                return fn(cfg)
             return wrapped
 
         for name, (fn, *fields) in list(cli._DISPATCH.items()):
@@ -603,7 +603,7 @@ def _step_budgets_just_past_the_margins(monkeypatch):
 
 def _path_gap_just_past_tolerance(monkeypatch):
     monkeypatch.setattr(calculus, "_difference_bound",
-                        lambda prod, conv: _up(calculus._PATH_TOL * prod.norm()))
+                        lambda prod, conv: _up(cli._PATH_TOL * prod.norm()))
 
 
 def _lemma24_lhs_just_past_the_bound(monkeypatch):
@@ -669,70 +669,53 @@ def _commutant_estimates_just_past_the_norms(monkeypatch):
             (tag, _up(full), full) for tag, _, full in rep.commutant_bound_checks)))
 
 
-# gate -> (shipped config, patch that moves the gated value just past its
-# threshold, output file, field, the value the failure leaves there or a test
-# of it).  Each field is one that only this gate's failure sets, so a run that
-# fails for another reason does not pass the case.  The separation check's
-# winding gate also fails a slice point on the polygon (distance 0), with the
-# same message.
+# "<shipped config stem>/<gate>" -> the patches that move the value of that
+# gate, as the library computes it, just past the gate's threshold.  Each
+# patch fails exactly its gate, so a run that fails for another reason does not
+# pass the case.  A passing verify-all writes exactly these gates.
 _GATE_CASES = {
-    "sweep-flagship-min-margin": ("sweep-flagship", _first_row_margin("sweep", 0.1),
-                                  "summary.json", "min_margin", 0.1),
-    "sweep-four-atom-min-margin": ("sweep-four-atom", _first_row_margin("sweep", 0.0),
-                                   "summary.json", "min_margin", 0.0),
-    "sweep-step-min-margin": ("sweep-step", _first_row_margin("sweep", 0.0),
-                              "summary.json", "min_margin", 0.0),
-    "sweep-step-budget": ("sweep-step", _step_budgets_just_past_the_margins,
-                          "summary.json", "min_margin", lambda m: m < 0),
-    "symmetrized-sweep-min-margin": ("symmetrized-sweep",
-                                     _first_row_margin("symmetrized_sweep", 0.0),
-                                     "summary.json", "min_margin", 0.0),
-    "symmetrized-sweep-path": ("symmetrized-sweep", _path_gap_just_past_tolerance,
-                               "summary.json", "detail",
-                               "product path and convolution path disagree"),
-    "curve-delta": ("curve", _replace(complexfn, "jordan_curve", delta=0.0),
-                    "curve.json", "delta", 0.0),
-    "curve-cond2-margin": ("curve", _replace(complexfn, "jordan_curve", cond2_margin=0.0),
-                           "curve.json", "cond2_margin", 0.0),
-    "curve-order": ("curve", _replace(complexfn, "jordan_curve", m=3), "curve.json", "m", 3),
-    "lemma24-bound": ("lemma24", _lemma24_lhs_just_past_the_bound,
-                      "summary.json", "error", "BoundViolationError"),
-    "lemma24-identity": ("lemma24", _replace(calculus, "lemma_24_check",
-                                             identity_residual=_up(1e-7)),
-                         "lemma24.json", "identity_residual", _up(1e-7)),
-    "lemma27-bound": ("lemma27", _lemma27_budget_just_past_the_smallest_margin,
-                      "summary.json", "error", "BoundViolationError"),
-    "lemma27-identity": ("lemma27", _replace(calculus, "lemma_27_check",
-                                             identity_residual=_up(1e-7)),
-                         "lemma27.json", "identity_residual", _up(1e-7)),
-    "resolvent-check": ("resolvent-check", lambda monkeypatch: monkeypatch.setattr(
+    "sweep-flagship/min_margin": (_first_row_margin("sweep", 0.1),),
+    "sweep-four-atom/min_margin": (_first_row_margin("sweep", 0.0),),
+    "sweep-step/min_margin": (_first_row_margin("sweep", 0.0),
+                              _step_budgets_just_past_the_margins),
+    "symmetrized-sweep/min_margin": (_first_row_margin("symmetrized_sweep", 0.0),),
+    "symmetrized-sweep/path_gap": (_path_gap_just_past_tolerance,),
+    "curve/delta": (_replace(complexfn, "jordan_curve", delta=0.0),),
+    "curve/cond2_margin": (_replace(complexfn, "jordan_curve", cond2_margin=0.0),),
+    "curve/m": (_replace(complexfn, "jordan_curve", m=3),),
+    "lemma24/min_margin": (_lemma24_lhs_just_past_the_bound,),
+    "lemma24/identity_residual": (_replace(calculus, "lemma_24_check",
+                                           identity_residual=_up(1e-7)),),
+    "lemma27/min_margin": (_lemma27_budget_just_past_the_smallest_margin,),
+    "lemma27/identity_residual": (_replace(calculus, "lemma_27_check",
+                                           identity_residual=_up(1e-7)),),
+    "resolvent-check/worst_residual": (lambda monkeypatch: monkeypatch.setattr(
         calculus, "resolvent_identity_residuals",
-        lambda backend, pairs: [_up(1e-4)] * len(pairs)),
-        "resolvent_check.json", "worst_residual", _up(1e-4)),
+        lambda backend, pairs: [_up(1e-4)] * len(pairs)),),
     # criterion_check evaluates F at all 200 characters, the certificate at
     # the 150 of the slice and on a 2-D grid of curve samples
-    "separation-criterion": ("separation", _separation_laplace(
-        lambda z: z.shape == (200,), lambda ray: ray * (1.0 - spectral._DEGENERATE_TOL)),
-        "idempotents.json", "criterion.strict", False),
-    "separation-exhaustive": ("separation", _chain_missing_a_point,
-                              "idempotents.json", "chain.exhaustive", False),
-    "separation-curve-excess": ("separation", _separation_laplace(
-        lambda z: z.ndim == 2, lambda ray: ray * (1.0 - 1e-10)),
-        "summary.json", "detail", "curve dipped below the ray maximum"),
-    "separation-slice-margin": ("separation", _separation_laplace(
-        lambda z: z.shape == (150,), lambda ray: ray),
-        "summary.json", "detail", "slice point reaches the ray maximum"),
-    "separation-winding": ("separation", _slice_point_outside_the_curve,
-                           "summary.json", "detail",
-                           lambda d: d.startswith("winding number 0.000000 is not +-1 ")),
-    "sharpness-monotone": ("sharpness", _gap_growing_by_an_ulp,
-                           "sharpness.json", "monotone", False),
-    "renormalization-contraction": ("renormalization", _replace(
-        semigroups, "feller_renorm", contraction_margin=-5e-324),
-        "summary.json", "commutant_ok", True),
-    "renormalization-commutant": ("renormalization",
-                                  _commutant_estimates_just_past_the_norms,
-                                  "summary.json", "commutant_ok", False),
+    "separation/rho": (_separation_laplace(
+        lambda z: z.shape == (200,), lambda ray: ray * (1.0 - cli._DEGENERATE_TOL)),),
+    "separation/exhaustive": (_chain_missing_a_point,),
+    "separation/curve_min_excess": (_separation_laplace(
+        lambda z: z.ndim == 2, lambda ray: ray * (1.0 - 1e-10)),),
+    "separation/min_slice_margin": (_separation_laplace(
+        lambda z: z.shape == (150,), lambda ray: ray),),
+    "separation/winding_defect": (_slice_point_outside_the_curve,),
+    "sharpness/gap_rise": (_gap_growing_by_an_ulp,),
+    "renormalization/contraction_margin": (_replace(
+        semigroups, "feller_renorm", contraction_margin=-5e-324),),
+    "renormalization/commutant_excess": (_commutant_estimates_just_past_the_norms,),
+}
+
+# the artifact field that each of these gates decides besides passed
+_VERDICT_FIELDS = {
+    "separation/rho": ("idempotents.json", "criterion", "strict"),
+    "separation/curve_min_excess": ("idempotents.json", "certificate", "passed"),
+    "separation/min_slice_margin": ("idempotents.json", "certificate", "passed"),
+    "separation/winding_defect": ("idempotents.json", "certificate", "passed"),
+    "sharpness/gap_rise": ("sharpness.json", "monotone"),
+    "renormalization/commutant_excess": ("summary.json", "commutant_ok"),
 }
 
 
@@ -770,29 +753,40 @@ class TestGates:
         assert summary["identity_residual"] > 1e-30
         assert json.loads((out / "lemma24.json").read_text())["passed"] is False
 
-    @pytest.mark.parametrize("stem, patch, name, field, expected", list(_GATE_CASES.values()),
-                             ids=list(_GATE_CASES))
-    def test_a_value_just_past_its_gate_fails(self, tmp_path, monkeypatch, stem, patch,
-                                              name, field, expected):
+    @pytest.mark.parametrize("gate, patch", [
+        pytest.param(gate, patch, id=gate if len(patches) == 1 else f"{gate}-{i}")
+        for gate, patches in _GATE_CASES.items() for i, patch in enumerate(patches)])
+    def test_a_value_just_past_its_gate_fails(self, tmp_path, monkeypatch, gate, patch):
         # every gate of every shipped check decides on its strict side: the
         # gated value moved just past the threshold, on the unsafe side, fails
-        # the check, and fails it at that gate
+        # the check at that gate alone, and the check still writes every
+        # artifact, each with passed false
+        stem, name = gate.split("/")
         patch(monkeypatch)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cli.CONFIG_DIR / f"{stem}.json"),
                      "--output", str(out)]) == 1
-        assert json.loads((out / "summary.json").read_text())["passed"] is False
-        value = json.loads((out / name).read_text())
-        for key in field.split("."):
-            value = value[key]
-        assert expected(value) if callable(expected) else value == expected
+        gates = json.loads((out / "gates.json").read_text())
+        assert [g["name"] for g in gates if not g["passed"]] == [name]
+        assert "error" not in json.loads((out / "summary.json").read_text())
+        written = {p.name: json.loads(p.read_text()) for p in out.glob("*.json")}
+        assert all(p["passed"] is False for n, p in written.items() if n != "gates.json")
+        if gate in _VERDICT_FIELDS:
+            file, *keys = _VERDICT_FIELDS[gate]
+            value = written[file]
+            for key in keys:
+                value = value[key]
+            assert value is False
 
 
-# output fields homogeneous of degree 1 in mu (degree 2 on symmetrized-sweep,
-# which is quadratic in mu); every other field must not move at all
+# output fields and gates homogeneous of degree 1 in mu (degree 2 on
+# symmetrized-sweep, which is quadratic in mu); every other field, and every
+# complex value (a point, never a value of |F|), must not move at all
 _HOMOGENEOUS = {"norm_F", "rho_F", "ray_max", "margin", "min_margin", "max_quadrature_budget",
                 "lhs", "bound", "identity_residual", "max_lhs", "gap", "ray_value",
-                "max_gap_by_n", "max_gap"}
+                "max_gap_by_n", "max_gap", "path_gap", "gap_rise", "delta", "f_alpha",
+                "f_a0_abs", "cond2_margin", "rho", "sup_ray", "curve_min_excess",
+                "lam_margins", "min_slice_margin"}
 
 
 def _scaled_spec(mu, c):
@@ -805,7 +799,8 @@ def _scaled_spec(mu, c):
 
 def _scaled_run(tmp_path, stem, k):
     """Run the shipped config stem with every weight times 2^k and every
-    absolute tolerance (defaults included) scaled to match; its output tree."""
+    absolute tolerance (defaults included; not curve's order m) scaled to
+    match; its output tree."""
     cfg = json.loads((cli.CONFIG_DIR / f"{stem}.json").read_text())
     c = 2.0**k
     if "measure" in cfg:
@@ -817,7 +812,8 @@ def _scaled_run(tmp_path, stem, k):
     if cfg["command"] in ("lemma24", "lemma27"):
         tol.setdefault("identity_residual", 1e-7)
     degree = 2 if cfg["command"] == "symmetrized-sweep" else 1
-    cfg["tolerances"] = {key: value * c**degree for key, value in tol.items()}
+    cfg["tolerances"] = {key: value if key == "m" else value * c**degree
+                         for key, value in tol.items()}
     out = tmp_path / f"{stem}-{k}"
     code = main(["run", "--config", _write_config(tmp_path / f"{stem}-{k}.json", cfg),
                  "--output", str(out)])
@@ -828,6 +824,7 @@ def _assert_scaled(base, scaled, factor, homogeneous=False):
     """scaled equals base, times factor where homogeneous, bit for bit."""
     if isinstance(base, dict):
         assert base.keys() == scaled.keys()
+        homogeneous = homogeneous and base.keys() != {"re", "im"}
         for key in base:
             _assert_scaled(base[key], scaled[key], factor, homogeneous or key in _HOMOGENEOUS)
     elif isinstance(base, list):
@@ -841,10 +838,13 @@ def _assert_scaled(base, scaled, factor, homogeneous=False):
 
 
 def _read_tree(out):
-    """{file name: JSON payload, or CSV rows as {column: value}}."""
+    """{file name: JSON payload, or CSV rows as {column: value}}; gates.json as
+    {gate name: gate}."""
     tree = {}
     for path in sorted(out.iterdir()):
-        if path.suffix == ".json":
+        if path.name == "gates.json":
+            tree[path.name] = {g["name"]: g for g in json.loads(path.read_text())}
+        elif path.suffix == ".json":
             tree[path.name] = json.loads(path.read_text())
         else:
             header, *rows = path.read_text().splitlines()
@@ -856,8 +856,7 @@ def _read_tree(out):
 class TestScaleEquivariance:
     """The paper's estimates are homogeneous in mu, and scaling by 2^k is exact
     in floating point: every output of a check on 2^k mu is its output on mu
-    times 2^k bit for bit, and every verdict is the same.  curve and
-    separation stay out: their construction margins are still absolute."""
+    times 2^k bit for bit, and every verdict is the same."""
 
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
@@ -865,7 +864,8 @@ class TestScaleEquivariance:
 
     @pytest.mark.parametrize("k", [-60, -40, 40, 60])
     @pytest.mark.parametrize("stem", ["sweep-flagship", "sweep-four-atom", "sweep-step",
-                                      "symmetrized-sweep", "lemma24", "lemma27", "sharpness"])
+                                      "symmetrized-sweep", "lemma24", "lemma27", "sharpness",
+                                      "curve", "separation"])
     def test_outputs_scale_exactly(self, tmp_path, base, stem, k):
         cache, base_dir = base
         if stem not in cache:
@@ -931,6 +931,18 @@ class TestVerifyAll:
         assert kept == self._resolvent_check(tmp_path, "b", "run", "--config", own)
         assert kept != self._resolvent_check(
             tmp_path, "c", "run", "--config", own, "--seed", "0")
+
+    def test_gates_are_the_gate_cases(self, tmp_path):
+        # a gate added to a shipped check without a case in _GATE_CASES fails here
+        out = tmp_path / "out"
+        assert main(["verify-all", "--output", str(out)]) == 0
+        gates = [(path.parent.name, g) for path in sorted(out.glob("*/gates.json"))
+                 for g in json.loads(path.read_text())]
+        assert all(g["passed"] for _, g in gates)
+        assert sorted(f"{stem}/{g['name']}" for stem, g in gates) == sorted(_GATE_CASES)
+        top = json.loads((out / "gates.json").read_text())
+        assert [(g["name"], g["value"]) for g in top] == [
+            (p.stem, True) for p in sorted(cli.CONFIG_DIR.glob("*.json"))]
 
     def test_two_runs_write_byte_identical_trees(self, tmp_path):
         trees = []

@@ -20,6 +20,7 @@ from sgcalc.cli import NAMED_MEASURES
 from sgcalc.errors import (
     AllZeroError,
     ComponentClosedError,
+    ConfigError,
     NoCircleFoundError,
     OrderNotFoundError,
     SimplicityRepairFailedError,
@@ -108,6 +109,22 @@ class TestRayMax:
         assert ray.alpha == 0.0
         assert ray.value == pytest.approx(value, rel=1e-15)
 
+    def test_wide_support_against_a_dense_grid(self):
+        # |F| varies on the scale 1/40: 4,096 points on the window [0, 160]
+        # once missed the maximum at x = 0.0267 and returned |F| = 0.1872
+        mu = from_atoms([(10.0, 1.0), (20.0, -3.0), (40.0, 2.0)])
+        ray = ray_max(mu)
+        xs = np.linspace(0.0, 0.1, 100_001)
+        vals = np.abs(laplace(mu, xs))
+        assert ray.alpha == pytest.approx(xs[np.argmax(vals)], abs=1e-6)
+        assert ray.value == pytest.approx(np.max(vals), rel=1e-9)
+        assert ray.value >= np.max(vals)
+
+    def test_grid_past_the_cap_is_refused(self):
+        # a step of 1/(8 * 1000) on [0, 4000] needs 3.2e7 points
+        with pytest.raises(ConfigError, match="32000000 points"):
+            ray_max(from_atoms([(1.0, 1.0), (1000.0, -1.0)]))
+
     def test_scale_covariance(self):
         base = ray_max(D12)
         for u in [0.25, 3.0]:
@@ -169,9 +186,16 @@ class TestBabylem:
         assert disk_sup < circle_min - 1e-3
 
     def test_no_circle_above_the_margin(self):
-        # |F| < 2^-38 everywhere on the candidate circles, below _CIRCLE_MARGIN
+        # |F| <= 4e-4 on the real ray, which every candidate circle crosses:
+        # below the margin, 1e-3 of int d|mu| = 2
         with pytest.raises(NoCircleFoundError, match="no candidate circle"):
-            babylem_radius(2.0**-40 * D12)
+            babylem_radius(from_atoms([(1.0, 1.0), (1.001, -1.0)]))
+
+    @pytest.mark.parametrize("k", [-60, -40, 40, 60])
+    def test_scale_invariant_radii(self, k):
+        base, scaled = babylem_radius(D12), babylem_radius(2.0**k * D12)
+        assert (scaled.r, scaled.R) == (base.r, base.R)
+        assert scaled.delta_circle == 2.0**k * base.delta_circle
 
     def test_no_inner_radius(self):
         # F = e^-z: |F| near 0 is about 1, above the circle minimum e^-R

@@ -99,6 +99,15 @@ class TestTvMoment:
         mu = CompactMeasure(pieces=(Piece(1.0, 2.0, (1.0 + 1.0j,)),))
         assert tv_moment(mu, 0) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0, -20, -40])
+    def test_complex_piece_is_relative_at_every_scale(self, k):
+        # |t - 1.5 - 1e-3 i| on [1, 2]: int_{-1/2}^{1/2} sqrt(x^2 + a^2) dx with
+        # a = 1e-3 is sqrt(1/4 + a^2) / 2 + a^2 asinh(1 / (2a))
+        a = 1e-3
+        mu = CompactMeasure(pieces=(Piece(1.0, 2.0, (-1.5 - 1j * a, 1.0)),))
+        exact = math.sqrt(0.25 + a * a) / 2 + a * a * math.asinh(0.5 / a)
+        assert tv_moment(2.0**k * mu, 0) == pytest.approx(2.0**k * exact, rel=1e-10, abs=0)
+
 
 class TestLaplace:
     def test_dirac_difference_closed_form(self):
