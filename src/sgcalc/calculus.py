@@ -8,6 +8,7 @@ the quadrature budget against their bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,11 +53,13 @@ _MAX_EXP_RE = math.log(sys.float_info.max / 2)
 class OperatorValue:
     """F(-uA) as a matrix (dense or diagonal) plus its quadrature error claim.
 
-    On shift backends the operator is a weight combination of powers of the
-    one-cell shift; shift_weights keeps that structure alive, so ``norm``
-    passes its first column to ``linalg.banded_toeplitz_opnorm``, which
-    reduces it exactly (gcd chains, the leading shift) and takes the largest
-    singular value of the section at any size without forming the matrix.
+    On shift backends the operator is sum_k w_k S^k, S the one-cell shift,
+    kept as shift_weights {k: w_k}.  ``norm`` passes its first column to
+    ``linalg.banded_toeplitz_opnorm``, which reduces it exactly (gcd chains,
+    the leading shift) and takes the largest singular value of the section
+    without forming the matrix; ``matmul`` takes the truncated convolution
+    of the two first columns, each cut after its last offset (short for
+    atoms), and keeps the product's nonzero entries.
     """
 
     matrix: np.ndarray | None
@@ -97,14 +100,12 @@ class OperatorValue:
         if self.is_diag and other.is_diag:
             return OperatorValue(None, self.diag * other.diag, (), budget)
         if self.shift_weights is not None and other.shift_weights is not None:
-            combined: dict[int, complex] = {}
-            for k1, w1 in self.shift_weights.items():
-                for k2, w2 in other.shift_weights.items():
-                    k = k1 + k2
-                    if k < self.dim:
-                        combined[k] = combined.get(k, 0.0) + w1 * w2
-            return OperatorValue(None, None, (), budget,
-                                 shift_weights=combined, dim=self.dim)
+            a, b = (_shift_column(min(self.dim, 1 + max(op.shift_weights, default=0)),
+                                  op.shift_weights) for op in (self, other))
+            col = np.convolve(a, b)[: self.dim]
+            live = np.flatnonzero(col)
+            return OperatorValue(None, None, (), budget, dim=self.dim,
+                                 shift_weights=dict(zip(live.tolist(), col[live].tolist())))
         return OperatorValue(self.to_dense() @ other.to_dense(), None, (), budget)
 
 
@@ -132,10 +133,9 @@ def _shift_piece_weights(backend: NilpotentShift, piece, u: float):
 def _shift_column(n: int, weights: dict) -> np.ndarray:
     """First column of sum_k w_k S^k on C^n."""
     k = np.fromiter(weights, dtype=int, count=len(weights))
-    w = np.fromiter(weights.values(), dtype=complex, count=len(weights))
     keep = k < n
     col = np.zeros(n, dtype=complex)
-    col[k[keep]] = w[keep]
+    col[k[keep]] = np.fromiter(weights.values(), dtype=complex, count=len(weights))[keep]
     return col
 
 
@@ -172,8 +172,7 @@ def func_calc(
             ks, ws = _shift_piece_weights(backend, piece, u)
             for k, w in zip(ks.tolist(), ws.tolist()):
                 weights[k] = weights.get(k, 0.0) + w
-        return OperatorValue(None, None, (), 0.0,
-                             shift_weights=weights, dim=backend.dim)
+        return OperatorValue(None, None, (), 0.0, shift_weights=weights, dim=backend.dim)
 
     n = backend.dim
     M = np.zeros((n, n), dtype=complex)
@@ -191,9 +190,17 @@ def func_calc(
     return OperatorValue(M, None, (), budget)
 
 
+@functools.cache
+def _unit_rule(order: int):
+    """Read-only nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
+
+
 def _gauss_legendre(a: float, b: float, order: int = _DEFAULT_GL_ORDER):
     """Nodes and weights of the order-point Gauss-Legendre rule on [a, b]."""
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = _unit_rule(order)
     half = 0.5 * (b - a)
     return half * nodes + 0.5 * (a + b), half * wts
 
@@ -548,9 +555,7 @@ def symmetrized_sweep(backend: SemigroupBackend, mu: CompactMeasure, u_grid) -> 
     ray2 = ray_max(nu)
     rows = []
     for u in sorted(float(u) for u in u_grid):
-        left = func_calc(backend, mu, u)
-        right = func_calc(backend, mu_bar, u)
-        prod = left.matmul(right)
+        prod = func_calc(backend, mu, u).matmul(func_calc(backend, mu_bar, u))
         direct = prod.norm()
         gap = _difference_bound(prod, func_calc(backend, nu, u))
         rows.append(SweepRow(u, direct, prod.spectral_radius(), ray2.value,

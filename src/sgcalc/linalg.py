@@ -11,13 +11,15 @@ lower-triangular Toeplitz matrix, given by its first column, goes through one
 front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
 that its public entry names: ``banded_toeplitz_opnorm`` for F(-uA) on the
 shift model (banded Gram matrix or Lanczos), ``toeplitz_opnorm`` for full
-columns such as resolvents (power iteration).  Lanczos and power iteration
-share one Gram product, ``_toeplitz_gram``: direct convolution for narrow
-sections, an FFT of 2-3-5-smooth length for wide ones, whichever a cost rule
-fitted to measured timings (``_gram_fft_length``) finds cheaper; numpy's FFT,
-not scipy's, which would add to start-up.  A norm that feeds only a
-"<= tolerance" gate takes ``opnorm_bound`` instead, a proved upper bound that
-needs no iteration.
+columns such as resolvents (power iteration).  Both kinds scale the operand
+by ``_pow2_scaled``, the one real-or-complex decision: an operand with no
+nonzero imaginary part runs in float64, any other in complex.  Lanczos and
+power iteration share one Gram product, ``_toeplitz_gram``: direct
+convolution for narrow sections, an FFT of 2-3-5-smooth length for wide
+ones, whichever a cost rule fitted to measured timings (``_gram_fft_length``)
+finds cheaper; numpy's FFT, not scipy's, which would add to start-up.  A norm
+that feeds only a "<= tolerance" gate takes ``opnorm_bound`` instead, a
+proved upper bound that needs no iteration.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import ctypes
 import functools
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,26 +69,30 @@ def power_opnorm(M: np.ndarray) -> PowerNormResult:
     on M scaled by an exact power of two (``_pow2_scaled``)."""
     M, exp = _pow2_scaled(np.asarray(M))
     MH = M.conj().T
-    res = _power_iteration(lambda v: MH @ (M @ v), M.shape[-1])
+    res = _power_iteration(lambda v: MH @ (M @ v), M.shape[-1], M.dtype)
     return PowerNormResult(math.ldexp(res.value, exp), res.iterations, res.converged)
 
 
 def _pow2_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
-    """(X 2^-exp as a new complex array, exp): exp is the binary exponent of
-    the largest |entry|, 0 for a zero X, so the scaled one lies in [1/2, 1)
-    and every route sees the same entries for X and 2^k X.  ``ldexp`` scales
-    exactly, each part straight into the new array."""
+    """(X 2^-exp as a new array, exp): exp is the binary exponent of the
+    largest |entry|, 0 for a zero X, so the scaled one lies in [1/2, 1) and
+    every route sees the same entries for X and 2^k X.  ``ldexp`` scales
+    exactly, each part straight into the new array: float64 when X has no
+    nonzero imaginary part, complex otherwise, the one real-or-complex
+    decision of every norm (each route runs in the dtype it is given)."""
     exp = math.frexp(float(np.max(np.abs(X), initial=0.0)))[1]
-    out = np.zeros(X.shape, dtype=complex)
+    out = np.empty(X.shape, complex if np.iscomplexobj(X) and np.any(X.imag) else float)
     np.ldexp(X.real, -exp, out=out.real)
-    if X.dtype.kind == "c":
+    if out.dtype.kind == "c":
         np.ldexp(X.imag, -exp, out=out.imag)
     return out, exp
 
 
-def _power_iteration(gram, n: int) -> PowerNormResult:
+def _power_iteration(gram, n: int, dtype=complex) -> PowerNormResult:
     rng = np.random.default_rng(_SEED)
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v = rng.normal(size=n)
+    if np.dtype(dtype).kind == "c":
+        v = v + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for it in range(1, _POWER_MAX_ITER + 1):
@@ -104,11 +110,8 @@ def _power_iteration(gram, n: int) -> PowerNormResult:
 
 def op_norm(M: np.ndarray) -> float:
     """Operator 2-norm; power iteration with an SVD fallback on non-convergence."""
-    M = np.asarray(M)
     res = power_opnorm(M)
-    if res.converged:
-        return res.value
-    return float(np.linalg.norm(M.astype(complex), 2))
+    return res.value if res.converged else float(np.linalg.norm(M, 2))
 
 
 def opnorm_bound(x: np.ndarray) -> float:
@@ -158,15 +161,14 @@ def _toeplitz_opnorm(c: np.ndarray, route) -> float:
     the m x m section T' with first column c[k0:].  route(band, m) gets the
     band of T' up to its last live offset, scaled by ``_pow2_scaled``.
     """
-    c = np.asarray(c, dtype=complex)
+    c = np.asarray(c)
     if not np.all(np.isfinite(c)):
         raise ValueError("Toeplitz first column has non-finite entries")
     live = np.flatnonzero(c)
     if not live.size:
         return 0.0
-    g = int(np.gcd.reduce(live))
-    if g > 1:
-        c, live = c[::g], live // g
+    g = max(int(np.gcd.reduce(live)), 1)  # 0 when offset 0 is the only live one
+    c, live = c[::g], live // g
     k0, k1 = int(live[0]), int(live[-1])
     band, exp = _pow2_scaled(c[k0: k1 + 1])
     return math.ldexp(route(band, len(c) - k0), exp)
@@ -175,10 +177,9 @@ def _toeplitz_opnorm(c: np.ndarray, route) -> float:
 def _toeplitz_power_opnorm(c: np.ndarray, m: int) -> float:
     """Route of ``toeplitz_opnorm``: power iteration on ``_toeplitz_gram``;
     the matrix is built only for the SVD fallback on non-convergence."""
-    res = _power_iteration(_toeplitz_gram(c, m), m)
-    if res.converged:
-        return res.value
-    return float(np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
+    res = _power_iteration(_toeplitz_gram(c, m), m, c.dtype)
+    return res.value if res.converged else float(
+        np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
 
 
 def _smooth_length(L: int) -> int:
@@ -232,10 +233,8 @@ def _toeplitz_gram(c: np.ndarray, m: int):
         def gram(v):
             return np.convolve(rc, forward(v))[b: b + m]
     else:
-        if c.dtype.kind == "c":
-            fft, ifft = np.fft.fft, np.fft.ifft
-        else:
-            fft, ifft = np.fft.rfft, functools.partial(np.fft.irfft, n=N)
+        fft, ifft = ((np.fft.fft, np.fft.ifft) if c.dtype.kind == "c"
+                     else (np.fft.rfft, functools.partial(np.fft.irfft, n=N)))
         fc = fft(c, N)
         fch = fc.conj()
 
@@ -253,14 +252,10 @@ def _band_or_lanczos_opnorm(c: np.ndarray, m: int) -> float:
     """Route of ``banded_toeplitz_opnorm``: a narrow band (b < _LANCZOS_MIN_BAND)
     takes sqrt(lambda_max) of its banded Gram matrix (``_band_opnorm``), a wider
     one Lanczos on ``_toeplitz_gram`` (``_lanczos_opnorm``), falling back to
-    the band if ARPACK does not converge.  A real band stays real."""
-    if not np.any(c.imag):
-        c = c.real
+    the band if ARPACK does not converge."""
     if len(c) - 1 >= _LANCZOS_MIN_BAND:
-        try:
+        with suppress(ArpackNoConvergence):
             return _lanczos_opnorm(c, m)
-        except ArpackNoConvergence:
-            pass
     return _band_opnorm(c, m)
 
 
@@ -303,7 +298,6 @@ def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
 def spectral_radius(M: np.ndarray) -> float:
     """Spectral radius: exact from the diagonal for triangular matrices,
     diagonal and nilpotent ones included; otherwise max |eigvals(M)|."""
-    M = np.asarray(M, dtype=complex)
     if not np.any(np.triu(M, 1)) or not np.any(np.tril(M, -1)):
         return float(np.max(np.abs(np.diagonal(M)), initial=0.0))
     return float(np.max(np.abs(np.linalg.eigvals(M))))

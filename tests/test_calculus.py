@@ -300,6 +300,19 @@ class TestResolvent:
             with pytest.raises(DivergentIntegralError, match=f"past t = {why} "):
                 resolvent(riemann_liouville(n), [lam])
 
+    def test_each_gauss_legendre_rule_is_built_once(self, monkeypatch):
+        # every panel of a Riemann-Liouville batch takes the order-32 rule; it is built once
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda order: orders.append(order) or leggauss(order))
+        calculus._unit_rule.cache_clear()
+        resolvent(riemann_liouville(16), [0.2 + 0.5j, 1.5 - 1.0j])
+        assert orders == [32]
+        nodes, _ = calculus._gauss_legendre(0.0, 0.5)
+        assert np.array_equal(nodes, 0.25 * leggauss(32)[0] + 0.25)
+        assert not any(x.flags.writeable for x in calculus._unit_rule(32))
+
     def test_fractional_integration_resolvent_identity(self):
         # the first-order product integration behind the fractional family
         # satisfies the semigroup law only approximately, so the resolvent
@@ -837,6 +850,46 @@ class TestSymmetrizedSweep:
         rows = symmetrized_sweep(sg, tw, [k / 64 for k in range(1, 9)])
         assert all(r.ray_max_value == pytest.approx(0.125, abs=1e-10) for r in rows)
         assert all(r.margin > 0 for r in rows)
+
+
+class TestShiftMatmul:
+    @staticmethod
+    def _double_loop(a: dict, b: dict, n: int) -> dict:
+        """The product of sum_k a_k S^k and sum_k b_k S^k on C^n, term by term."""
+        out = {}
+        for k1, w1 in a.items():
+            for k2, w2 in b.items():
+                if k1 + k2 < n:
+                    out[k1 + k2] = out.get(k1 + k2, 0.0) + w1 * w2
+        return out
+
+    def test_matches_the_double_loop_exactly_on_integer_weights(self):
+        # small-integer complex weights keep every sum exact, so the two orders
+        # of summation agree bit for bit; offset 1 cancels (1 - 1), and the
+        # offsets 9 and 12 lie past n = 8, alone and in sums
+        n = 8
+        a = {0: 1.0, 1: 1.0, 2: 2.0 + 1j, 3: -2j, 9: 5.0}
+        b = {0: 1.0, 1: -1.0, 4: 3.0 - 1j, 12: 1j}
+        ref = self._double_loop(a, b, n)
+        assert ref[1] == 0
+        got = _shift_op(a, n).matmul(_shift_op(b, n))
+        assert got.dim == n and got.shift_weights == {k: w for k, w in ref.items() if w != 0}
+        assert 1 not in got.shift_weights and max(got.shift_weights) < n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_double_loop_on_random_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+
+        def draw():
+            ks = rng.choice(2 * n, size=12, replace=False).tolist()  # about half past n
+            return dict(zip(ks, (rng.normal(size=12) + 1j * rng.normal(size=12)).tolist()))
+
+        a, b = draw(), draw()
+        got = _shift_op(a, n).matmul(_shift_op(b, n))
+        want = _shift_column(n, self._double_loop(a, b, n))
+        assert np.allclose(_shift_column(n, got.shift_weights), want, rtol=0, atol=1e-14)
+        assert set(got.shift_weights) == set(np.flatnonzero(want).tolist())
 
 
 @settings(max_examples=30, deadline=None)

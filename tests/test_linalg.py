@@ -161,8 +161,9 @@ class TestToeplitzOpNorm:
 
     @pytest.mark.parametrize("real", [False, True])
     def test_scaling_allocates_only_its_result(self, real):
-        # 2^300 M: the scaled copy is the one new array (complex, as the routes
-        # take it), with no full-size temporaries beside it
+        # 2^300 M: the scaled copy is the one new array (float64 for a real M,
+        # complex otherwise, as the routes take it), with no full-size
+        # temporaries beside it
         M = np.ldexp(np.random.default_rng(0).normal(size=(256, 256)), 300)
         if not real:
             M = M + 1j * M
@@ -172,9 +173,38 @@ class TestToeplitzOpNorm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scaled.dtype == complex and 0.5 <= np.max(np.abs(scaled)) < 1.0
+        assert scaled.dtype == (float if real else complex)
+        assert 0.5 <= np.max(np.abs(scaled)) < 1.0
         assert np.array_equal(scaled, M * 2.0**-exp)
-        assert peak < 1.1 * 256 * 256 * 16
+        assert peak < 1.1 * 256 * 256 * scaled.itemsize
+
+    @pytest.mark.parametrize("exp", [300, -300])
+    def test_scaling_decides_real_or_complex(self, exp):
+        # float64 for a real operand and for a complex one with no nonzero
+        # imaginary part, complex otherwise; every entry scaled exactly
+        M = np.random.default_rng(1).normal(size=(6, 6))
+        big = np.ldexp(M, exp)
+        for X, dtype in ((big, float), (big + 0j, float), (big + 1j * big, complex)):
+            scaled, e = linalg._pow2_scaled(X)
+            assert scaled.dtype == dtype and 0.5 <= np.max(np.abs(scaled)) < 1.0
+            assert np.array_equal(np.ldexp(scaled.real, e), big)
+            assert np.array_equal(scaled, np.ldexp(M, exp - e) * (1 if dtype is float else 1 + 1j))
+
+    def test_real_column_and_its_complex_copy_agree_bit_for_bit(self, lemma24_columns,
+                                                                 monkeypatch):
+        # the lhs columns at real lam = 1.3, 2.7, 4.1, 4.9 on the power route,
+        # and step sections on the band and Lanczos routes
+        real = [c.real for c in lemma24_columns if np.any(c) and not np.any(c.imag)]
+        assert len(real) == 4
+        choices = _spy_kernel_choices(monkeypatch)
+        for c in real:
+            assert toeplitz_opnorm(c) == toeplitz_opnorm(c + 0j)
+        assert choices and all(kind == "f" for _, _, kind, _ in choices)
+        for n, k in ((64, 5), (1024, 162)):
+            op = func_calc(nilpotent_shift(n), NAMED_MEASURES["step"](), k / n)
+            c = _shift_column(n, op.shift_weights)
+            assert not np.any(c.imag)
+            assert banded_toeplitz_opnorm(c.real) == banded_toeplitz_opnorm(c)
 
     def test_unconverged_falls_back_to_dense_svd(self, lemma24_columns, monkeypatch):
         c = lemma24_columns[1]  # lhs at lam = -1.3i, norm 0.77
@@ -262,10 +292,12 @@ class TestKernelChoiceOnShippedConfigs:
         assert choices and all(N == 0 for *_, N in choices)
         assert max(choices, key=lambda choice: choice[1])[:3] == (448, 128, "f")
 
-    def test_lemma24_columns_take_the_complex_fft_at_1024(self, monkeypatch, tmp_path):
+    def test_lemma24_columns_take_the_fft_at_1024(self, monkeypatch, tmp_path):
+        # the four columns at real lam = 1.3, 2.7, 4.1, 4.9 are real and take
+        # the real FFT; the other 15 live columns the complex one
         choices = _spy_kernel_choices(monkeypatch)
         self._run(tmp_path, "lemma24")
-        assert choices and all((kind, N) == ("c", 1024) for _, _, kind, N in choices)
+        assert sorted((kind, N) for _, _, kind, N in choices) == [("c", 1024)] * 15 + [("f", 1024)] * 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
