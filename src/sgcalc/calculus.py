@@ -44,7 +44,6 @@ from .measures import (
 from .semigroups import DiagonalSemigroup, NilpotentShift, SemigroupBackend
 
 _DEFAULT_GL_ORDER = 32
-_RESOLVENT_TAIL_TOL = 1e-12
 # largest Re lam at which e^{lam t} - e^{lam s}, t and s in [0, 1], stays finite
 _MAX_EXP_RE = math.log(sys.float_info.max / 2)
 
@@ -231,20 +230,15 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     t -> T(t), and return each R(lam) as its first column, shape (n,): it is
     lower-triangular Toeplitz there (``linalg._lower_toeplitz`` builds the
     matrix).  Every other backend returns n x n matrices, after refusing a lam
-    with Re lam + s(A) >= 0 where the generator A is known (s(A) its spectral
-    abscissa), as the integral diverges there: diagonal backends by the scalar
-    closed form, the rest by composite Gauss-Legendre panels of width 1/2.
-    After each panel, with S_t the integral so far, a lam stops once
-    q = e^(Re lam t) ``opnorm_bound(T(t))`` < 1 and q ||S_t|| / (1 - q) is
-    below _RESOLVENT_TAIL_TOL, ||S_t|| also from ``opnorm_bound``.  The
-    semigroup law T(t + s) = T(t) T(s) makes the omitted tail e^(lam t) T(t)
-    times the whole integral, so ||tail|| <= q (||S_t|| + ||tail||), which
-    is the bound.  It is proved on matrix backends; the Riemann-Liouville
-    discretization satisfies the law only approximately, so there the rule
-    is not proved, and a backend without a generator refuses once ||T(t)||
-    is 0 in double (the rule would stop on an underflow) or a panel or T(t)
-    is not finite.  The batch shares the panels, materializing each node
-    once, and each lam stops on its own sum, as a single call would.
+    with Re lam + s(A) >= 0 (s(A) the spectral abscissa of the generator A),
+    as the integral diverges there: diagonal backends by the scalar closed
+    form, the rest from one Gauss-Legendre panel on [0, h].  The semigroup
+    law T(kh + x) = T(h)^k T(x) makes the integral a Neumann series,
+    -(I - e^{lam h} T(h))^{-1} int_0^h e^{lam x} T(x) dx, which converges
+    exactly when Re lam + s(A) < 0.  A backend without a generator keeps the
+    law only approximately and is refused with NoGeneratorError.  The batch
+    materializes the panel's nodes and h once, and each lam gets the sum and
+    solve a single call would.
     """
     lams = [complex(lam) for lam in lams]
     if isinstance(backend, NilpotentShift):
@@ -255,7 +249,8 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     elif backend.generator is not None:
         abscissa = float(np.max(np.linalg.eigvals(backend.generator).real))
     else:
-        abscissa = -math.inf
+        raise NoGeneratorError("the resolvent's Neumann form needs the semigroup law "
+                               "of a bounded generator")
     for lam in lams:
         if lam.real + abscissa >= 0:
             raise DivergentIntegralError(f"e^(lam t) T(t) does not decay: Re lam + s(A) = "
@@ -263,37 +258,15 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     if isinstance(backend, DiagonalSemigroup):
         return [np.diag(1.0 / (lam - backend.lambdas)) for lam in lams]
 
-    # open-ended integral: extend panels until each lam's tail bound is small
-    n = backend.dim
-    sums = [np.zeros((n, n), dtype=complex) for _ in lams]
-    live = list(range(len(lams)))
     h = 0.5
-    t = 0.0
-    while live and t < 200.0:
-        panels = dict.fromkeys(live, 0)  # kept apart: a batch adds what a lone lam would
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-            for node, w in zip(*_gauss_legendre(t, t + h)):
-                T = backend.materialize(node)
-                for i in live:
-                    panels[i] = panels[i] + w * np.exp(lams[i] * node) * T
-            t += h
-            T = backend.materialize(t)
-        finite = np.all(np.isfinite(T)) and all(np.all(np.isfinite(panels[i])) for i in live)
-        T_norm = opnorm_bound(T) if finite else math.inf
-        if backend.generator is None and not 0.0 < T_norm < math.inf:
-            raise DivergentIntegralError(f"no stop rule past t = {t:.1f} for lam = {lams[live[0]]}"
-                                         f": ||T(t)|| bounds to {T_norm:.3g} or a panel overflows")
-        for i in live:
-            sums[i] += panels[i]
-        qs = [T_norm * math.exp(lams[i].real * t) if lams[i].real * t < _MAX_EXP_RE
-              else math.inf for i in live]
-        live = [i for i, q in zip(live, qs)
-                if not (q < 1.0 and q * opnorm_bound(sums[i]) / (1.0 - q) < _RESOLVENT_TAIL_TOL)]
-    if live:
-        raise DivergentIntegralError(
-            f"resolvent integral did not converge by t = {t:.1f} for lam = {lams[live[0]]}"
-        )
-    return [-M for M in sums]
+    panels = [0.0] * len(lams)
+    for x, w in zip(*_gauss_legendre(0.0, h)):
+        T = backend.materialize(x)
+        panels = [panel + w * np.exp(lam * x) * T for panel, lam in zip(panels, lams)]
+    step = backend.materialize(h)
+    I = np.eye(backend.dim)
+    return [-np.linalg.solve(I - np.exp(lam * h) * step, panel)
+            for lam, panel in zip(lams, panels)]
 
 
 def resolvent_identity_residuals(backend: SemigroupBackend, pairs) -> list[float]:

@@ -232,6 +232,7 @@ class TestConfigDeterminedRefusals:
     SHIFT = {"kind": "nilpotent_shift", "n": 16}
     RANGE = {"kind": "diagonal-range", "start": 1, "stop": 200}
     TWISTED = "twisted-delta-difference"
+    DD = {"atoms": [{"t": 1.0, "re": 1.0}, {"t": 2.0, "re": -1.0}]}
 
     @pytest.mark.parametrize("payload, code, error", [
         ({"command": "sweep", "measure": "delta-difference",
@@ -257,10 +258,15 @@ class TestConfigDeterminedRefusals:
         ({"command": "idempotents", "measure": "delta-difference",
           "backend": RANGE, "m": 999}, 2, None),
         ({"command": "sharpness", "measure": "delta-difference", "n_list": [5]}, 2, None),
+        ({"command": "resolvent-check", "backend": {"kind": "riemann_liouville", "n": 16}},
+         1, "NoGeneratorError"),
+        ({"command": "lemma27", "distribution": {"order": 1, "components": [DD, DD]},
+          "backend": {"kind": "riemann_liouville", "n": 16}}, 1, "NoGeneratorError"),
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
             "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow",
             "lemma24-left-side-overflow", "sweep-offgrid-atom", "idempotents-m_list-no-slice",
-            "idempotents-m-no-slice", "sharpness-coarse-grid"])
+            "idempotents-m-no-slice", "sharpness-coarse-grid",
+            "resolvent-check-riemann-liouville", "lemma27-riemann-liouville"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
@@ -274,6 +280,8 @@ class TestConfigDeterminedRefusals:
             assert "config error" in proc.stderr
             assert not (out / "summary.json").exists()
         else:
+            # a check that cannot compute writes its summary and nothing else
+            assert [p.name for p in out.iterdir()] == ["summary.json"]
             summary = json.loads((out / "summary.json").read_text())
             assert summary["passed"] is False and summary["error"] == error
 
