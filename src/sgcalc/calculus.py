@@ -44,6 +44,9 @@ from .measures import (
 from .semigroups import DiagonalSemigroup, NilpotentShift, SemigroupBackend
 
 _DEFAULT_GL_ORDER = 32
+# e-folds of e^{(A + lam) x} that the resolvent's one panel [0, h] may span,
+# ||A|| and |lam| bounding the rate: the order-32 rule resolves 25 to rounding
+_PANEL_EFOLDS = 25.0
 # largest Re lam at which e^{lam t} - e^{lam s}, t and s in [0, 1], stays finite
 _MAX_EXP_RE = math.log(sys.float_info.max / 2)
 
@@ -232,11 +235,15 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
     matrix).  Every other backend returns n x n matrices, after refusing a lam
     with Re lam + s(A) >= 0 (s(A) the spectral abscissa of the generator A),
     as the integral diverges there: diagonal backends by the scalar closed
-    form, the rest from one Gauss-Legendre panel on [0, h].  The semigroup
-    law T(kh + x) = T(h)^k T(x) makes the integral a Neumann series,
+    form (refused as a ConfigError above the dense cap), the rest from one
+    Gauss-Legendre panel on [0, h].  The semigroup law T(kh + x) = T(h)^k T(x)
+    makes the integral a Neumann series,
     -(I - e^{lam h} T(h))^{-1} int_0^h e^{lam x} T(x) dx, which converges
-    exactly when Re lam + s(A) < 0.  A backend without a generator keeps the
-    law only approximately and is refused with NoGeneratorError.  The batch
+    exactly when Re lam + s(A) < 0.  h = min(1/2, _PANEL_EFOLDS / (||A||_b +
+    max |lam|)), ||A||_b the ``linalg.opnorm_bound`` of the generator, so the
+    panel spans at most _PANEL_EFOLDS e-folds of the integrand however stiff
+    A is.  A backend without a generator keeps the law only approximately
+    and is refused with NoGeneratorError.  The batch shares one h and
     materializes the panel's nodes and h once, and each lam gets the sum and
     solve a single call would.
     """
@@ -256,9 +263,10 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
             raise DivergentIntegralError(f"e^(lam t) T(t) does not decay: Re lam + s(A) = "
                                          f"{lam.real + abscissa:.3g} at lam = {lam}")
     if isinstance(backend, DiagonalSemigroup):
-        return [np.diag(1.0 / (lam - backend.lambdas)) for lam in lams]
+        return [backend.dense(1.0 / (lam - backend.lambdas), "resolvent") for lam in lams]
 
-    h = 0.5
+    rate = opnorm_bound(backend.generator) + max(map(abs, lams), default=0.0)
+    h = min(0.5, _PANEL_EFOLDS / rate)
     panels = [0.0] * len(lams)
     for x, w in zip(*_gauss_legendre(0.0, h)):
         T = backend.materialize(x)

@@ -155,8 +155,9 @@ def _object(spec, name):
 
 def load_config(path: str, output=None, seed=None) -> RunConfig:
     """Read a config and build every field it has, so that each command gets
-    checked objects: a malformed value, or a field the command needs that is
-    missing, is a ConfigError (exit 2) rather than a crash or a failed check."""
+    checked objects: a key that names no RunConfig field, a malformed value,
+    or a field the command needs that is missing, is a ConfigError (exit 2)
+    rather than a crash, a failed check or a silently default gate."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -165,6 +166,9 @@ def load_config(path: str, output=None, seed=None) -> RunConfig:
     command = raw.get("command")
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} in {path}")
     if seed is not None:
         raw["seed"] = seed
 
@@ -378,13 +382,13 @@ def _cmd_idempotents(cfg: RunConfig):
     m_list = cfg.m_list or tuple(sorted(charset.slices))[-4:]
     chain = spectral.build_idempotents(charset, m_list)
     u = cfg.u if cfg.u is not None else 1e-3
-    crit = spectral.criterion_check(charset, cfg.measure, [u])
-    row = crit.rows[0]
+    crit = spectral.criterion_check(charset, cfg.measure, u)
+    row = crit.row
     m = cfg.m if cfg.m is not None else row.window_m
     if m is None:
         raise ConfigError("no slice fits the separation window at this u")
-    cert, curve = spectral.separation_certificate(charset, cfg.measure, u, m,
-                                                  crit.ray, crit.radii)
+    cert, vertices = spectral.separation_certificate(charset, cfg.measure, u, m,
+                                                     crit.ray, crit.radii)
     t_grid = cfg.t_grid or (1e-3,)
     bg_rows = spectral.bounded_generator_check(cfg.backend, chain, t_grid)
 
@@ -408,8 +412,7 @@ def _cmd_idempotents(cfg: RunConfig):
     gates = [criterion, Gate("exhaustive", chain.exhaustive, "==", True), *certificate]
     return summary, gates, {
         "idempotents.json": payload,
-        "certificate_curve.csv": (("re", "im"),
-                                  [(z.real, z.imag) for z in curve.gamma_k0_vertices]),
+        "certificate_curve.csv": (("re", "im"), [(z.real, z.imag) for z in vertices]),
     }
 
 

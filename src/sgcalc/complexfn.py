@@ -4,8 +4,9 @@ Works on the entire function F = ``laplace(mu, .)`` of a compactly supported
 measure mu, which every function here takes: locating the ray maximum of
 |F|, detecting the (even) vanishing order at the maximizer, certifying a
 small-disk/large-circle radius pair, and constructing the piecewise-linear
-Jordan curves that separate the maximizer from the rest of the
-spectrum-relevant region.
+Jordan curve that separates the maximizer from the rest of the
+spectrum-relevant region.  ``spectral.separation_certificate`` rescales that
+curve into the separation curve of the scaled transform z -> F(u z).
 
 All curve constructions are a-posteriori certified by dense sampling; the
 underlying existence results guarantee that failure only ever signals
@@ -26,7 +27,6 @@ from .errors import (
     NoCircleFoundError,
     OrderNotFoundError,
     SimplicityRepairFailedError,
-    WindowViolationError,
 )
 from .measures import CompactMeasure, laplace, tv_moment
 
@@ -45,12 +45,12 @@ class JordanCurve:
     """Certified piecewise-linear curve through the upper half-plane.
 
     gamma1_vertices runs from a1 to a2 inside the level region
-    {|F| > |F(a0)|}; full_vertices is the closed curve alpha, gamma1, a3, then
-    the mirror image of that path back to alpha.
+    {|F| > f_a0_abs}, f_a0_abs = |F(a0)| at a point a0 of the segment
+    [alpha, a1]; full_vertices is the closed curve alpha, gamma1, a3, then the
+    mirror image of that path back to alpha.
     """
 
     alpha: float
-    a0: complex
     a1: complex
     a2: complex
     a3: complex
@@ -61,18 +61,6 @@ class JordanCurve:
     f_alpha: float = 0.0
     f_a0_abs: float = 0.0
     cond2_margin: float = 0.0
-
-
-@dataclass(frozen=True)
-class SeparationCurve:
-    """Upper-quadrant separation path for the scaled transform z -> F(u z)."""
-
-    alpha_k: float
-    v_k: complex
-    gamma_k0_vertices: tuple[complex, ...]
-    radius: float
-    u: float = 1.0
-    r_window: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +276,7 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
     # Every sample exceeds f_alpha (delta > 0) and the first is below f_a1, so
     # the closest lies strictly between the two.
     target = 0.5 * (f_alpha + f_a1)
-    i0 = int(np.argmin(np.abs(vals - target)))
-    a0 = complex(zs[i0])
-    f_a0 = float(vals[i0])
+    f_a0 = float(vals[int(np.argmin(np.abs(vals - target)))])
 
     # --- flood fill for the component V of a1 in {|F| > |F(a0)|}
     x_max = 3.0 * max(alpha, 1.0)
@@ -342,7 +328,6 @@ def jordan_curve(mu: CompactMeasure, ray: RayMaximum, min_axis_height: float = 0
 
     return JordanCurve(
         alpha=float(alpha),
-        a0=a0,
         a1=complex(a1),
         a2=complex(a2),
         a3=complex(a3),
@@ -460,45 +445,3 @@ def _is_simple_polyline(points) -> bool:
     pos, neg = O > _CROSS_EPS, O < -_CROSS_EPS
     straddle = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
     return not np.any(straddle & straddle.T)
-
-
-# ---------------------------------------------------------------------------
-# separation curve for the scaled transform
-
-
-def separation_curve(
-    mu: CompactMeasure,
-    u: float,
-    R_m: float,
-    ray: RayMaximum,
-    radii: RadiusPair,
-) -> SeparationCurve:
-    """Curve joining alpha/u on the real axis to v_k on the imaginary axis,
-    with |v_k| > R_m and |F(u z)| >= |F(alpha)| along the path.
-
-    ``ray`` and ``radii`` are ``ray_max(mu)`` and ``babylem_radius(mu)``, which
-    the caller has already computed (``spectral.criterion_check`` does, once
-    per run); the window u * R_m < radii.r is checked here.  Constructed at
-    the natural scale of F (the curve for (F, u) is the curve of
-    z -> F(u z) rescaled by 1/u), which keeps the flood-fill grid
-    resolution independent of u.
-    """
-    if u * R_m >= radii.r:
-        raise WindowViolationError(
-            f"window violated: u*R_m = {u * R_m:.6g} >= r = {radii.r:.6g}"
-        )
-    curve = jordan_curve(mu, ray, min_axis_height=u * R_m)
-    gamma0 = (
-        [complex(curve.alpha)]
-        + list(curve.gamma1_vertices)
-        + [curve.a3]
-    )
-    scaled = tuple(z / u for z in gamma0)
-    return SeparationCurve(
-        alpha_k=curve.alpha / u,
-        v_k=curve.a3 / u,
-        gamma_k0_vertices=scaled,
-        radius=abs(curve.a3) / u,
-        u=u,
-        r_window=radii.r,
-    )

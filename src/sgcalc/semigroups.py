@@ -12,12 +12,13 @@ afresh, and a caller that needs one time twice binds the matrix itself.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotQuasinilpotentError
+from .errors import ConfigError, NotQuasinilpotentError
 from .linalg import _lower_toeplitz, expm, op_norm
 
 
@@ -168,16 +169,19 @@ class DiagonalSemigroup(SemigroupBackend):
     def diagonal(self, t: float) -> np.ndarray:
         return np.exp(-self.lambdas * t)
 
+    def dense(self, diag: np.ndarray, what: str) -> np.ndarray:
+        """np.diag(diag), refused as a ConfigError above _DENSE_CAP before it is formed."""
+        if self.dim > self._DENSE_CAP:
+            raise ConfigError(f"refusing dense {self.dim}x{self.dim} {what} "
+                              f"(the cap is {self._DENSE_CAP})")
+        return np.diag(diag)
+
     @property
     def generator(self) -> np.ndarray:
-        if self.dim > self._DENSE_CAP:
-            raise MemoryError(f"refusing dense {self.dim}x{self.dim} generator")
-        return np.diag(-self.lambdas)
+        return self.dense(-self.lambdas, "generator")
 
     def _materialize(self, t: float) -> np.ndarray:
-        if self.dim > self._DENSE_CAP:
-            raise MemoryError(f"refusing dense {self.dim}x{self.dim} materialization")
-        return np.diag(self.diagonal(t))
+        return self.dense(self.diagonal(t), "materialization")
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
@@ -238,7 +242,6 @@ class RenormReport:
     ||R||, is a lower estimate, so est <= full is the strict side.
     """
 
-    norm1_samples: dict
     contraction_margin: float
     commutant_bound_checks: tuple[tuple[str, float, float], ...]
 
@@ -250,9 +253,11 @@ def feller_renorm(
 ) -> RenormReport:
     """Sample the renormalized norm, its contraction margin and the commutant bounds.
 
-    probe_times should be a uniform grid h, 2h, ..., Kh so that products
-    T(t)T(s) stay on a (doubled) grid; the infinite-dimensional completion is
-    replaced by finite sampling, making this a falsifier rather than a proof.
+    The norms are sampled at t = kh, k <= 2K, so that products T(t)T(s) stay
+    on the (doubled) grid: probe_times must be h, 2h, ..., Kh to within
+    rounding (4 eps k h at kh), and any other grid is a ConfigError naming
+    the first time off it.  The infinite-dimensional completion is replaced
+    by finite sampling, making this a falsifier rather than a proof.
     """
     if not backend.quasinilpotent:
         raise NotQuasinilpotentError("renormalization requires a quasinilpotent flag")
@@ -261,14 +266,18 @@ def feller_renorm(
         raise ValueError("probe times must be positive")
     h = times[0]
     K = len(times)
+    for k, t in enumerate(times, start=1):
+        if abs(t - k * h) > 4.0 * sys.float_info.epsilon * k * h:
+            raise ConfigError(f"probe times must be h, 2h, ..., Kh with h = {h:.17g}; "
+                              f"t = {t:.17g} is not {k}h")
 
     rng = np.random.default_rng(seed)
     n = backend.dim
     basis = range(0, n, max(1, n // 8))
-    tags = [f"e{i}" for i in basis] + [f"r{j}" for j in range(_N_RANDOM)]
-    X = np.zeros((n, len(tags)), dtype=complex)
+    m = len(basis) + _N_RANDOM
+    X = np.zeros((n, m), dtype=complex)
     X[basis, range(len(basis))] = 1.0
-    for j in range(len(basis), len(tags)):
+    for j in range(len(basis), m):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         X[:, j] = v / np.linalg.norm(v)
 
@@ -281,7 +290,6 @@ def feller_renorm(
     # one pass over t = kh, k = 0..2K (T(0) = I), each T(kh) built once: the
     # norms ||T(kh) x|| cover both ||x||_1 and ||T(s)x||_1, and rows k <= K
     # also carry the columns R x of every probe R, for ||R x||_1
-    m = len(tags)
     Y = np.hstack([X] + [R @ X for _, R in probe_operators])
     rows = [np.linalg.norm(backend.apply(k * h, Y if k <= K else X) if k else Y, axis=0)
             for k in range(0, 2 * K + 1)]
@@ -289,7 +297,6 @@ def feller_renorm(
     rx_prof = np.array(rows[: K + 1])[:, m:].reshape(K + 1, len(probe_operators), m)
 
     n1 = np.max(prof[: K + 1], axis=0)
-    norm1_samples = {tag: float(v) for tag, v in zip(tags, n1)}
     live = n1 > 0
     margin = math.inf
     if np.any(live):
@@ -306,7 +313,6 @@ def feller_renorm(
         checks.append((tag, est, full))
 
     return RenormReport(
-        norm1_samples=norm1_samples,
         contraction_margin=float(margin),
         commutant_bound_checks=tuple(checks),
     )

@@ -4,7 +4,8 @@ A diagonal semigroup T(t) = diag(e^{-lambda_k t}) realizes the character
 picture exactly: each coordinate is a character with value a_chi = lambda_k.
 This module slices the character set, builds the exhaustive chain of 0/1
 coordinate projections, and computes both sides of the strict spectral-radius
-criterion and the certificate of the separating curve that encloses a slice.
+criterion, and the scaled separation curve that encloses a slice with the
+certificate of that enclosure.
 """
 
 from __future__ import annotations
@@ -14,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import (
-    RadiusPair,
-    RayMaximum,
-    SeparationCurve,
-    babylem_radius,
-    ray_max,
-    separation_curve,
-)
-from .errors import ConfigError, NotDiagonalError
+from .complexfn import RadiusPair, RayMaximum, babylem_radius, jordan_curve, ray_max
+from .errors import ConfigError, NotDiagonalError, WindowViolationError
 from .measures import CompactMeasure, laplace, require_mass_zero
 from .semigroups import DiagonalSemigroup, MultiplicationC0, SemigroupBackend
 
@@ -75,13 +69,13 @@ class CriterionRow:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    rows: tuple
+    row: CriterionRow
     ray: RayMaximum  # sup_{x>0} |F(x)| and its maximizer
     radii: RadiusPair  # the separation window is u * R_m < radii.r
 
 
-def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> CriterionReport:
-    """Both sides of the strict criterion rho(F(-uA)) < sup_{x>0} |F(x)|.
+def criterion_check(charset: CharacterSet, mu: CompactMeasure, u: float) -> CriterionReport:
+    """Both sides of the strict criterion rho(F(-uA)) < sup_{x>0} |F(x)| at u.
 
     rho is the exhaustive maximum of |F(u a_chi)| over the character set.  The
     report keeps the ray maximum and the radius pair, which the separation
@@ -90,17 +84,13 @@ def criterion_check(charset: CharacterSet, mu: CompactMeasure, u_list) -> Criter
     require_mass_zero(mu)
     ray = ray_max(mu)
     radii = babylem_radius(mu)
-    lambdas = np.asarray(charset.lambdas)
-    rows = []
-    for u in u_list:
-        u = float(u)
-        rho = float(np.max(np.abs(laplace(mu, u * lambdas))))
-        window_m = None
-        for m in sorted(charset.slices):
-            if charset.slices[m] and u * charset.radii[m] < radii.r:
-                window_m = m
-        rows.append(CriterionRow(u, rho, ray.value, window_m))
-    return CriterionReport(tuple(rows), ray, radii)
+    u = float(u)
+    rho = float(np.max(np.abs(laplace(mu, u * np.asarray(charset.lambdas)))))
+    window_m = None
+    for m in sorted(charset.slices):
+        if charset.slices[m] and u * charset.radii[m] < radii.r:
+            window_m = m
+    return CriterionReport(CriterionRow(u, rho, ray.value, window_m), ray, radii)
 
 
 @dataclass(frozen=True)
@@ -206,32 +196,43 @@ def separation_certificate(
     m,
     ray: RayMaximum,
     radii: RadiusPair,
-) -> tuple[SeparationReport, SeparationCurve]:
+) -> tuple[SeparationReport, tuple[complex, ...]]:
     """The numbers that certify the slice Lambda_m strictly inside the curve Gamma_k.
 
-    The closed curve is Gamma_{k,0}, the left semicircle of radius |v_k|, and
-    the conjugate arc.  The certificate holds when the curve samples stay at
-    or above the ray maximum (curve_min_excess >= 0) and each lambda in the
-    slice has |F(u lambda)| strictly below it (lam_margins), winding number
-    +-1 and positive distance to the polygon.  ``ray`` and ``radii`` are
-    those of ``criterion_check``'s report, so neither is computed again.
-    Returns the report and the curve.
+    Gamma_{k,0} joins alpha_k = alpha / u on the real axis to v_k on the
+    imaginary axis, with |v_k| > R_m and |F(u z)| >= |F(alpha)| along it.  It
+    is the certified path alpha, Gamma_1, a3 of ``jordan_curve`` at the
+    natural scale of F, each vertex divided by u, so the flood-fill grid
+    resolution does not depend on u; the window u * R_m < radii.r is checked
+    first.  The closed curve is Gamma_{k,0}, the left semicircle of radius
+    |v_k|, and the conjugate arc.  The certificate holds when the curve
+    samples stay at or above the ray maximum (curve_min_excess >= 0) and each
+    lambda in the slice has |F(u lambda)| strictly below it (lam_margins),
+    winding number +-1 and positive distance to the polygon.  ``ray`` and
+    ``radii`` are those of ``criterion_check``'s report, so neither is
+    computed again.  Returns the report and the vertices of Gamma_{k,0}.
     """
     require_mass_zero(mu)
     R_m = charset.radii[m]
-    curve = separation_curve(mu, u, R_m, ray, radii)
+    if u * R_m >= radii.r:
+        raise WindowViolationError(
+            f"window violated: u*R_m = {u * R_m:.6g} >= r = {radii.r:.6g}"
+        )
+    curve = jordan_curve(mu, ray, min_axis_height=u * R_m)
+    vertices = tuple(z / u for z in (complex(curve.alpha), *curve.gamma1_vertices, curve.a3))
+    alpha_k = curve.alpha / u
 
     # curve samples dominate the ray maximum (sample in the scale-1 frame)
-    gamma = np.asarray(curve.gamma_k0_vertices)
+    gamma = np.asarray(vertices)
     z1, z2 = gamma[:-1, None], gamma[1:, None]
     zz = z1 + np.linspace(0.0, 1.0, _SAMPLES_PER_SEGMENT) * (z2 - z1)
     excess = np.abs(laplace(mu, u * zz)) - ray.value
     # the real-axis endpoint alpha_k attains the ray maximum exactly
-    excess[np.abs(gamma[:-1] - curve.alpha_k) < 1e-15, 0] = np.inf
+    excess[np.abs(gamma[:-1] - alpha_k) < 1e-15, 0] = np.inf
     min_excess = float(np.min(excess))
 
     # closed polygon: gamma up, left semicircle, conjugate arc down
-    radius = curve.radius
+    radius = abs(curve.a3) / u
     angles = np.linspace(0.5 * math.pi, 1.5 * math.pi, _SEMICIRCLE_POINTS + 2)[1:-1]
     semicircle = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
     closed = np.concatenate([gamma, semicircle, np.conj(gamma[::-1])[:-1]])
@@ -253,14 +254,14 @@ def separation_certificate(
         u=float(u),
         m=m,
         R_m=R_m,
-        r_window=curve.r_window,
-        alpha_k=curve.alpha_k,
+        r_window=radii.r,
+        alpha_k=alpha_k,
         radius=radius,
         curve_min_excess=min_excess,
         lam_margins=tuple((complex(lam), float(mg)) for lam, mg in zip(lams, margins)),
         min_distance=float(np.min(dists, initial=math.inf)),
         winding_defect=float(np.max(defects, initial=0.0)),
-    ), curve
+    ), vertices
 
 
 # ---------------------------------------------------------------------------

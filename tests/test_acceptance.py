@@ -225,8 +225,8 @@ def test_08_idempotent_pipeline():
     sg = diagonal_semigroup(np.arange(1.0, 201.0))
     cs = character_set(sg)
 
-    crit = criterion_check(cs, D12, [u])
-    row = crit.rows[0]
+    crit = criterion_check(cs, D12, u)
+    row = crit.row
     strict = row.rho < row.sup_ray * (1.0 - _DEGENERATE_TOL) and row.rho < 0.25
 
     chain = build_idempotents(cs, [50, 100, 150, 200])
@@ -252,7 +252,7 @@ def test_08_idempotent_pipeline():
     _report(
         "08 idempotent pipeline",
         ok,
-        f"rho {crit.rows[0].rho:.4f} < 0.25, defect err "
+        f"rho {row.rho:.4f} < 0.25, defect err "
         f"{abs(defect_100 - (1 - math.exp(-0.1))):.1e}, cert distance "
         f"{cert.min_distance:.3f}",
     )

@@ -51,6 +51,7 @@ from sgcalc.measures import (
     zero_measure,
 )
 from sgcalc.semigroups import (
+    DiagonalSemigroup,
     NilpotentShift,
     diagonal_semigroup,
     matrix_semigroup,
@@ -267,18 +268,54 @@ class TestResolvent:
     def test_off_shift_generator_matches_the_inverse(self):
         # the benchmark's 128 x 128 normal generator (input family 0) and the
         # ten lam that resolvent-check draws from seed 0
-        rng = np.random.default_rng(0)
-        n = 128
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        B = np.zeros((n, n))
-        for j in range(0, n, 2):  # eigenvalues a +- i b
-            a, b = (-7.0 if j == 0 else -9.0 - 3.0 * j / n), rng.uniform(-3.0, 3.0)
-            B[j:j + 2, j:j + 2] = [[a, b], [-b, a]]
-        A = Q @ B @ Q.T
+        A = _off_shift_generator()
         lams = [z for pair in _seed0_pairs() for z in pair]
         for lam, R in zip(lams, resolvent(matrix_semigroup(A), lams)):
-            ref = np.linalg.inv(A + lam * np.eye(n))
+            ref = np.linalg.inv(A + lam * np.eye(len(A)))
             assert np.linalg.norm(R - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+
+    def test_stiff_generators_match_the_inverse(self):
+        # a panel of width 1/2 spans |a| / 2 e-folds of e^(a x), more than the
+        # order-32 rule resolves: at lam = 0 it was 4.1e-11 off at a = -300
+        # and 10 % off at a = -2000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (-5.0, -300.0, -400.0, -500.0, -700.0, -1000.0, -2000.0, -1e4, -1e5):
+                lams = [0.0, 1.0 + 1.0j, 3.0 - 3.0j, -0.9 * a]
+                for lam, R in zip(lams, resolvent(matrix_semigroup(np.diag([a])), lams)):
+                    ref = 1.0 / (a + lam)
+                    assert abs(R[0, 0] - ref) <= 1e-13 * abs(ref), (a, lam)
+
+    def test_large_re_lam_is_finite_where_the_integral_converges(self):
+        # e^(lam h) once overflowed at lam h > 709.78, giving NaN for -1/500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = resolvent(matrix_semigroup(np.diag([-2000.0])), [1500.0])[0]
+        assert abs(R[0, 0] + 0.002) <= 1e-13 * 0.002
+
+    @pytest.mark.parametrize("stiff", [False, True], ids=["off-shift", "stiff"])
+    def test_one_panel_width_per_batch(self, monkeypatch, stiff):
+        # h = min(1/2, 25 / (opnorm_bound(A) + max |lam|)): the benchmark's
+        # generators (||A|| about 30, |lam| < 4.25) keep h = 1/2
+        if stiff:
+            A, lams, width = np.diag([-2000.0, -1000.0]), [0.0, 500.0], 0.01
+        else:
+            A, lams, width = _off_shift_generator(), [z for p in _seed0_pairs() for z in p], 0.5
+        sg = matrix_semigroup(A)
+        h = min(0.5, calculus._PANEL_EFOLDS / (opnorm_bound(A) + max(map(abs, lams))))
+        assert h == pytest.approx(width, rel=1e-14) and (h == 0.5) is not stiff
+        times = []
+        materialize = type(sg)._materialize
+        monkeypatch.setattr(type(sg), "_materialize",
+                            lambda self, t: times.append(t) or materialize(self, t))
+        resolvent(sg, lams)
+        assert len(times) == 33 and max(times) == h
+
+    def test_diagonal_refuses_above_the_dense_cap_before_forming_it(self, monkeypatch):
+        monkeypatch.setattr(DiagonalSemigroup, "_DENSE_CAP", 4)
+        monkeypatch.setattr(np, "diag", lambda *args: pytest.fail("np.diag called"))
+        with pytest.raises(ConfigError, match="refusing dense 5x5 resolvent"):
+            resolvent(diagonal_semigroup(np.arange(1.0, 6.0)), [0.0])
 
     def test_riemann_liouville_is_refused_before_any_materialize(self, monkeypatch):
         sg = riemann_liouville(16)
@@ -302,6 +339,18 @@ class TestResolvent:
         nodes, _ = calculus._gauss_legendre(0.0, 0.5)
         assert np.array_equal(nodes, 0.25 * leggauss(32)[0] + 0.25)
         assert not any(x.flags.writeable for x in calculus._unit_rule(32))
+
+
+def _off_shift_generator():
+    """The benchmark's 128 x 128 normal resolvent generator (input family 0)."""
+    rng = np.random.default_rng(0)
+    n = 128
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    B = np.zeros((n, n))
+    for j in range(0, n, 2):  # eigenvalues a +- i b
+        a, b = (-7.0 if j == 0 else -9.0 - 3.0 * j / n), rng.uniform(-3.0, 3.0)
+        B[j:j + 2, j:j + 2] = [[a, b], [-b, a]]
+    return Q @ B @ Q.T
 
 
 def _seed0_pairs():

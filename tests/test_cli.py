@@ -158,6 +158,24 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert f"reads no tolerances ['{key}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, payload", [
+        # "tolerance" would leave the sweep gated on eta > 0, which it passes
+        ("tolerance", {"command": "sweep", "measure": "delta-difference",
+                       "backend": {"kind": "nilpotent_shift", "n": 64},
+                       "u_grid": {"kind": "grid-aligned", "count": 31},
+                       "tolerance": {"min_margin": 100.0}}),
+        # "lamda_grid" would leave lemma24 on its default grid
+        ("lamda_grid", {"command": "lemma24", "measure": "delta-difference",
+                        "backend": {"kind": "nilpotent_shift", "n": 16},
+                        "lamda_grid": [[1.0, 0.0]]}),
+    ], ids=["tolerance", "lamda_grid"])
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, key, payload):
+        cfg = _write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_key_is_named(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json", {
             "command": "renormalization", "backend": {"kind": "riemann_liouville"},
@@ -262,11 +280,15 @@ class TestConfigDeterminedRefusals:
          1, "NoGeneratorError"),
         ({"command": "lemma27", "distribution": {"order": 1, "components": [DD, DD]},
           "backend": {"kind": "riemann_liouville", "n": 16}}, 1, "NoGeneratorError"),
+        # the samples sit at kh: [0.1, 0.5] would be measured on [0.1, 0.2]
+        ({"command": "renormalization", "backend": {"kind": "riemann_liouville", "n": 16},
+          "t_grid": [0.1, 0.5]}, 2, None),
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
             "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow",
             "lemma24-left-side-overflow", "sweep-offgrid-atom", "idempotents-m_list-no-slice",
             "idempotents-m-no-slice", "sharpness-coarse-grid",
-            "resolvent-check-riemann-liouville", "lemma27-riemann-liouville"])
+            "resolvent-check-riemann-liouville", "lemma27-riemann-liouville",
+            "renormalization-off-grid"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
         cfg = _write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
@@ -284,6 +306,21 @@ class TestConfigDeterminedRefusals:
             assert [p.name for p in out.iterdir()] == ["summary.json"]
             summary = json.loads((out / "summary.json").read_text())
             assert summary["passed"] is False and summary["error"] == error
+
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "lemma27", "distribution": {"order": 1, "components": [DD, DD]}},
+        {"command": "resolvent-check"},
+    ], ids=["lemma27", "resolvent-check"])
+    def test_dense_cap_exits_2(self, tmp_path, monkeypatch, capsys, payload):
+        # the cap is lowered to 8 here, so no matrix near the real cap is built
+        monkeypatch.setattr(semigroups.DiagonalSemigroup, "_DENSE_CAP", 8)
+        cfg = _write_config(tmp_path / "c.json", {
+            **payload, "backend": {"kind": "diagonal-range", "start": 5, "stop": 14}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        assert "refusing dense 10x10" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 def test_json_refuses_what_no_payload_holds(tmp_path):
@@ -529,12 +566,11 @@ class TestIdempotentsCommand:
 
         charset = spectral.character_set(semigroups.diagonal_semigroup(range(1, 51)))
         mu = cli.NAMED_MEASURES["delta-difference"]()
-        curve = complexfn.separation_curve(
-            mu, 1e-3, charset.radii[50], complexfn.ray_max(mu), complexfn.babylem_radius(mu))
+        _, vertices = spectral.separation_certificate(
+            charset, mu, 1e-3, 50, complexfn.ray_max(mu), complexfn.babylem_radius(mu))
         rows = (out / "certificate_curve.csv").read_text().splitlines()
         assert rows[0] == "re,im"
-        assert [complex(*map(float, r.split(","))) for r in rows[1:]] == list(
-            curve.gamma_k0_vertices)
+        assert [complex(*map(float, r.split(","))) for r in rows[1:]] == list(vertices)
 
 
     def test_multiplication_c0_backend(self, tmp_path):

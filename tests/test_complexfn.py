@@ -12,7 +12,6 @@ from sgcalc.complexfn import (
     babylem_radius,
     jordan_curve,
     ray_max,
-    separation_curve,
     taylor_coefficients,
     vanishing_order,
 )
@@ -24,7 +23,6 @@ from sgcalc.errors import (
     NoCircleFoundError,
     OrderNotFoundError,
     SimplicityRepairFailedError,
-    WindowViolationError,
 )
 from sgcalc.measures import (
     convolve,
@@ -268,38 +266,6 @@ class TestJordanCurve:
 
     def test_builds_quickly(self, curve):
         assert TestJordanCurve.built["seconds"] < 30.0
-
-
-class TestSeparationCurve:
-    RAY, RADII = ray_max(D12), babylem_radius(D12)
-
-    def test_axis_clearance(self):
-        curve = separation_curve(D12, 0.01, 5.0, self.RAY, self.RADII)
-        assert curve.radius > 5.0
-        assert curve.v_k.real == 0.0
-
-    def test_scaling_relation(self):
-        c1 = separation_curve(D12, 0.01, 5.0, self.RAY, self.RADII)
-        c2 = separation_curve(D12, 0.02, 2.5, self.RAY, self.RADII)
-        # same scale-1 construction, vertices differ by the ratio of scales
-        ratio = 0.02 / 0.01
-        assert c1.alpha_k == pytest.approx(c2.alpha_k * ratio, rel=1e-12)
-
-    def test_window_violation(self):
-        with pytest.raises(WindowViolationError):
-            separation_curve(D12, 1.0, 2.0 * self.RADII.r, self.RAY, self.RADII)
-
-    def test_values_dominate_ray_maximum(self):
-        ray = self.RAY
-        u = 0.001
-        curve = separation_curve(D12, u, 5.0, ray, self.RADII)
-        gamma = curve.gamma_k0_vertices
-        for z1, z2 in zip(gamma, gamma[1:]):
-            zz = np.asarray(z1) + np.linspace(0.0, 1.0, 200) * (np.asarray(z2) - np.asarray(z1))
-            vals = np.abs(laplace(D12, u * zz))
-            if abs(z1 - curve.alpha_k) < 1e-12:
-                vals = vals[1:]
-            assert np.all(vals >= ray.value - 1e-9)
 
 
 class TestJordanCurveFallbacks:

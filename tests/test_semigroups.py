@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma, gammaln
 
 from sgcalc.calculus import _DEFAULT_GL_ORDER, _gauss_legendre
-from sgcalc.errors import NotQuasinilpotentError
+from sgcalc.errors import ConfigError, NotQuasinilpotentError
 from sgcalc.linalg import op_norm, spectral_radius
 from sgcalc.semigroups import (
     _N_RANDOM,
@@ -209,7 +209,7 @@ def test_backend_sizes_rejected():
         riemann_liouville(1)
     with pytest.raises(ValueError):
         diagonal_semigroup([])
-    with pytest.raises(MemoryError):
+    with pytest.raises(ConfigError, match="refusing dense 5001x5001 generator"):
         diagonal_semigroup(np.arange(1.0, 5002.0)).generator
 
 
@@ -235,7 +235,7 @@ class TestDiagonalSemigroup:
         x = np.ones(n)
         y = sg.apply(1.0, x)
         assert y[0] == pytest.approx(np.exp(-0.1), abs=1e-14)
-        with pytest.raises(MemoryError):
+        with pytest.raises(ConfigError, match="refusing dense"):
             sg.materialize(1.0)
 
     def test_norm_drop_closed_form(self):
@@ -259,7 +259,7 @@ class TestMultiplicationC0:
 
 
 def _per_vector_renorm(backend, times, n_random, seed=0):
-    """feller_renorm's samples, margin and commutant estimates, one vector at a time."""
+    """feller_renorm's margin and commutant estimates, one vector at a time."""
     rng = np.random.default_rng(seed)
     n, K, h = backend.dim, len(times), times[0]
     vectors = {}
@@ -284,7 +284,7 @@ def _per_vector_renorm(backend, times, n_random, seed=0):
             max([np.linalg.norm(R @ x)] + [np.linalg.norm(backend.apply(t, R @ x))
                                            for t in times]) / norm1[tag]
             for tag, x in vectors.items()))
-    return norm1, margin, ests
+    return margin, ests
 
 
 class TestFellerRenorm:
@@ -292,10 +292,7 @@ class TestFellerRenorm:
         sg = riemann_liouville(64)
         times = [k / 32 for k in range(1, 33)]
         rep = feller_renorm(sg, times)
-        norm1, margin, ests = _per_vector_renorm(sg, times, _N_RANDOM)
-        assert rep.norm1_samples.keys() == norm1.keys()
-        for tag, v in norm1.items():
-            assert rep.norm1_samples[tag] == pytest.approx(v, rel=1e-13)
+        margin, ests = _per_vector_renorm(sg, times, _N_RANDOM)
         assert rep.contraction_margin == pytest.approx(margin, abs=1e-13)
         for (_, est, _), ref in zip(rep.commutant_bound_checks, ests, strict=True):
             assert est == pytest.approx(ref, rel=1e-13)
@@ -358,6 +355,17 @@ class TestFellerRenorm:
             feller_renorm(sg, [])
         with pytest.raises(ValueError):
             feller_renorm(sg, [-0.5, 0.5])
+
+    def test_refuses_a_grid_that_is_not_h_2h_to_kh(self):
+        # the samples sit at kh, so [0.1, 0.5] would be measured on [0.1, 0.2]
+        sg = riemann_liouville(32)
+        with pytest.raises(ConfigError, match=r"t = 0\.5 is not 2h"):
+            feller_renorm(sg, [0.1, 0.5])
+        with pytest.raises(ConfigError, match=r"t = 0\.10000000000000001 is not 2h"):
+            feller_renorm(sg, [0.1, 0.1, 0.2])
+        # 0.3 is 3 * 0.1 to within rounding
+        assert feller_renorm(sg, [0.3, 0.1, 0.2]).contraction_margin == feller_renorm(
+            sg, [0.1, 0.2, 3 * 0.1]).contraction_margin
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sgcalc import spectral
 from sgcalc.cli import _DEGENERATE_TOL, _WINDING_TOL
-from sgcalc.complexfn import babylem_radius, ray_max
+from sgcalc.complexfn import babylem_radius, jordan_curve, ray_max
 from sgcalc.errors import (
     MassNotZeroError,
     NotDiagonalError,
@@ -85,8 +86,8 @@ class TestCriterion:
     def test_strict_at_small_scale(self, k):
         sg = diagonal_semigroup(np.arange(1.0, 201.0))
         cs = character_set(sg)
-        rep = criterion_check(cs, 2.0**k * D12, [1e-3])
-        row = rep.rows[0]
+        rep = criterion_check(cs, 2.0**k * D12, 1e-3)
+        row = rep.row
         assert row.rho < row.sup_ray * (1.0 - _DEGENERATE_TOL)
         assert row.window_m is not None
         # slice radius must fit inside the scaled window
@@ -96,9 +97,9 @@ class TestCriterion:
         sg = diagonal_semigroup([0.5, 1.0, 3.0])
         cs = character_set(sg)
         u = 0.2
-        rep = criterion_check(cs, D12, [u])
+        rep = criterion_check(cs, D12, u)
         brute = max(abs(laplace(D12, u * l)) for l in cs.lambdas)
-        assert rep.rows[0].rho == pytest.approx(brute, abs=1e-14)
+        assert rep.row.rho == pytest.approx(brute, abs=1e-14)
 
     @pytest.mark.parametrize("k", [0, 40])
     def test_degenerate_equality_is_not_strict(self, k):
@@ -106,14 +107,14 @@ class TestCriterion:
         u = 0.01
         sg = diagonal_semigroup([math.log(2.0) / u])
         cs = character_set(sg)
-        row = criterion_check(cs, 2.0**k * D12, [u]).rows[0]
+        row = criterion_check(cs, 2.0**k * D12, u).row
         assert row.rho >= row.sup_ray * (1.0 - _DEGENERATE_TOL)
 
     def test_rejects_nonzero_mass(self):
         sg = diagonal_semigroup([1.0])
         cs = character_set(sg)
         with pytest.raises(MassNotZeroError):
-            criterion_check(cs, dirac(1.0), [0.1])
+            criterion_check(cs, dirac(1.0), 0.1)
 
 
 class TestIdempotents:
@@ -189,9 +190,9 @@ class TestSeparationCertificate:
     def test_certifies_small_scale_slice(self):
         sg = diagonal_semigroup(np.arange(1.0, 51.0))
         cs = character_set(sg)
-        rep, curve = separation_certificate(cs, D12, 1e-3, 50, D12_RAY, D12_RADII)
+        rep, vertices = separation_certificate(cs, D12, 1e-3, 50, D12_RAY, D12_RADII)
         assert rep.winding_defect <= _WINDING_TOL
-        assert (curve.alpha_k, curve.radius) == (rep.alpha_k, rep.radius)
+        assert (vertices[0], abs(vertices[-1])) == (rep.alpha_k, rep.radius)
         assert rep.min_distance > 0
         assert all(margin > 0 for _, margin in rep.lam_margins)
         assert rep.curve_min_excess >= -1e-9 * 0.25
@@ -220,14 +221,60 @@ class TestSeparationCertificate:
         u = 1e-3
         cs = CharacterSet(lambdas=(1.0 + 0j, 1000.0 + 0j, 1j * math.pi / u),
                           slices={1: (0, 1, 2)}, radii={1: 10.0})
-        rep, curve = separation_certificate(cs, D12, u, 1, D12_RAY, D12_RADII)
+        rep, vertices = separation_certificate(cs, D12, u, 1, D12_RAY, D12_RADII)
         assert [margin > 0 for _, margin in rep.lam_margins] == [True, True, False]
         assert rep.winding_defect == pytest.approx(1.0)
         # a vertex of the curve: distance 0, so its winding number is undefined
-        on_curve = CharacterSet(lambdas=(curve.gamma_k0_vertices[1],), slices={1: (0,)},
+        on_curve = CharacterSet(lambdas=(vertices[1],), slices={1: (0,)},
                                 radii={1: 10.0})
         rep, _ = separation_certificate(on_curve, D12, u, 1, D12_RAY, D12_RADII)
         assert rep.min_distance == 0.0 and rep.winding_defect == math.inf
+
+    @staticmethod
+    def _slice(R_m):
+        """One character on the real axis: the slice m = 1 has radius R_m."""
+        return CharacterSet(lambdas=(complex(R_m),), slices={1: (0,)}, radii={1: R_m})
+
+    def test_curve_clears_the_slice_radius_on_the_imaginary_axis(self):
+        rep, vertices = separation_certificate(self._slice(5.0), D12, 0.01, 1,
+                                               D12_RAY, D12_RADII)
+        assert vertices[-1].real == 0.0
+        assert rep.radius == abs(vertices[-1]) > rep.R_m == 5.0
+
+    @pytest.mark.parametrize("u, R_m", [(0.01, 5.0), (1e-3, 50.0)])
+    def test_vertices_are_the_level_path_divided_by_u(self, u, R_m):
+        # the curve of z -> F(u z) is the level path of F at axis height u R_m,
+        # each vertex divided by u
+        curve = jordan_curve(D12, D12_RAY, min_axis_height=u * R_m)
+        path = (complex(curve.alpha), *curve.gamma1_vertices, curve.a3)
+        rep, vertices = separation_certificate(self._slice(R_m), D12, u, 1, D12_RAY, D12_RADII)
+        assert vertices == tuple(z / u for z in path)
+        assert rep.alpha_k == curve.alpha / u
+
+    def test_scaling_relation(self):
+        # u R_m = 0.05 twice: one level path, so the vertices differ by the ratio of scales
+        _, v1 = separation_certificate(self._slice(5.0), D12, 0.01, 1, D12_RAY, D12_RADII)
+        _, v2 = separation_certificate(self._slice(2.5), D12, 0.02, 1, D12_RAY, D12_RADII)
+        assert len(v1) == len(v2)
+        assert np.allclose(np.asarray(v1), 2.0 * np.asarray(v2), rtol=1e-12, atol=0.0)
+
+    def test_window_violation_is_refused_before_any_curve(self, monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("jordan_curve called")
+        monkeypatch.setattr(spectral, "jordan_curve", no_curve)
+        with pytest.raises(WindowViolationError, match=r"^window violated: u\*R_m = 0\.373"):
+            separation_certificate(self._slice(2.0 * D12_RADII.r), D12, 1.0, 1,
+                                   D12_RAY, D12_RADII)
+
+    def test_values_dominate_ray_maximum(self):
+        u = 0.001
+        rep, vertices = separation_certificate(self._slice(5.0), D12, u, 1, D12_RAY, D12_RADII)
+        for z1, z2 in zip(vertices, vertices[1:]):
+            vals = np.abs(laplace(D12, u * (z1 + np.linspace(0.0, 1.0, 200) * (z2 - z1))))
+            if z1 == vertices[0]:  # alpha_k attains the ray maximum
+                vals = vals[1:]
+            assert np.all(vals >= D12_RAY.value - 1e-9)
+        assert rep.curve_min_excess >= 0.0
 
     def test_rejects_nonzero_mass(self):
         sg = diagonal_semigroup([1.0])
