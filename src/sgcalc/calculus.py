@@ -41,7 +41,7 @@ from .measures import (
     require_mass_zero,
     tv_moment,
 )
-from .semigroups import DiagonalSemigroup, NilpotentShift, SemigroupBackend
+from .semigroups import DiagonalSemigroup, MatrixSemigroup, NilpotentShift, SemigroupBackend
 
 _DEFAULT_GL_ORDER = 32
 # e-folds of e^{(A + lam) x} that the resolvent's one panel [0, h] may span,
@@ -277,23 +277,32 @@ def resolvent(backend: SemigroupBackend, lams) -> list[np.ndarray]:
             for lam, panel in zip(lams, panels)]
 
 
-def resolvent_identity_residuals(backend: SemigroupBackend, pairs) -> list[float]:
-    """Upper bound on ||R(lam) - R(nu) - (nu - lam) R(lam) R(nu)|| for each
-    (lam, nu) pair, from ``linalg.opnorm_bound``: the residual only meets a
-    "<= tolerance" gate.
+def resolvent_residuals(backend: SemigroupBackend, pairs) -> tuple[list[float], list[float]]:
+    """Upper bounds, from ``linalg.opnorm_bound``, on the residuals that meet
+    "<= tolerance" gates: ||R(lam) - R(nu) - (nu - lam) R(lam) R(nu)|| for
+    each (lam, nu) pair, and on ``matrix`` backends ||(A + lam I) R(lam) - I||
+    for each lam of the pairs, in order (an empty list elsewhere).  The
+    resolvents of another generator satisfy the identity exactly, so only the
+    second residual sees them; the shift and diagonal resolvents are
+    cell-exact or closed forms.
 
     The resolvents come from one batch ``resolvent`` call.  On shift backends
     they are first columns, so the product is a truncated convolution and the
     bound is the column's 1-norm; elsewhere both are dense.
     """
     pairs = [(complex(lam), complex(nu)) for lam, nu in pairs]
-    R = resolvent(backend, [z for pair in pairs for z in pair])
+    lams = [z for pair in pairs for z in pair]
+    R = resolvent(backend, lams)
     shift = isinstance(backend, NilpotentShift)
-    residuals = []
+    identity = []
     for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2]):
         product = np.convolve(R1, R2)[: backend.dim] if shift else R1 @ R2
-        residuals.append(opnorm_bound(R1 - R2 - (nu - lam) * product))
-    return residuals
+        identity.append(opnorm_bound(R1 - R2 - (nu - lam) * product))
+    inverse = []
+    if isinstance(backend, MatrixSemigroup):
+        A, I = backend.generator, np.eye(backend.dim)
+        inverse = [opnorm_bound((A + lam * I) @ Rk - I) for lam, Rk in zip(lams, R)]
+    return identity, inverse
 
 
 # ---------------------------------------------------------------------------

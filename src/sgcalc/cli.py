@@ -364,13 +364,15 @@ def _cmd_resolvent_check(cfg: RunConfig):
     # five (lam, nu) pairs, lam drawn first in each
     lams = [complex(rng.uniform(0, 3), rng.uniform(-3, 3)) for _ in range(10)]
     pairs = list(zip(lams[::2], lams[1::2]))
-    residuals = calculus.resolvent_identity_residuals(cfg.backend, pairs)
+    residuals, inverse = calculus.resolvent_residuals(cfg.backend, pairs)
     rows = [{"lambda": lam, "nu": nu, "residual": res}
             for (lam, nu), res in zip(pairs, residuals)]
-    worst = max(residuals)
-    payload = {"pairs": rows, "worst_residual": worst, "tolerance": tol}
-    return ({"worst_residual": worst}, [Gate("worst_residual", worst, "<=", tol)],
-            {"resolvent_check.json": payload})
+    summary = {"worst_residual": max(residuals)}
+    if inverse:  # matrix backends: (A + lam I) R(lam) = I at each of the ten lam
+        summary["worst_inverse_residual"] = max(inverse)
+    gates = [Gate(name, value, "<=", tol) for name, value in summary.items()]
+    payload = {"pairs": rows, **summary, "tolerance": tol}
+    return summary, gates, {"resolvent_check.json": payload}
 
 
 def _cmd_idempotents(cfg: RunConfig):
@@ -390,7 +392,7 @@ def _cmd_idempotents(cfg: RunConfig):
     cert, vertices = spectral.separation_certificate(charset, cfg.measure, u, m,
                                                      crit.ray, crit.radii)
     t_grid = cfg.t_grid or (1e-3,)
-    bg_rows = spectral.bounded_generator_check(cfg.backend, chain, t_grid)
+    bg_rows = spectral.bounded_generator_check(chain, t_grid)
 
     criterion = Gate("rho", row.rho, "<", row.sup_ray * (1.0 - _DEGENERATE_TOL))
     certificate = [

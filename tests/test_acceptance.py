@@ -235,7 +235,7 @@ def test_08_idempotent_pipeline():
         P = chain.projection(i)
         chain_ok = chain_ok and bool(np.array_equal(P @ P, P))
 
-    rows = bounded_generator_check(sg, chain, [u])
+    rows = bounded_generator_check(chain, [u])
     defect_100 = next(r.defect for r in rows if r.m == 100)
     defect_ok = abs(defect_100 - (1.0 - math.exp(-0.1))) <= 1e-10
 

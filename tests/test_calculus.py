@@ -23,7 +23,7 @@ from sgcalc.calculus import (
     lemma_24_check,
     lemma_27_check,
     resolvent,
-    resolvent_identity_residuals,
+    resolvent_residuals,
     sweep,
     symmetrized_sweep,
 )
@@ -376,8 +376,8 @@ class TestResolventIdentityResiduals:
         # a few 1e-12 relative at n = 512) and bounds their norm from above
         sg = nilpotent_shift(n)
         pairs = _seed0_pairs()
-        got = resolvent_identity_residuals(sg, pairs)
-        assert len(got) == 5
+        got, inverse = resolvent_residuals(sg, pairs)
+        assert len(got) == 5 and inverse == []
         for (lam, nu), res in zip(pairs, got):
             r1, r2 = (resolvent(sg, [z])[0] for z in (lam, nu))
             col = r1 - r2 - (nu - lam) * np.convolve(r1, r2)[:n]
@@ -396,9 +396,30 @@ class TestResolventIdentityResiduals:
         R = resolvent(sg, [z for pair in pairs for z in pair])
         dense = [R1 - R2 - (nu - lam) * (R1 @ R2)
                  for (lam, nu), R1, R2 in zip(pairs, R[::2], R[1::2])]
-        got = resolvent_identity_residuals(sg, pairs)
+        got, inverse = resolvent_residuals(sg, pairs)
         assert got == [opnorm_bound(M) for M in dense]
         assert all(res >= np.linalg.norm(M, 2) for res, M in zip(got, dense))
+        lams = [z for pair in pairs for z in pair]
+        defects = [(A + lam * np.eye(32)) @ Rk - np.eye(32) for lam, Rk in zip(lams, R)]
+        assert inverse == [opnorm_bound(M) for M in defects]
+        assert all(res >= np.linalg.norm(M, 2) for res, M in zip(inverse, defects))
+
+    def test_diagonal_backends_have_no_inverse_residual(self):
+        # the diagonal resolvent is its closed form
+        _, inverse = resolvent_residuals(diagonal_semigroup([5.0, 6.0]), _seed0_pairs())
+        assert inverse == []
+
+    def test_inverse_residual_sees_another_generators_resolvents(self, monkeypatch):
+        # on the benchmark's off-shift generator the true resolvents leave
+        # about 7e-15; those of 1.1 A pass the identity but not the inverse
+        sg, pairs = matrix_semigroup(_off_shift_generator()), _seed0_pairs()
+        identity, inverse = resolvent_residuals(sg, pairs)
+        assert max(identity) < 1e-13 and max(inverse) < 1e-13
+        real = calculus.resolvent
+        monkeypatch.setattr(calculus, "resolvent", lambda backend, lams: real(
+            matrix_semigroup(1.1 * backend.generator), lams))
+        identity, inverse = resolvent_residuals(sg, pairs)
+        assert max(identity) < 1e-13 and max(inverse) > 0.1
 
 
 def _midpoint_sum(sg, f, a, b, scale=1.0, nodes=200_000):

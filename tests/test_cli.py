@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,26 @@ class TestResolventCheck:
         # O(n^-2): about a sixteenth of the 1.5e-5 of the shipped n = 512 check
         assert json.loads((out / "summary.json").read_text())["worst_residual"] < 2e-6
 
+    def test_resolvents_of_another_generator_fail_the_inverse_gate(self, tmp_path, monkeypatch):
+        # the resolvents of 1.1 A satisfy the resolvent identity exactly, so
+        # only ||(A + lam I) R(lam) - I|| can see that they are not A's
+        rng = np.random.default_rng(32)
+        A = -5.0 * np.eye(16) + 0.5 * rng.normal(size=(16, 16)) / 4.0
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "resolvent-check", "backend": {"kind": "matrix", "matrix": A.tolist()}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        gates = {g["name"]: g for g in json.loads((out / "gates.json").read_text())}
+        assert gates["worst_inverse_residual"]["value"] < 1e-12
+        real = calculus.resolvent
+        monkeypatch.setattr(calculus, "resolvent", lambda backend, lams: real(
+            semigroups.matrix_semigroup(1.1 * backend.generator), lams))
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 1
+        gates = {g["name"]: g for g in json.loads((out / "gates.json").read_text())}
+        assert gates["worst_residual"]["passed"]
+        assert gates["worst_inverse_residual"]["value"] > 0.05
+        assert not gates["worst_inverse_residual"]["passed"]
+
 
 class TestCurveCommand:
     def test_artifacts(self, tmp_path):
@@ -582,6 +603,21 @@ class TestIdempotentsCommand:
         assert main(["run", "--config", cfg, "--output", str(out)]) == 0
         payload = json.loads((out / "idempotents.json").read_text())
         assert payload["chain"] == {"m_list": [0, 1, 2, 3], "exhaustive": True}
+
+    def test_characters_past_exp_underflow_pass(self, tmp_path):
+        # e^-lambda underflows from lambda ~ 745 on; the characters 1..800
+        # are read as given, so the check passes with no RuntimeWarning
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "idempotents", "measure": "delta-difference",
+            "backend": {"kind": "diagonal-range", "start": 1, "stop": 800},
+            "u": 1e-4, "m": 150, "m_list": [50, 100, 150, 800]})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        payload = json.loads((out / "idempotents.json").read_text())
+        assert payload["chain"] == {"m_list": [50, 100, 150, 800], "exhaustive": True}
+        assert payload["generator_bounds"][-1]["generator_bound"] == 800.0
 
     def test_no_slice_in_the_window_exits_2(self, tmp_path, capsys):
         # at u = 10 even the smallest slice has u R_m far beyond the disk radius r
@@ -688,9 +724,9 @@ def _slice_point_outside_the_curve(monkeypatch):
 
 def _chain_missing_a_point(monkeypatch):
     def drop(chain):
-        last = chain.diagonals[-1].copy()
-        last[-1] = 0
-        return dataclasses.replace(chain, diagonals=(*chain.diagonals[:-1], last))
+        charset, top = chain.charset, chain.m_list[-1]
+        slices = {**charset.slices, top: charset.slices[top][:-1]}
+        return dataclasses.replace(chain, charset=dataclasses.replace(charset, slices=slices))
     _wrap(monkeypatch, spectral, "build_idempotents", drop)
 
 
@@ -734,8 +770,8 @@ _GATE_CASES = {
     "lemma27/identity_residual": (_replace(calculus, "lemma_27_check",
                                            identity_residual=_up(1e-7)),),
     "resolvent-check/worst_residual": (lambda monkeypatch: monkeypatch.setattr(
-        calculus, "resolvent_identity_residuals",
-        lambda backend, pairs: [_up(1e-4)] * len(pairs)),),
+        calculus, "resolvent_residuals",
+        lambda backend, pairs: ([_up(1e-4)] * len(pairs), [])),),
     # criterion_check evaluates F at all 200 characters, the certificate at
     # the 150 of the slice and on a 2-D grid of curve samples
     "separation/rho": (_separation_laplace(

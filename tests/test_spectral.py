@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,22 +63,27 @@ class TestCharacterSet:
             assert idx == ref and all(type(k) is int for k in idx)
             assert cs.radii[m] == (float(np.max(np.abs([lam[k] for k in ref]))) if ref else 0.0)
 
-    def test_reconstruction_handles_large_imaginary_parts(self):
-        # -log(e^{-lambda}) wraps the imaginary part; extraction must still
-        # accept the character values modulo 2 pi i
+    def test_large_imaginary_parts_keep_their_slice(self):
+        # slices go by Re lambda alone, whatever the imaginary part
         sg = diagonal_semigroup([1.0 + 10.0j, 2.0 - 7.0j])
         cs = character_set(sg)
         assert cs.slices[2] == (0, 1)
+        assert cs.lambdas == (1.0 + 10.0j, 2.0 - 7.0j)
 
     def test_rejects_non_diagonal(self):
         with pytest.raises(NotDiagonalError):
             character_set(nilpotent_shift(8))
 
-    def test_rejects_a_character_lost_to_underflow(self):
-        # e^-740 is subnormal, with about 6 significant bits: -log of it misses
-        # 740 by 2.6e-3
-        with pytest.raises(NotDiagonalError, match="reconstruction"):
-            character_set(diagonal_semigroup([1.0, 740.0]))
+    @pytest.mark.parametrize("top", [740.0, 800.0])
+    def test_characters_past_exp_underflow_slice_exactly(self, top):
+        # e^-740 is subnormal and e^-800 is 0: the characters are read as
+        # given, never through T(1), so neither is refused or warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = character_set(diagonal_semigroup([1.0, top]))
+        assert cs.lambdas == (1.0, top)
+        assert cs.slices[int(top) - 1] == (0,) and cs.slices[int(top)] == (0, 1)
+        assert (cs.radii[1], cs.radii[int(top)]) == (1.0, top)
 
 
 class TestCriterion:
@@ -121,11 +127,13 @@ class TestIdempotents:
     def test_chain_is_exact_and_nested(self):
         sg = diagonal_semigroup(np.arange(1.0, 41.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [10, 20, 40])
+        chain = build_idempotents(cs, [40, 10, 20])
+        assert chain.m_list == (10, 20, 40) and chain.charset is cs
         for i, m in enumerate(chain.m_list):
             P = chain.projection(i)
             assert np.array_equal(P @ P, P)
-            assert int(np.sum(chain.diagonals[i])) == m
+            # the 0/1 diagonal of the slice Lambda_m = {0, .., m - 1}
+            assert np.array_equal(P, np.diag((np.arange(40) < m).astype(complex)))
         P0, P1 = chain.projection(0), chain.projection(1)
         assert np.array_equal(P0 @ P1, P0)
         assert chain.exhaustive
@@ -140,8 +148,16 @@ class TestIdempotents:
         sg = diagonal_semigroup(np.arange(1.0, 11.0))
         cs = character_set(sg)
         chain = build_idempotents(cs, [0, 10])
-        assert np.all(chain.diagonals[0] == 0)
+        assert np.array_equal(chain.projection(0), np.zeros((10, 10)))
+        assert np.array_equal(chain.projection(1), np.eye(10))
         assert chain.exhaustive
+
+    def test_non_nested_slices_are_refused(self):
+        # a corrupted slice table: Lambda_1 holds a coordinate that Lambda_2 lacks
+        cs = CharacterSet((0.5, 1.5, 2.5), {1: (0, 2), 2: (0, 1)}, {1: 2.5, 2: 1.5})
+        with pytest.raises(ValueError, match="not nested"):
+            build_idempotents(cs, [1, 2])
+        assert build_idempotents(cs, [2]).m_list == (2,)
 
     def test_projections_commute_with_semigroup(self):
         sg = diagonal_semigroup(np.arange(1.0, 21.0))
@@ -157,30 +173,24 @@ class TestBoundedGenerator:
         sg = diagonal_semigroup(np.arange(1.0, 101.0))
         cs = character_set(sg)
         chain = build_idempotents(cs, [100])
-        rows = bounded_generator_check(sg, chain, [1e-3, 1e-2])
+        rows = bounded_generator_check(chain, [1e-3, 1e-2])
         by_t = {row.t: row for row in rows}
         assert by_t[1e-3].defect == pytest.approx(1.0 - math.exp(-0.1), abs=1e-10)
         assert by_t[1e-2].defect == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
-        assert rows[0].generator_bound == 100.0
+        assert rows[0].generator_bound == 100.0 == cs.radii[100]
 
     def test_empty_slice_has_no_rows(self):
         # lambdas from 1: the slice m = 0 is empty and gives no row
         sg = diagonal_semigroup(np.arange(1.0, 5.0))
         chain = build_idempotents(character_set(sg), [0, 2])
-        rows = bounded_generator_check(sg, chain, [1e-3])
+        rows = bounded_generator_check(chain, [1e-3])
         assert [row.m for row in rows] == [2]
-
-    def test_rejects_non_diagonal(self):
-        sg = diagonal_semigroup(np.arange(1.0, 5.0))
-        chain = build_idempotents(character_set(sg), [2])
-        with pytest.raises(NotDiagonalError):
-            bounded_generator_check(nilpotent_shift(4), chain, [1e-3])
 
     def test_defect_vanishes_with_t(self):
         sg = diagonal_semigroup(np.arange(1.0, 51.0))
         cs = character_set(sg)
         chain = build_idempotents(cs, [50])
-        rows = bounded_generator_check(sg, chain, [10.0 ** -k for k in range(1, 6)])
+        rows = bounded_generator_check(chain, [10.0 ** -k for k in range(1, 6)])
         defects = [r.defect for r in rows]
         assert defects == sorted(defects, reverse=True)
         assert defects[-1] < 1e-3
