@@ -377,12 +377,15 @@ def _cmd_resolvent_check(cfg: RunConfig):
 
 def _cmd_idempotents(cfg: RunConfig):
     charset = spectral.character_set(cfg.backend)
+    top = charset.top
     for m in (*cfg.m_list, cfg.m):
-        if m is not None and m not in charset.slices:
+        if m is not None and m > top:
             raise ConfigError(f"m = {m} names no slice of the character set, whose "
-                              f"slices are m = 0..{len(charset.slices) - 1}")
-    m_list = cfg.m_list or tuple(sorted(charset.slices))[-4:]
-    chain = spectral.build_idempotents(charset, m_list)
+                              f"slices are m = 0..{top}")
+    if cfg.m is not None and not charset.slice(cfg.m):
+        raise ConfigError(f"m = {cfg.m} names an empty slice: no character "
+                          f"has Re lambda <= {cfg.m}")
+    chain = spectral.IdempotentChain(charset, cfg.m_list or range(max(top - 3, 0), top + 1))
     u = cfg.u if cfg.u is not None else 1e-3
     crit = spectral.criterion_check(charset, cfg.measure, u)
     row = crit.row

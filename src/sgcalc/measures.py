@@ -444,7 +444,7 @@ def _normalize_pieces(pieces) -> list[Piece]:
         tm = 0.5 * (lo + hi)
         acc = np.zeros(1, dtype=complex)
         for p in pieces:
-            if p.a - 1e-13 <= tm <= p.b + 1e-13 and p.a < tm < p.b:
+            if p.a < tm < p.b:
                 acc = npoly.polyadd(acc, np.asarray(p.coeffs))
         acc = npoly.polytrim(acc, tol=0)
         if np.max(np.abs(acc)) > dust:

@@ -2,14 +2,15 @@
 
 A diagonal semigroup T(t) = diag(e^{-lambda_k t}) realizes the character
 picture exactly: each coordinate is a character with value a_chi = lambda_k.
-This module slices that one character set, whose slices Lambda_m are also
-the exhaustive chain of 0/1 coordinate projections P_m, and computes both
-sides of the strict spectral-radius criterion, the defects ||P_m - P_m T(t)||,
-and the scaled separation curve that encloses a slice with its certificate.
+This module slices that one character set on demand; its slices Lambda_m,
+nested by construction, are the exhaustive chain of 0/1 projections P_m.  It
+computes both sides of the strict spectral-radius criterion, the defects
+||P_m - P_m T(t)||, and the scaled separation curve that encloses a slice.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -23,32 +24,36 @@ from .semigroups import DiagonalSemigroup, MultiplicationC0, SemigroupBackend
 
 @dataclass(frozen=True)
 class CharacterSet:
-    """Character values a_chi with nested slices Lambda_m = {Re a_chi <= m}."""
+    """Character values a_chi; each slice Lambda_m = {Re a_chi <= m}, its radius
+    and the last slice are computed on demand, in O(n), with no table per m."""
 
     lambdas: tuple
-    slices: dict  # m -> tuple of coordinate indices
-    radii: dict  # m -> radius of the smallest centered disk holding the slice
+
+    @property
+    def top(self) -> int:
+        """ceil(max Re a_chi): the last slice, the first that holds every character."""
+        return math.ceil(max(lam.real for lam in self.lambdas))
+
+    def slice(self, m) -> tuple:
+        """The ascending indices k with Re lambda_k <= m."""
+        return tuple(np.flatnonzero(np.asarray(self.lambdas).real <= m).tolist())
 
     def slice_values(self, m) -> np.ndarray:
-        return np.asarray([self.lambdas[k] for k in self.slices[m]])
+        return np.asarray(self.lambdas)[list(self.slice(m))]
+
+    def radius(self, m) -> float:
+        """The radius of the smallest centered disk holding the slice, 0.0 if it is empty."""
+        return float(np.max(np.abs(self.slice_values(m)), initial=0.0))
 
 
 def character_set(backend: SemigroupBackend) -> CharacterSet:
-    """The character set a_chi = lambda_k of a diagonal backend, sliced.
+    """The character set a_chi = lambda_k of a diagonal backend.
 
     This is the idempotent pipeline's one refusal of a non-diagonal model.
     """
     if not isinstance(backend, DiagonalSemigroup):
         raise NotDiagonalError("character extraction needs a diagonal model")
-    lambdas = backend.lambdas
-    top = int(math.ceil(float(np.max(lambdas.real))))
-    slices = {}
-    radii = {}
-    for m in range(0, top + 1):
-        idx = np.flatnonzero(lambdas.real <= m)
-        slices[m] = tuple(idx.tolist())
-        radii[m] = float(np.max(np.abs(lambdas[idx]))) if idx.size else 0.0
-    return CharacterSet(tuple(complex(l) for l in lambdas), slices, radii)
+    return CharacterSet(tuple(complex(l) for l in backend.lambdas))
 
 
 @dataclass(frozen=True)
@@ -78,44 +83,35 @@ def criterion_check(charset: CharacterSet, mu: CompactMeasure, u: float) -> Crit
     radii = babylem_radius(mu)
     u = float(u)
     rho = float(np.max(np.abs(laplace(mu, u * np.asarray(charset.lambdas)))))
-    window_m = None
-    for m in sorted(charset.slices):
-        if charset.slices[m] and u * charset.radii[m] < radii.r:
-            window_m = m
+    # radius(m) is nondecreasing, so the non-empty slices that fit the window
+    # are a prefix of ms: bisect for its length
+    ms = range(max(0, math.ceil(min(lam.real for lam in charset.lambdas))), charset.top + 1)
+    fit = bisect.bisect_left(ms, True, key=lambda m: u * charset.radius(m) >= radii.r)
+    window_m = ms[fit - 1] if fit else None
     return CriterionReport(CriterionRow(u, rho, ray.value, window_m), ray, radii)
 
 
 @dataclass(frozen=True)
 class IdempotentChain:
-    """The projections P_m, m in m_list ascending, onto nested slices of charset."""
+    """The projections P_m, m in m_list ascending, onto the slices of charset;
+    P^2 = P and P_m P_m' = P_m for m < m' hold by construction."""
 
     charset: CharacterSet
     m_list: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "m_list", tuple(sorted(self.m_list)))
+
     def projection(self, i: int) -> np.ndarray:
         """P_{m_list[i]}: the exact 0/1 diagonal of its slice."""
         diag = np.zeros(len(self.charset.lambdas), dtype=complex)
-        diag[list(self.charset.slices[self.m_list[i]])] = 1.0
+        diag[list(self.charset.slice(self.m_list[i]))] = 1.0
         return np.diag(diag)
 
     @property
     def exhaustive(self) -> bool:
         """The last slice covers every coordinate."""
-        return set(self.charset.slices[self.m_list[-1]]) == set(range(len(self.charset.lambdas)))
-
-
-def build_idempotents(charset: CharacterSet, m_list) -> IdempotentChain:
-    """The chain of coordinate projections onto the slices Lambda_m, m in m_list.
-
-    Each P_m is a 0/1 diagonal, so P^2 = P holds by construction; that
-    consecutive slices nest (P_m P_m' = P_m for m < m') is checked exactly, by
-    set inclusion, so a corrupted slice table cannot slip through.
-    """
-    m_list = tuple(sorted(m_list))
-    for m1, m2 in zip(m_list, m_list[1:]):
-        if not set(charset.slices[m1]) <= set(charset.slices[m2]):
-            raise ValueError(f"slices are not nested: Lambda_{m1} is not in Lambda_{m2}")
-    return IdempotentChain(charset, m_list)
+        return len(self.charset.slice(self.m_list[-1])) == len(self.charset.lambdas)
 
 
 @dataclass(frozen=True)
@@ -136,13 +132,13 @@ def bounded_generator_check(chain: IdempotentChain, t_grid) -> list[GeneratorBou
     charset = chain.charset
     rows = []
     for m in chain.m_list:
-        if not charset.slices[m]:
-            continue
         lam = charset.slice_values(m)
+        if not lam.size:
+            continue
         for t in t_grid:
             t = float(t)
             defect = float(np.max(np.abs(1.0 - np.exp(-lam * t))))
-            rows.append(GeneratorBoundRow(m, t, defect, charset.radii[m]))
+            rows.append(GeneratorBoundRow(m, t, defect, charset.radius(m)))
     return rows
 
 
@@ -193,7 +189,7 @@ def separation_certificate(
     computed again.  Returns the report and the vertices of Gamma_{k,0}.
     """
     require_mass_zero(mu)
-    R_m = charset.radii[m]
+    R_m = charset.radius(m)
     if u * R_m >= radii.r:
         raise WindowViolationError(
             f"window violated: u*R_m = {u * R_m:.6g} >= r = {radii.r:.6g}"

@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgcalc.calculus import ep_calc, func_calc, lemma_27_check, sweep
+from sgcalc.calculus import ep_calc, func_calc, sweep
 from sgcalc.cli import (
     _DEGENERATE_TOL,
     _WINDING_TOL,
     CONFIG_DIR,
     NAMED_MEASURES,
-    _default_lambda_grid,
+    load_config,
     main,
 )
 from sgcalc.complexfn import babylem_radius, jordan_curve, ray_max
@@ -32,15 +32,8 @@ from sgcalc.measures import (
     laplace,
     laplace_distribution,
 )
-from sgcalc.semigroups import diagonal_semigroup, matrix_semigroup, nilpotent_shift
-from sgcalc.spectral import (
-    bounded_generator_check,
-    build_idempotents,
-    character_set,
-    criterion_check,
-    separation_certificate,
-    sharpness_demo,
-)
+from sgcalc.semigroups import matrix_semigroup, nilpotent_shift
+from sgcalc.spectral import IdempotentChain, character_set
 
 D12 = NAMED_MEASURES["delta-difference"]()
 FOUR = NAMED_MEASURES["four-atom"]()
@@ -208,10 +201,11 @@ def test_06_disk_circle_separation_radii():
     _report("06 disk/circle radii", ok, f"worst separation margin {worst:.4g}")
 
 
-def test_07_sharpness_on_multiplication_model():
-    us = [0.1, 0.5, 1.0, 2.0]
-    ray = ray_max(D12)
-    gaps = [sharpness_demo(n, D12, us, ray).max_gap for n in (1000, 10_000, 100_000)]
+def test_07_sharpness_on_multiplication_model(verify_all):
+    rep = _json(verify_all / "sharpness" / "sharpness.json")
+    rows = _sweep_csv(verify_all / "sharpness" / "sharpness.csv")
+    assert sorted(set(rows["u"])) == [0.1, 0.5, 1.0, 2.0]
+    gaps = [rep["max_gap_by_n"][n] for n in ("1000", "10000", "100000")]
     ok = gaps[-1] <= 1e-4 and gaps[1] <= gaps[0] and gaps[2] <= gaps[1]
     _report(
         "07 sharpness",
@@ -220,41 +214,43 @@ def test_07_sharpness_on_multiplication_model():
     )
 
 
-def test_08_idempotent_pipeline():
+def test_08_idempotent_pipeline(verify_all):
     u = 1e-3
-    sg = diagonal_semigroup(np.arange(1.0, 201.0))
-    cs = character_set(sg)
+    rep = _json(verify_all / "separation" / "idempotents.json")
+    gates = {g["name"]: g for g in _json(verify_all / "separation" / "gates.json")}
+    row = rep["criterion"]
+    assert (row["u"], rep["certificate"]["m"]) == (u, 150)
+    strict = row["rho"] < row["sup_ray"] * (1.0 - _DEGENERATE_TOL) and row["rho"] < 0.25
 
-    crit = criterion_check(cs, D12, u)
-    row = crit.row
-    strict = row.rho < row.sup_ray * (1.0 - _DEGENERATE_TOL) and row.rho < 0.25
-
-    chain = build_idempotents(cs, [50, 100, 150, 200])
-    chain_ok = chain.exhaustive
+    # the projections themselves are in no artifact: P^2 = P on the chain it reports
+    chain = IdempotentChain(character_set(load_config(CONFIG_DIR / "separation.json").backend),
+                            rep["chain"]["m_list"])
+    assert chain.m_list == (50, 100, 150, 200)
+    chain_ok = rep["chain"]["exhaustive"]
     for i in range(len(chain.m_list)):
         P = chain.projection(i)
         chain_ok = chain_ok and bool(np.array_equal(P @ P, P))
 
-    rows = bounded_generator_check(chain, [u])
-    defect_100 = next(r.defect for r in rows if r.m == 100)
+    defect_100 = next(r["defect"] for r in rep["generator_bounds"]
+                      if r["m"] == 100 and r["t"] == u)
     defect_ok = abs(defect_100 - (1.0 - math.exp(-0.1))) <= 1e-10
 
     # largest slice fitting the separation window at this u
-    cert, _ = separation_certificate(cs, D12, u, 150, crit.ray, crit.radii)
+    cert = rep["certificate"]
     cert_ok = (
-        cert.curve_min_excess >= 0
-        and cert.winding_defect <= _WINDING_TOL
-        and cert.min_distance > 0
-        and all(margin > 0 for _, margin in cert.lam_margins)
+        cert["curve_min_excess"] >= 0
+        and gates["winding_defect"]["value"] <= _WINDING_TOL
+        and cert["min_distance"] > 0
+        and all(margin > 0 for _, margin in cert["lam_margins"])
     )
 
     ok = strict and chain_ok and defect_ok and cert_ok
     _report(
         "08 idempotent pipeline",
         ok,
-        f"rho {row.rho:.4f} < 0.25, defect err "
+        f"rho {row['rho']:.4f} < 0.25, defect err "
         f"{abs(defect_100 - (1 - math.exp(-0.1))):.1e}, cert distance "
-        f"{cert.min_distance:.3f}",
+        f"{cert['min_distance']:.3f}",
     )
 
 
@@ -284,7 +280,7 @@ def test_09_spectral_mapping_on_diagonal_models():
     _report("09 spectral mapping", ok, f"worst eigenvalue mismatch {worst:.2e}")
 
 
-def test_10_distribution_calculus_and_order_p_bound():
+def test_10_distribution_calculus_and_order_p_bound(verify_all):
     phi = CompactDistribution(1, (D12, D12))
 
     # scalar oracle on a diagonal generator through the generator-power path
@@ -296,11 +292,9 @@ def test_10_distribution_calculus_and_order_p_bound():
     oracle = laplace_distribution(phi, u * lam)
     scalar_err = float(np.max(np.abs(via_gen - oracle)))
 
-    rep = lemma_27_check(
-        diagonal_semigroup(np.arange(1.0, 21.0)), phi,
-        _default_lambda_grid(avoid_integers=True),
-    )
-    bound_ok = all(r[3] > 0 for r in rep.rows)
+    rows = _json(verify_all / "lemma27" / "lemma27.json")["rows"]
+    assert len(rows) == 20
+    bound_ok = all(r["margin"] > 0 for r in rows)
 
     ok = scalar_err <= 1e-9 and bound_ok
     _report(

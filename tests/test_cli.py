@@ -276,6 +276,10 @@ class TestConfigDeterminedRefusals:
           "backend": RANGE, "m_list": [50, 500]}, 2, None),
         ({"command": "idempotents", "measure": "delta-difference",
           "backend": RANGE, "m": 999}, 2, None),
+        # the certificate would hold vacuously on the empty slice Lambda_2
+        ({"command": "idempotents", "measure": "delta-difference",
+          "backend": {"kind": "diagonal-range", "start": 5, "stop": 200},
+          "m": 2, "m_list": [2, 200]}, 2, None),
         ({"command": "sharpness", "measure": "delta-difference", "n_list": [5]}, 2, None),
         ({"command": "resolvent-check", "backend": {"kind": "riemann_liouville", "n": 16}},
          1, "NoGeneratorError"),
@@ -287,7 +291,7 @@ class TestConfigDeterminedRefusals:
     ], ids=["sweep-matrix", "sweep-twisted", "lemma24-riemann-liouville",
             "lemma24-left-half-plane", "sharpness-twisted", "lemma24-overflow",
             "lemma24-left-side-overflow", "sweep-offgrid-atom", "idempotents-m_list-no-slice",
-            "idempotents-m-no-slice", "sharpness-coarse-grid",
+            "idempotents-m-no-slice", "idempotents-m-empty-slice", "sharpness-coarse-grid",
             "resolvent-check-riemann-liouville", "lemma27-riemann-liouville",
             "renormalization-off-grid"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, error):
@@ -619,6 +623,21 @@ class TestIdempotentsCommand:
         assert payload["chain"] == {"m_list": [50, 100, 150, 800], "exhaustive": True}
         assert payload["generator_bounds"][-1]["generator_bound"] == 800.0
 
+    @pytest.mark.parametrize("far, m", [(1e6, 999999), (1e9, 999999999)])
+    def test_a_far_character_costs_no_slice_per_integer(self, tmp_path, far, m):
+        # the slices m = 0..far are read off the two characters, not tabulated:
+        # only m moves with far, the certificate is that of the slice {1}
+        cfg = _write_config(tmp_path / "c.json", {
+            "command": "idempotents", "measure": "delta-difference",
+            "backend": {"kind": "diagonal", "lambdas": [1, far]}, "u": 1e-3})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["m"], summary["rho"], summary["min_distance"]) == (
+            m, 0.000998501166041943, 269.5121031193049)
+        payload = json.loads((out / "idempotents.json").read_text())
+        assert payload["chain"] == {"m_list": [m - 2, m - 1, m, m + 1], "exhaustive": True}
+
     def test_no_slice_in_the_window_exits_2(self, tmp_path, capsys):
         # at u = 10 even the smallest slice has u R_m far beyond the disk radius r
         cfg = _write_config(tmp_path / "c.json", {
@@ -713,21 +732,30 @@ def _separation_laplace(pick, value):
     return patch
 
 
-def _slice_point_outside_the_curve(monkeypatch):
-    # |F| there is ~e^-1000, far below the ray maximum, but the winding is 0
-    def move(charset):
-        lambdas = list(charset.lambdas)
-        lambdas[charset.slices[150][0]] = 1e6 + 0j
-        return dataclasses.replace(charset, lambdas=tuple(lambdas))
-    _wrap(monkeypatch, spectral, "character_set", move)
+class _Doctored:
+    """A character set whose method name answers change(its true answer);
+    everything else, the radius among it, is the true character set's."""
+
+    def __init__(self, charset, name, change):
+        self._charset, self._name, self._change = charset, name, change
+
+    def __getattr__(self, attr):
+        real = getattr(self._charset, attr)
+        return (lambda m: self._change(real(m))) if attr == self._name else real
 
 
-def _chain_missing_a_point(monkeypatch):
-    def drop(chain):
-        charset, top = chain.charset, chain.m_list[-1]
-        slices = {**charset.slices, top: charset.slices[top][:-1]}
-        return dataclasses.replace(chain, charset=dataclasses.replace(charset, slices=slices))
-    _wrap(monkeypatch, spectral, "build_idempotents", drop)
+def _doctor_character_set(name, change):
+    return lambda monkeypatch: _wrap(monkeypatch, spectral, "character_set",
+                                     lambda charset: _Doctored(charset, name, change))
+
+
+# the first point of each slice moved to 1e6, past the true slice radius: |F|
+# there is ~e^-1000, far below the ray maximum, but the winding is 0
+_slice_point_outside_the_curve = _doctor_character_set(
+    "slice_values", lambda values: np.concatenate([[1e6 + 0j], values[1:]]))
+# each slice's index list loses its last entry, so the top slice misses a
+# coordinate; the values and radii the certificate reads are the true ones
+_chain_missing_a_point = _doctor_character_set("slice", lambda idx: idx[:-1])
 
 
 def _gap_growing_by_an_ulp(monkeypatch):

@@ -400,7 +400,7 @@ def _deque_flood_fill(mu, a1, f_a0, nx, ny, x_max, y_max, min_axis_height):
 
 def _separation_axis_height():
     charset = character_set(diagonal_semigroup(range(1, 201)))
-    return 1e-3 * charset.radii[150]  # u * R_m of configs/separation.json
+    return 1e-3 * charset.radius(150)  # u * R_m of configs/separation.json
 
 
 @pytest.mark.parametrize("mu, min_axis_height", [

@@ -19,9 +19,8 @@ from sgcalc.semigroups import (
     nilpotent_shift,
 )
 from sgcalc.spectral import (
-    CharacterSet,
+    IdempotentChain,
     bounded_generator_check,
-    build_idempotents,
     character_set,
     criterion_check,
     separation_certificate,
@@ -32,24 +31,40 @@ D12 = from_atoms([(1.0, 1.0), (2.0, -1.0)])
 D12_RAY, D12_RADII = ray_max(D12), babylem_radius(D12)
 
 
+class _Slice:
+    """A stand-in character set whose slice, for every m, holds values and has
+    radius R, whether or not R bounds them: what separation_certificate reads."""
+
+    def __init__(self, values, R):
+        self.values, self.R = np.asarray(values, dtype=complex), R
+
+    def slice_values(self, m):
+        return self.values
+
+    def radius(self, m):
+        return self.R
+
+
 class TestCharacterSet:
     def test_slices_and_radii(self):
         sg = diagonal_semigroup([0.5, 1.5, 2.5 + 1.0j, 4.0])
         cs = character_set(sg)  # slices m = 0 .. ceil(max Re lambda) = 4
-        assert cs.slices[0] == ()
-        assert cs.slices[1] == (0,)
-        assert cs.slices[3] == (0, 1, 2)
-        assert cs.slices[4] == (0, 1, 2, 3)
-        assert cs.radii[3] == pytest.approx(abs(2.5 + 1.0j))
+        assert cs.top == 4
+        assert cs.slice(0) == ()
+        assert cs.slice(1) == (0,)
+        assert cs.slice(3) == (0, 1, 2)
+        assert cs.slice(4) == (0, 1, 2, 3)
+        assert cs.radius(0) == 0.0
+        assert cs.radius(3) == pytest.approx(abs(2.5 + 1.0j))
         assert np.allclose(cs.slice_values(3), [0.5, 1.5, 2.5 + 1.0j])
 
     def test_slices_are_nested(self):
         sg = diagonal_semigroup(np.linspace(0.1, 9.7, 40))
         cs = character_set(sg)
-        ms = sorted(cs.slices)
-        for m1, m2 in zip(ms, ms[1:]):
-            assert set(cs.slices[m1]) <= set(cs.slices[m2])
-        assert cs.slices[ms[-1]] == tuple(range(40))
+        assert cs.top == 10
+        for m in range(cs.top):
+            assert set(cs.slice(m)) <= set(cs.slice(m + 1))
+        assert cs.slice(cs.top) == tuple(range(40))
 
     @pytest.mark.parametrize("lambdas", [
         np.arange(1.0, 200.0),  # the separation config's diagonal-range
@@ -58,16 +73,19 @@ class TestCharacterSet:
     def test_slices_and_radii_match_brute_force(self, lambdas):
         cs = character_set(diagonal_semigroup(lambdas))
         lam = cs.lambdas
-        for m, idx in cs.slices.items():
+        assert cs.top == math.ceil(max(l.real for l in lam))
+        for m in range(cs.top + 1):
+            idx = cs.slice(m)
             ref = tuple(k for k in range(len(lam)) if lam[k].real <= m)
             assert idx == ref and all(type(k) is int for k in idx)
-            assert cs.radii[m] == (float(np.max(np.abs([lam[k] for k in ref]))) if ref else 0.0)
+            assert cs.slice_values(m).tolist() == [lam[k] for k in ref]
+            assert cs.radius(m) == (float(np.max(np.abs([lam[k] for k in ref]))) if ref else 0.0)
 
     def test_large_imaginary_parts_keep_their_slice(self):
         # slices go by Re lambda alone, whatever the imaginary part
         sg = diagonal_semigroup([1.0 + 10.0j, 2.0 - 7.0j])
         cs = character_set(sg)
-        assert cs.slices[2] == (0, 1)
+        assert cs.slice(2) == (0, 1)
         assert cs.lambdas == (1.0 + 10.0j, 2.0 - 7.0j)
 
     def test_rejects_non_diagonal(self):
@@ -82,8 +100,15 @@ class TestCharacterSet:
             warnings.simplefilter("error")
             cs = character_set(diagonal_semigroup([1.0, top]))
         assert cs.lambdas == (1.0, top)
-        assert cs.slices[int(top) - 1] == (0,) and cs.slices[int(top)] == (0, 1)
-        assert (cs.radii[1], cs.radii[int(top)]) == (1.0, top)
+        assert cs.slice(int(top) - 1) == (0,) and cs.slice(int(top)) == (0, 1)
+        assert (cs.radius(1), cs.radius(int(top))) == (1.0, top)
+
+    def test_a_far_character_needs_no_slice_per_integer(self):
+        # slices m = 0..10^9: each is read off the two characters on demand
+        cs = character_set(diagonal_semigroup([1.0, 1e9]))
+        assert cs.top == 10**9
+        assert cs.slice(10**9 - 1) == (0,) and cs.slice(10**9) == (0, 1)
+        assert (cs.radius(0), cs.radius(10**9 - 1), cs.radius(10**9)) == (0.0, 1.0, 1e9)
 
 
 class TestCriterion:
@@ -97,7 +122,27 @@ class TestCriterion:
         assert row.rho < row.sup_ray * (1.0 - _DEGENERATE_TOL)
         assert row.window_m is not None
         # slice radius must fit inside the scaled window
-        assert 1e-3 * cs.radii[row.window_m] < rep.radii.r
+        assert 1e-3 * cs.radius(row.window_m) < rep.radii.r
+
+    def test_window_of_a_far_character(self):
+        # u R_m = 1e-3 fits the window up to m = 10^9 - 1, u R_top = 10^6 does not
+        cs = character_set(diagonal_semigroup([1.0, 1e9]))
+        assert criterion_check(cs, D12, 1e-3).row.window_m == 10**9 - 1
+
+    @pytest.mark.parametrize("lambdas, u", [
+        (np.arange(1.0, 201.0), 1e-3),
+        ([2.5, 3.5 + 20.0j, 7.0], 0.01),
+        ([0.0, 0.4, 3.0], 0.01),
+        (np.random.default_rng(5).uniform(0, 30, 40)
+         + 1j * np.random.default_rng(6).normal(0, 10, 40), 0.01),
+        (np.arange(1.0, 6.0), 10.0),
+    ], ids=["range", "complex", "zero", "random", "none-fits"])
+    def test_window_is_the_largest_fitting_slice(self, lambdas, u):
+        # the largest m in 0..top whose slice is non-empty and fits u R_m < r
+        cs = character_set(diagonal_semigroup(lambdas))
+        fits = [m for m in range(cs.top + 1)
+                if cs.slice(m) and u * cs.radius(m) < D12_RADII.r]
+        assert criterion_check(cs, D12, u).row.window_m == (fits[-1] if fits else None)
 
     def test_exhaustive_rho_on_diagonal_model(self):
         sg = diagonal_semigroup([0.5, 1.0, 3.0])
@@ -127,7 +172,7 @@ class TestIdempotents:
     def test_chain_is_exact_and_nested(self):
         sg = diagonal_semigroup(np.arange(1.0, 41.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [40, 10, 20])
+        chain = IdempotentChain(cs, [40, 10, 20])
         assert chain.m_list == (10, 20, 40) and chain.charset is cs
         for i, m in enumerate(chain.m_list):
             P = chain.projection(i)
@@ -141,28 +186,21 @@ class TestIdempotents:
     def test_non_exhaustive_chain(self):
         sg = diagonal_semigroup(np.arange(1.0, 41.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [10, 20])
+        chain = IdempotentChain(cs, [10, 20])
         assert not chain.exhaustive
 
     def test_empty_bottom_slice(self):
         sg = diagonal_semigroup(np.arange(1.0, 11.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [0, 10])
+        chain = IdempotentChain(cs, [0, 10])
         assert np.array_equal(chain.projection(0), np.zeros((10, 10)))
         assert np.array_equal(chain.projection(1), np.eye(10))
         assert chain.exhaustive
 
-    def test_non_nested_slices_are_refused(self):
-        # a corrupted slice table: Lambda_1 holds a coordinate that Lambda_2 lacks
-        cs = CharacterSet((0.5, 1.5, 2.5), {1: (0, 2), 2: (0, 1)}, {1: 2.5, 2: 1.5})
-        with pytest.raises(ValueError, match="not nested"):
-            build_idempotents(cs, [1, 2])
-        assert build_idempotents(cs, [2]).m_list == (2,)
-
     def test_projections_commute_with_semigroup(self):
         sg = diagonal_semigroup(np.arange(1.0, 21.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [10, 20])
+        chain = IdempotentChain(cs, [10, 20])
         P = chain.projection(0)
         T = sg.materialize(0.3)
         assert np.max(np.abs(P @ T - T @ P)) == 0.0
@@ -172,24 +210,24 @@ class TestBoundedGenerator:
     def test_defect_closed_form(self):
         sg = diagonal_semigroup(np.arange(1.0, 101.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [100])
+        chain = IdempotentChain(cs, [100])
         rows = bounded_generator_check(chain, [1e-3, 1e-2])
         by_t = {row.t: row for row in rows}
         assert by_t[1e-3].defect == pytest.approx(1.0 - math.exp(-0.1), abs=1e-10)
         assert by_t[1e-2].defect == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
-        assert rows[0].generator_bound == 100.0 == cs.radii[100]
+        assert rows[0].generator_bound == 100.0 == cs.radius(100)
 
     def test_empty_slice_has_no_rows(self):
         # lambdas from 1: the slice m = 0 is empty and gives no row
         sg = diagonal_semigroup(np.arange(1.0, 5.0))
-        chain = build_idempotents(character_set(sg), [0, 2])
+        chain = IdempotentChain(character_set(sg), [0, 2])
         rows = bounded_generator_check(chain, [1e-3])
         assert [row.m for row in rows] == [2]
 
     def test_defect_vanishes_with_t(self):
         sg = diagonal_semigroup(np.arange(1.0, 51.0))
         cs = character_set(sg)
-        chain = build_idempotents(cs, [50])
+        chain = IdempotentChain(cs, [50])
         rows = bounded_generator_check(chain, [10.0 ** -k for k in range(1, 6)])
         defects = [r.defect for r in rows]
         assert defects == sorted(defects, reverse=True)
@@ -213,37 +251,32 @@ class TestSeparationCertificate:
         u = 1e-3
         sg = diagonal_semigroup([1.0, math.log(2.0) / u])
         cs = character_set(sg)
-        top = max(cs.slices)  # the slice that holds both characters
-        with pytest.raises(WindowViolationError):
-            separation_certificate(cs, D12, u, top, D12_RAY, D12_RADII)
+        with pytest.raises(WindowViolationError):  # the top slice holds both characters
+            separation_certificate(cs, D12, u, cs.top, D12_RAY, D12_RADII)
 
     def test_corrupted_slice_table_caught_by_winding_check(self):
-        # a slice table whose radius bound understates the true character
-        # modulus puts the character outside the curve; the winding test
-        # must catch it
-        cs = CharacterSet(lambdas=(1000.0 + 0.0j,), slices={1: (0,)}, radii={1: 10.0})
-        rep, _ = separation_certificate(cs, D12, 1e-3, 1, D12_RAY, D12_RADII)
+        # a slice radius that understates the true character modulus puts
+        # the character outside the curve; the winding test must catch it
+        rep, _ = separation_certificate(_Slice([1000.0], 10.0), D12, 1e-3, 1,
+                                        D12_RAY, D12_RADII)
         assert rep.winding_defect == pytest.approx(1.0)
 
     def test_reports_every_failing_point(self):
         # 1000 lies outside the curve (winding 0); pi i / u has |F(u lambda)| = 2,
         # above the ray maximum 1/4, and lies outside the curve as well
         u = 1e-3
-        cs = CharacterSet(lambdas=(1.0 + 0j, 1000.0 + 0j, 1j * math.pi / u),
-                          slices={1: (0, 1, 2)}, radii={1: 10.0})
+        cs = _Slice([1.0, 1000.0, 1j * math.pi / u], 10.0)
         rep, vertices = separation_certificate(cs, D12, u, 1, D12_RAY, D12_RADII)
         assert [margin > 0 for _, margin in rep.lam_margins] == [True, True, False]
         assert rep.winding_defect == pytest.approx(1.0)
         # a vertex of the curve: distance 0, so its winding number is undefined
-        on_curve = CharacterSet(lambdas=(vertices[1],), slices={1: (0,)},
-                                radii={1: 10.0})
-        rep, _ = separation_certificate(on_curve, D12, u, 1, D12_RAY, D12_RADII)
+        rep, _ = separation_certificate(_Slice([vertices[1]], 10.0), D12, u, 1, D12_RAY, D12_RADII)
         assert rep.min_distance == 0.0 and rep.winding_defect == math.inf
 
     @staticmethod
     def _slice(R_m):
-        """One character on the real axis: the slice m = 1 has radius R_m."""
-        return CharacterSet(lambdas=(complex(R_m),), slices={1: (0,)}, radii={1: R_m})
+        """One character on the real axis: the slice has radius R_m."""
+        return _Slice([R_m], R_m)
 
     def test_curve_clears_the_slice_radius_on_the_imaginary_axis(self):
         rep, vertices = separation_certificate(self._slice(5.0), D12, 0.01, 1,
