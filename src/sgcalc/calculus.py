@@ -60,8 +60,9 @@ class OperatorValue:
     ``linalg.banded_toeplitz_opnorm``, which reduces it exactly (gcd chains,
     the leading shift) and takes the largest singular value of the section
     without forming the matrix; ``matmul`` takes the truncated convolution
-    of the two first columns, each cut after its last offset (short for
-    atoms), and keeps the product's nonzero entries.
+    of the two first columns, each cut before its first offset and after its
+    last (short for atoms), places it at the sum of the first offsets, and
+    keeps the product's nonzero entries.
     """
 
     matrix: np.ndarray | None
@@ -102,13 +103,19 @@ class OperatorValue:
         if self.is_diag and other.is_diag:
             return OperatorValue(None, self.diag * other.diag, (), budget)
         if self.shift_weights is not None and other.shift_weights is not None:
-            a, b = (_shift_column(min(self.dim, 1 + max(op.shift_weights, default=0)),
-                                  op.shift_weights) for op in (self, other))
-            col = np.convolve(a, b)[: self.dim]
+            (ka, a), (kb, b) = self._shift_segment(), other._shift_segment()
+            col = np.convolve(a, b)[: max(self.dim - ka - kb, 0)]
             live = np.flatnonzero(col)
-            return OperatorValue(None, None, (), budget, dim=self.dim,
-                                 shift_weights=dict(zip(live.tolist(), col[live].tolist())))
+            return OperatorValue(None, None, (), budget, dim=self.dim, shift_weights=dict(
+                zip((live + ka + kb).tolist(), col[live].tolist())))
         return OperatorValue(self.to_dense() @ other.to_dense(), None, (), budget)
+
+    def _shift_segment(self) -> tuple[int, np.ndarray]:
+        """(k0, c) with sum_k w_k S^k = S^k0 sum_j c_j S^j: c is the first
+        column from the first offset below dim, k0, to the last; (0, [0]) if
+        there is none."""
+        live = [k for k in self.shift_weights if k < self.dim] or [0]
+        return min(live), _shift_column(max(live) + 1, self.shift_weights, min(live))
 
 
 def _shift_piece_weights(backend: NilpotentShift, piece, u: float):
@@ -132,12 +139,13 @@ def _shift_piece_weights(backend: NilpotentShift, piece, u: float):
     return k, w
 
 
-def _shift_column(n: int, weights: dict) -> np.ndarray:
-    """First column of sum_k w_k S^k on C^n."""
+def _shift_column(n: int, weights: dict, start: int = 0) -> np.ndarray:
+    """First column of sum_k w_k S^k on C^n, from row start on (no offset
+    lies below it)."""
     k = np.fromiter(weights, dtype=int, count=len(weights))
     keep = k < n
-    col = np.zeros(n, dtype=complex)
-    col[k[keep]] = np.fromiter(weights.values(), dtype=complex, count=len(weights))[keep]
+    col = np.zeros(n - start, dtype=complex)
+    col[k[keep] - start] = np.fromiter(weights.values(), dtype=complex, count=len(weights))[keep]
     return col
 
 

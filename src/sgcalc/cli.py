@@ -243,8 +243,10 @@ def _json_default(obj):
 
 
 def _write_json(path: Path, payload):
+    """Strict JSON: a non-finite float is an error, never ``Infinity`` or ``NaN``."""
     path.write_text(
-        json.dumps(payload, default=_json_default, sort_keys=True, indent=2) + "\n"
+        json.dumps(payload, default=_json_default, sort_keys=True, indent=2,
+                   allow_nan=False) + "\n"
     )
 
 

@@ -5,16 +5,23 @@ This is the one module that imports scipy.  The matrix exponential and the
 dense lower-triangular Toeplitz matrix are scipy's own (``scipy.linalg.expm``,
 ``scipy.linalg.toeplitz``); ``expm`` and ``_lower_toeplitz`` only fix the
 result's dtype (complex, and the column's), so no other module calls scipy.
+``lower_triangular_matmul`` is BLAS ``dtrmm``, for the real lower-triangular
+Riemann-Liouville T(t).
 
 Dense operator norms take power iteration on M*M.  Every norm of a
 lower-triangular Toeplitz matrix, given by its first column, goes through one
 front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
 that its public entry names: ``banded_toeplitz_opnorm`` for F(-uA) on the
-shift model (banded Gram matrix or Lanczos), ``toeplitz_opnorm`` for full
-columns such as resolvents (power iteration).  Both kinds scale the operand
-by ``_pow2_scaled``, the one real-or-complex decision: an operand with no
-nonzero imaginary part runs in float64, any other in complex.  Lanczos and
-power iteration share one Gram product, ``_toeplitz_gram``: direct
+shift model, ``toeplitz_opnorm`` for full columns such as resolvents (power
+iteration).  A shift-model section takes the cheapest of three routes by a
+cost rule fitted to measured timings (``_section_routes``): the largest
+eigenvalue of its banded Gram matrix (LAPACK), ARPACK in shift-invert mode
+on a banded Cholesky factor, whose success also certifies the shift as an
+upper bound on the squared norm, or ARPACK Lanczos.  Both kinds scale the
+operand by ``_pow2_scaled``, the one real-or-complex decision: an operand
+with no nonzero imaginary part runs in float64, any other in complex.
+Lanczos, the witnesses of both ARPACK routes and power iteration share one
+Gram product, ``_toeplitz_gram``: direct
 convolution for narrow sections, an FFT of 2-3-5-smooth length for wide
 ones, whichever a cost rule fitted to measured timings (``_gram_fft_length``)
 finds cheaper; numpy's FFT, not scipy's, which would add to start-up.  A norm
@@ -28,7 +35,7 @@ import ctypes
 import functools
 import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,14 +47,24 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 _SEED = 0  # start vectors of every power iteration
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 2000
-_LANCZOS_MIN_BAND = 16  # shift sections at least this wide take Lanczos, not the band
 _LANCZOS_NCV = 30  # Lanczos basis size
+_SI_NCV = 8  # shift-invert basis size
+_SI_MAX_ITER = 20  # shift-invert restarts
 # Cost in ns of one Gram product (``_gram_fft_length``) by dtype kind, fitted
 # to timings on a 2-core x86-64 host with numpy 2.4 (pocketfft) and OpenBLAS:
 # (per call, per element) of each dot product of direct convolution, and
 # (fixed, per N log2 N) of the FFT kernel
 _DOT_NS = {"f": (22.0, 0.092), "c": (43.0, 0.33)}
 _FFT_NS = {"f": (48_000, 4.3), "c": (56_000, 7.2)}
+# Cost in ns of each route of ``banded_toeplitz_opnorm`` (``_section_routes``)
+# on an m x m section of half-bandwidth b, fitted the same way to timings of
+# step and delta-difference sections, m = 63 ... 4095, b = 1 ... 870:
+# (fixed, per m, per m^2 (b - 1)) of the band, (fixed, per m, per m b) of
+# shift-invert, and for Lanczos (fixed, per m / (b + 1)) matvecs, each costing
+# a Gram product plus the last entry
+_BAND_NS = {"f": (54_000, 590, 1.1), "c": (61_000, 570, 3.7)}
+_SI_NS = {"f": (370_000, 580, 26.0), "c": (420_000, 870, 61.0)}
+_LANCZOS_COST = {"f": (14.0, 2.6, 28_000), "c": (8.5, 5.2, 40_000)}
 # rounds a bound up past every rounding of |entry|, fsum, sqrt and product
 _ROUND_UP = 1.0 + 2.0**-50
 
@@ -139,6 +156,17 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
     return scipy.linalg.toeplitz(col, np.zeros_like(col))
 
 
+def lower_triangular_matmul(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L @ B for a real lower-triangular L and a real 2-D B, both C-ordered,
+    by BLAS ``dtrmm`` at half the flops of a general product.
+
+    A C-ordered array is its transpose in Fortran order, so dtrmm forms
+    B^T L^T = (L B)^T from L^T (upper-triangular) and B^T without a
+    transposed copy of either; its one new array is the result.
+    """
+    return scipy.linalg.blas.dtrmm(1.0, L.T, B.T, side=1, lower=0).T
+
+
 def toeplitz_opnorm(c: np.ndarray) -> float:
     """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c,
     for full columns (resolvents and their products): ``_toeplitz_power_opnorm``."""
@@ -182,6 +210,7 @@ def _toeplitz_power_opnorm(c: np.ndarray, m: int) -> float:
         np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
 
 
+@functools.cache
 def _smooth_length(L: int) -> int:
     """Smallest N >= L whose only prime factors are 2, 3 and 5 (1 for L <= 1)."""
     best = 1 << max(L - 1, 0).bit_length()
@@ -197,7 +226,13 @@ def _smooth_length(L: int) -> int:
 
 def _gram_fft_length(m: int, b: int, kind: str) -> int:
     """FFT length N for ``_toeplitz_gram`` of an m x m section of half-bandwidth
-    b and dtype kind ("f" or "c"), or 0 where direct convolution costs less.
+    b and dtype kind ("f" or "c"), or 0 where direct convolution costs less
+    (``_gram_cost``)."""
+    return _gram_cost(m, b, kind)[1]
+
+
+def _gram_cost(m: int, b: int, kind: str) -> tuple[float, int]:
+    """(cost in ns, FFT length or 0) of the cheaper Gram kernel.
 
     N is the smallest 2-3-5-smooth length >= m + b.  Direct convolution
     takes one dot product of length at most b + 1 per output, 2 (m + b) of
@@ -207,7 +242,8 @@ def _gram_fft_length(m: int, b: int, kind: str) -> int:
     per_dot, per_term = _DOT_NS[kind]
     fixed, per_nlogn = _FFT_NS[kind]
     direct_ns = 2 * (m + b) * (per_dot + per_term * (b + 1))
-    return N if fixed + per_nlogn * N * math.log2(N) < direct_ns else 0
+    fft_ns = fixed + per_nlogn * N * math.log2(N)
+    return (fft_ns, N) if fft_ns < direct_ns else (direct_ns, 0)
 
 
 def _toeplitz_gram(c: np.ndarray, m: int):
@@ -249,38 +285,116 @@ def _toeplitz_gram(c: np.ndarray, m: int):
 
 
 def _band_or_lanczos_opnorm(c: np.ndarray, m: int) -> float:
-    """Route of ``banded_toeplitz_opnorm``: a narrow band (b < _LANCZOS_MIN_BAND)
-    takes sqrt(lambda_max) of its banded Gram matrix (``_band_opnorm``), a wider
-    one Lanczos on ``_toeplitz_gram`` (``_lanczos_opnorm``), falling back to
-    the band if ARPACK does not converge."""
-    if len(c) - 1 >= _LANCZOS_MIN_BAND:
-        with suppress(ArpackNoConvergence):
-            return _lanczos_opnorm(c, m)
+    """Route of ``banded_toeplitz_opnorm``: the routes of ``_section_routes``
+    in their order, until one returns a value.
+
+    Three routes, each on the m x m section T' with first column c:
+    ``_band_opnorm``, sqrt(lambda_max) of the banded Gram matrix T'^H T' by
+    LAPACK (neither side of ||T'||, never fails); ``_shift_invert_opnorm``
+    and ``_lanczos_opnorm``, ARPACK on T'^H T', each returning the witness
+    ||T'x|| / ||x|| of its Ritz vector, a lower bound, or None when ARPACK
+    does not converge.  Shift-invert runs only after a banded Cholesky of
+    sigma I - T'^H T' has succeeded, which certifies sigma, up to the
+    factorization's backward error, as an upper bound on ||T'||^2; it too
+    returns None without it.
+    """
+    for route in _section_routes(m, len(c) - 1, c.dtype.kind):
+        value = route(c, m)
+        if value is not None:
+            return value
     return _band_opnorm(c, m)
 
 
-def _band_opnorm(c: np.ndarray, m: int) -> float:
-    """||T'|| for the m x m lower-triangular Toeplitz T' with first column c.
+def _section_routes(m: int, b: int, kind: str) -> list:
+    """The ARPACK routes that cost less than the band for an m x m section of
+    half-bandwidth b and dtype kind, cheapest first, by the fitted costs
+    _BAND_NS, _SI_NS and _LANCZOS_COST; the band follows them.
 
-    T'^H T' has half-bandwidth b = len(c) - 1 and, by prefix sums over s,
-    (T'^H T')[j+d, j] = sum_{s=d}^{min(b, m-1-j)} conj(c_(s-d)) c_s; LAPACK
-    reduces that band to tridiagonal form, O(m^2 b) flops.
+    The band costs O(m^2 b) (tridiagonal reduction; none for b = 1);
+    shift-invert O(m b^2) once for the Cholesky, then O(m b) per step and a
+    few steps; Lanczos a number of Gram products that grows with m / (b + 1)
+    on these sections, each O(m b) or O(N log N) (``_gram_cost``).
+    """
+    b0, b1, b2 = _BAND_NS[kind]
+    s0, s1, s2 = _SI_NS[kind]
+    l0, l1, l2 = _LANCZOS_COST[kind]
+    costs = [(b0 + b1 * m + b2 * m * m * max(b - 1, 0), _band_opnorm),
+             (s0 + s1 * m + s2 * m * b, _shift_invert_opnorm),
+             ((l0 + l1 * m / (b + 1)) * (_gram_cost(m, b, kind)[0] + l2), _lanczos_opnorm)]
+    routes = [route for _, route in sorted(costs, key=lambda cost: cost[0])]
+    return routes[: routes.index(_band_opnorm)]
+
+
+def _gram_band(c: np.ndarray, m: int) -> np.ndarray:
+    """Lower band of T'^H T' for the m x m lower-triangular Toeplitz T' with
+    first column c, in LAPACK's lower band storage: band[d, j] = (T'^H T')[j+d, j].
+
+    T'^H T' has half-bandwidth b = len(c) - 1 and (T'^H T')[j+d, j] =
+    P[d, min(b, m-1-j)], with P[d, t] = sum_{s=d}^{t} conj(c_(s-d)) c_s the
+    prefix sums over s of each diagonal (0 for t < d, where j + d is past
+    the matrix): one (b + 1)^2 table, at most the size of the band since
+    b < m, gathered into the band.  Fortran order, so LAPACK works on it in
+    place: the band is the only array of size (b + 1) m that a route makes.
     """
     b = len(c) - 1
-    # Fortran order, so LAPACK reduces the band in place: the band is the only
-    # array of size (b + 1) m, and the peak memory of a call is that one array.
-    band = np.zeros((m, b + 1), dtype=c.dtype).T
-    j = np.arange(m)
-    for d in range(b + 1):
-        prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
-        band[d, : m - d] = prefix[np.minimum(b, m - 1 - j[: m - d]) - d]
-    lam = eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False,
-                         select="i", select_range=(m - 1, m - 1))
+    lag = np.arange(b + 1) - np.arange(b + 1)[:, None]  # lag[d, s] = s - d
+    P = np.cumsum(np.where(lag >= 0, np.conj(c)[np.maximum(lag, 0)] * c, 0), axis=1)
+    band = np.empty((m, b + 1), dtype=c.dtype).T
+    np.take(P, np.minimum(b, np.arange(m - 1, -1, -1)), axis=1, out=band, mode="clip")
+    return band
+
+
+def _band_opnorm(c: np.ndarray, m: int) -> float:
+    """||T'|| as sqrt(lambda_max) of ``_gram_band``: LAPACK reduces the band to
+    tridiagonal form, O(m^2 b) flops."""
+    lam = eigvals_banded(_gram_band(c, m), lower=True, overwrite_a_band=True,
+                         check_finite=False, select="i", select_range=(m - 1, m - 1))
     return math.sqrt(max(float(lam[0]), 0.0))
 
 
-def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
-    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', T' as in ``_band_opnorm``.
+def _shift_invert_opnorm(c: np.ndarray, m: int) -> float | None:
+    """Lower bound on ||T'|| by ARPACK in shift-invert mode, or None.
+
+    ||T'|| <= sup |a| for the symbol a(z) = sum_k c_k z^k, so the square of
+    its peak sampled at N >= 8m points, rounded up, is a shift sigma just
+    above lambda_max(T'^H T').  A successful banded Cholesky of
+    sigma I - T'^H T' (O(m b^2)) proves sigma above every eigenvalue, up to
+    the factorization's backward error, and then one triangular band solve
+    per step (O(m b)) drives ARPACK to the eigenvalue nearest sigma, the
+    largest.  None when the Cholesky fails or ARPACK does not converge.
+    The value is the witness of the Ritz vector, as in ``_lanczos_opnorm``.
+    """
+    real = c.dtype.kind == "f"
+    N = _smooth_length(8 * m)
+    peak = float(np.max(np.abs(np.fft.rfft(c, N) if real else np.fft.fft(c, N))))
+    sigma = peak * peak * _ROUND_UP
+    band = _gram_band(c, m)
+    np.negative(band, out=band)
+    band[0] += sigma
+    factor, solve = ((scipy.linalg.lapack.dpbtrf, scipy.linalg.lapack.dpbtrs) if real
+                     else (scipy.linalg.lapack.zpbtrf, scipy.linalg.lapack.zpbtrs))
+    chol, info = factor(band, lower=1, overwrite_ab=1)
+    if info:
+        return None
+
+    def shifted_inverse(x):  # (T'^H T' - sigma I)^-1 x
+        return -solve(chol, x, lower=1)[0]
+
+    gram = _toeplitz_gram(c, m)
+    op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
+    opinv = LinearOperator((m, m), matvec=shifted_inverse, dtype=c.dtype)
+    v0 = np.random.default_rng(_SEED).normal(size=m)
+    try:
+        _, vec = eigsh(op, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=v0,
+                       ncv=min(_SI_NCV, m), maxiter=_SI_MAX_ITER, tol=0)
+    except ArpackNoConvergence:
+        return None
+    return _witness(gram, vec[:, 0])
+
+
+def _lanczos_opnorm(c: np.ndarray, m: int) -> float | None:
+    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', or None if ARPACK
+    does not converge.
 
     Each matvec is a ``_toeplitz_gram`` product.  The value returned is the
     witness ||T'x|| / ||x|| of the Ritz vector x, from the same kernel, a
@@ -290,8 +404,15 @@ def _lanczos_opnorm(c: np.ndarray, m: int) -> float:
     gram = _toeplitz_gram(c, m)
     op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
     v0 = np.random.default_rng(_SEED).normal(size=m)
-    _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
-    x = vec[:, 0]
+    try:
+        _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
+    except ArpackNoConvergence:
+        return None
+    return _witness(gram, vec[:, 0])
+
+
+def _witness(gram, x: np.ndarray) -> float:
+    """||T'x|| / ||x||, by the forward product of ``_toeplitz_gram``."""
     return float(np.linalg.norm(gram.forward(x)) / np.linalg.norm(x))
 
 

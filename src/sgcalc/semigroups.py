@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotQuasinilpotentError
-from .linalg import _lower_toeplitz, expm, op_norm
+from .linalg import _lower_toeplitz, expm, lower_triangular_matmul, op_norm
 
 
 class SemigroupBackend(ABC):
@@ -48,14 +48,8 @@ class SemigroupBackend(ABC):
         return self._materialize(float(t))
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        """T(t) vec for a vector or a block of columns.  A real T(t) multiplies
-        the float64 view of the complex block, whose real and imaginary parts
-        interleave: one real product instead of a complex one."""
-        T = self.materialize(t)
-        vec = np.ascontiguousarray(vec, dtype=complex)
-        if np.iscomplexobj(T):
-            return T @ vec
-        return (T @ vec.reshape(len(vec), -1).view(float)).view(complex).reshape(vec.shape)
+        """T(t) vec for a vector or a block of columns."""
+        return self.materialize(t) @ np.ascontiguousarray(vec, dtype=complex)
 
 
 class NilpotentShift(SemigroupBackend):
@@ -134,6 +128,16 @@ class RiemannLiouville(SemigroupBackend):
         powers = j**t
         w = (powers[1:] - powers[:-1]) * math.exp(t * math.log(h) - math.lgamma(t + 1.0))
         return _lower_toeplitz(w)
+
+    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
+        """T(t) vec for a vector or a block of columns.  T(t) is real and
+        lower-triangular, so it multiplies the float64 view of the complex
+        block, whose real and imaginary parts interleave, by
+        ``lower_triangular_matmul``: one real triangular product instead of a
+        complex general one."""
+        vec = np.ascontiguousarray(vec, dtype=complex)
+        block = vec.reshape(len(vec), -1).view(float)
+        return lower_triangular_matmul(self.materialize(t), block).view(complex).reshape(vec.shape)
 
 
 class MatrixSemigroup(SemigroupBackend):

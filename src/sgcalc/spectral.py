@@ -157,7 +157,8 @@ class SeparationReport:
     curve_min_excess: float  # min over curve samples of |F(uz)| - F(alpha)
     lam_margins: tuple  # (lambda, F(alpha) - |F(u lambda)|)
     min_distance: float
-    # max over the slice of ||winding number| - 1|, inf for a point on the polygon
+    # max over the slice of ||winding number| - 1|; a point on the polygon is
+    # not inside it, so it counts as winding number 0: defect 1
     winding_defect: float
 
 
@@ -224,7 +225,7 @@ def separation_certificate(
     denom = np.abs(ab) ** 2
     t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / np.where(denom == 0, 1.0, denom)
     dists = np.min(np.abs(p - (a + np.clip(t, 0.0, 1.0) * ab)), axis=1)
-    defects = np.where(dists > 0, np.abs(np.abs(winding) - 1.0), math.inf)
+    defects = np.where(dists > 0, np.abs(np.abs(winding) - 1.0), 1.0)
 
     return SeparationReport(
         u=float(u),

@@ -495,8 +495,8 @@ def _step_op(n: int, k: int) -> OperatorValue:
     return func_calc(nilpotent_shift(n), STEP, k / n)
 
 
-# sections of at least _LANCZOS_MIN_BAND: the step offsets of the shift_refine
-# benchmark ops, and complex weights
+# wide sections: the step offsets of the shift_refine benchmark ops, and
+# complex weights
 _WIDE_CASES = {
     **{f"step-n{n}-k{k}": (lambda n=n, k=k: _step_op(n, k))
        for n, k in ((1024, 291), (1024, 162), (2048, 435), (2048, 59))},
@@ -538,23 +538,35 @@ class TestShiftOpnorm:
             with pytest.raises(ValueError, match="non-finite"):
                 _shift_op(weights, n).norm()
 
-    @pytest.mark.parametrize("case", sorted(_WIDE_CASES))
-    def test_lanczos_route_matches_band_route(self, case, monkeypatch):
+    @staticmethod
+    def _arpack_route_matches_band_route(monkeypatch, case, route):
+        # each ARPACK route alone, then the band alone (every route list empty)
         op = _WIDE_CASES[case]()
         sections = []
-        lanczos = linalg._lanczos_opnorm
-        monkeypatch.setattr(linalg, "_lanczos_opnorm",
-                            lambda c, m: sections.append((m, len(c) - 1)) or lanczos(c, m))
+        name = f"_{route}_opnorm"
+        arpack = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda c, m: sections.append((m, len(c) - 1)) or arpack(c, m))
+        monkeypatch.setattr(linalg, "_section_routes",
+                            lambda m, b, kind: [getattr(linalg, name)])
         wide = op.norm()
-        assert len(sections) == 1 and sections[0][1] >= linalg._LANCZOS_MIN_BAND
-        monkeypatch.setattr(linalg, "_LANCZOS_MIN_BAND", math.inf)
+        assert len(sections) == 1
+        monkeypatch.setattr(linalg, "_section_routes", lambda m, b, kind: [])
         band = op.norm()
         assert len(sections) == 1
         assert abs(wide - band) <= 1e-12 * band
 
+    @pytest.mark.parametrize("case", sorted(_WIDE_CASES))
+    def test_lanczos_route_matches_band_route(self, case, monkeypatch):
+        self._arpack_route_matches_band_route(monkeypatch, case, "lanczos")
+
+    @pytest.mark.parametrize("case", sorted(_WIDE_CASES))
+    def test_shift_invert_route_matches_band_route(self, case, monkeypatch):
+        self._arpack_route_matches_band_route(monkeypatch, case, "shift_invert")
+
     def test_arpack_failure_falls_back_to_the_band(self, monkeypatch):
         op = _WIDE_CASES["step-n1024-k162"]()
-        monkeypatch.setattr(linalg, "_LANCZOS_MIN_BAND", math.inf)
+        monkeypatch.setattr(linalg, "_section_routes", lambda m, b, kind: [])
         band = op.norm()
         monkeypatch.undo()
 
@@ -925,6 +937,23 @@ class TestShiftMatmul:
         got = _shift_op(a, n).matmul(_shift_op(b, n))
         assert got.dim == n and got.shift_weights == {k: w for k, w in ref.items() if w != 0}
         assert 1 not in got.shift_weights and max(got.shift_weights) < n
+
+    def test_an_operator_with_no_offset_below_n_gives_zero(self):
+        # offsets 9 and 12 lie past n = 8, so the first operator is 0, and so
+        # is the empty sum; each first column is cut to [0]
+        n = 8
+        for a in ({9: 5.0, 12: 1j}, {}):
+            for x, y in ((a, {1: 2.0, 3: -1.0}), ({1: 2.0, 3: -1.0}, a)):
+                assert _shift_op(x, n).matmul(_shift_op(y, n)).shift_weights == {}
+
+    def test_far_offsets_multiply_at_the_sum_of_the_first_ones(self):
+        # atoms far from offset 0: each column is cut to its own offsets and
+        # the product placed at 300 + 40; its tail past n = 400 is cut off
+        n = 400
+        a, b = {300: 1.0, 302: -2.0, 350: 0.5j}, {40: 3.0, 41: 1j, 120: 1.0}
+        got = _shift_op(a, n).matmul(_shift_op(b, n))
+        assert got.shift_weights == {k: w for k, w in self._double_loop(a, b, n).items() if w}
+        assert min(got.shift_weights) == 340 and max(got.shift_weights) == 391
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_double_loop_on_random_weights(self, seed):

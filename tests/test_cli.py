@@ -563,6 +563,29 @@ class TestCurveCommand:
 
 
 class TestIdempotentsCommand:
+    def test_a_slice_point_on_the_curve_fails_in_strict_json(self, tmp_path, monkeypatch):
+        # a character on a vertex of the curve has no winding number; it
+        # counts as outside, so the winding gate fails on a finite value and
+        # every file written parses as strict JSON (no Infinity, no NaN)
+        curves = []
+        _wrap(monkeypatch, spectral, "jordan_curve", lambda curve: curves.append(curve) or curve)
+        u = json.loads((cli.CONFIG_DIR / "separation.json").read_text())["u"]
+        _doctor_character_set("slice_values", lambda values: np.array(
+            [curves[0].gamma1_vertices[0] / u]) if curves else values)(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cli.CONFIG_DIR / "separation.json"),
+                     "--output", str(out)]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+        written = {p.name: json.loads(p.read_text(), parse_constant=refuse)
+                   for p in out.glob("*.json")}
+        assert set(written) == {"summary.json", "gates.json", "idempotents.json"}
+        gates = {g["name"]: g for g in written["gates.json"]}
+        assert gates["winding_defect"]["value"] == 1.0
+        assert gates["winding_defect"]["passed"] is False
+        assert written["summary.json"]["min_distance"] == 0.0
+
     def test_certified_curve_is_built_once_and_written(self, tmp_path, monkeypatch):
         cfg = _write_config(
             tmp_path / "c.json",

@@ -8,21 +8,25 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import sgcalc
 from sgcalc import calculus, linalg
 from sgcalc.calculus import _shift_column, func_calc
-from sgcalc.cli import CONFIG_DIR, NAMED_MEASURES, _default_lambda_grid, main
+from sgcalc.cli import CONFIG_DIR, NAMED_MEASURES, _default_lambda_grid, load_config, main
 from sgcalc.linalg import (
-    _LANCZOS_MIN_BAND,
+    _band_opnorm,
     _gram_fft_length,
     _lanczos_opnorm,
     _lower_toeplitz,
     _power_iteration,
+    _section_routes,
+    _shift_invert_opnorm,
     _smooth_length,
     _toeplitz_gram,
     banded_toeplitz_opnorm,
     expm,
+    lower_triangular_matmul,
     op_norm,
     opnorm_bound,
     power_opnorm,
@@ -132,19 +136,21 @@ class TestToeplitzOpNorm:
         assert toeplitz_opnorm(np.zeros(0)) == 0.0
 
     @pytest.mark.parametrize("exp", [-60, -40, 300, -300, 600, -600, 1000, -1000])
-    @pytest.mark.parametrize("route", ["band", "lanczos", "fft"])
-    def test_scale_by_power_of_two_is_exact(self, lemma24_columns, route, exp):
+    @pytest.mark.parametrize("route", ["band", "lanczos", "fft", "shift_invert"])
+    def test_scale_by_power_of_two_is_exact(self, lemma24_columns, monkeypatch, route, exp):
         # unscaled, T^H T v overflows at 2^300 and underflows to 0 at 2^-300,
         # so each route runs on the section scaled back into range
         if route == "fft":
             norm, c = toeplitz_opnorm, lemma24_columns[1]  # lhs at lam = -1.3i, norm 0.77
         else:
-            # the step section at n = 64 (band b = 10) or at n = 1024 (b = 324)
-            k, n = (5, 64) if route == "band" else (162, 1024)
+            # the step section at n = 64 (band b = 10), n = 1024 (b = 324) or
+            # n = 512 (b = 32)
+            k, n = {"band": (5, 64), "lanczos": (162, 1024), "shift_invert": (16, 512)}[route]
             op = func_calc(nilpotent_shift(n), NAMED_MEASURES["step"](), k / n)
             norm, c = banded_toeplitz_opnorm, _shift_column(n, op.shift_weights)
-            live = np.flatnonzero(c)
-            assert (live[-1] - live[0] >= _LANCZOS_MIN_BAND) == (route == "lanczos")
+            taken = _spy_routes(monkeypatch)
+            norm(c)
+            assert [route for *_, route in taken] == [route]
         scaled = np.ldexp(c.real, exp) + 1j * np.ldexp(c.imag, exp)
         assert norm(scaled) == math.ldexp(norm(c), exp)
 
@@ -193,14 +199,14 @@ class TestToeplitzOpNorm:
     def test_real_column_and_its_complex_copy_agree_bit_for_bit(self, lemma24_columns,
                                                                  monkeypatch):
         # the lhs columns at real lam = 1.3, 2.7, 4.1, 4.9 on the power route,
-        # and step sections on the band and Lanczos routes
+        # and step sections on the band, Lanczos and shift-invert routes
         real = [c.real for c in lemma24_columns if np.any(c) and not np.any(c.imag)]
         assert len(real) == 4
         choices = _spy_kernel_choices(monkeypatch)
         for c in real:
             assert toeplitz_opnorm(c) == toeplitz_opnorm(c + 0j)
         assert choices and all(kind == "f" for _, _, kind, _ in choices)
-        for n, k in ((64, 5), (1024, 162)):
+        for n, k in ((64, 5), (1024, 162), (512, 16)):
             op = func_calc(nilpotent_shift(n), NAMED_MEASURES["step"](), k / n)
             c = _shift_column(n, op.shift_weights)
             assert not np.any(c.imag)
@@ -234,6 +240,26 @@ def _spy_kernel_choices(monkeypatch) -> list:
     return choices
 
 
+_ROUTE_NAMES = {"_band_opnorm": "band", "_shift_invert_opnorm": "shift_invert",
+                "_lanczos_opnorm": "lanczos"}
+
+
+def _spy_routes(monkeypatch) -> list:
+    """(m, b, kind, route) of every section ``banded_toeplitz_opnorm`` routes from
+    now on; route names the first route tried ("band" when no ARPACK route
+    costs less)."""
+    taken = []
+    routes_for = linalg._section_routes
+
+    def spy(m, b, kind):
+        routes = routes_for(m, b, kind)
+        taken.append((m, b, kind, _ROUTE_NAMES[(routes or [_band_opnorm])[0].__name__]))
+        return routes
+
+    monkeypatch.setattr(linalg, "_section_routes", spy)
+    return taken
+
+
 class TestToeplitzGram:
     @pytest.mark.parametrize("kernel", ["direct", "fft"])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -250,6 +276,25 @@ class TestToeplitzGram:
         for got, want in ((gram(v), T.conj().T @ (T @ v)), (gram.forward(v), T @ v)):
             assert got.shape == (m,) and got.dtype.kind == c.dtype.kind
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m, b", [(1, 0), (5, 4), (40, 0), (64, 63), (100, 17), (511, 3)])
+    def test_gram_band_matches_the_per_diagonal_prefix_sums(self, m, b):
+        # the prefix-sum table gathered at once against the loop over diagonals
+        # it replaced: the same products summed in the same order, so a real
+        # band is equal bit for bit; a complex product may take a fused
+        # multiply-add on one path only, so a complex band agrees to rounding
+        rng = np.random.default_rng(100 * m + b)
+        for c in (rng.normal(size=b + 1), rng.normal(size=b + 1) + 1j * rng.normal(size=b + 1)):
+            want = np.zeros((b + 1, m), dtype=c.dtype)
+            for d in range(b + 1):
+                prefix = np.cumsum(np.conj(c[: b + 1 - d]) * c[d:])
+                want[d, : m - d] = prefix[np.minimum(b, m - 1 - np.arange(m - d)) - d]
+            got = linalg._gram_band(c, m)
+            assert got.shape == want.shape and got.flags.f_contiguous
+            if c.dtype.kind == "f":
+                assert got.tobytes("F") == np.asfortranarray(want).tobytes("F")
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_smooth_length_matches_a_brute_force_search(self):
         def smooth(N):
@@ -298,6 +343,163 @@ class TestKernelChoiceOnShippedConfigs:
         choices = _spy_kernel_choices(monkeypatch)
         self._run(tmp_path, "lemma24")
         assert sorted((kind, N) for _, _, kind, N in choices) == [("c", 1024)] * 15 + [("f", 1024)] * 4
+
+    def test_sweep_sections_take_their_pinned_routes(self, monkeypatch, tmp_path):
+        # sweep-step: the band at b = 2, shift-invert for b = 4 ... 86 and
+        # Lanczos from b = 88 on (m = 512 - b / 2); every other section the band,
+        # but four-atom's widest (m = 511, b = 3), which takes shift-invert
+        taken = _spy_routes(monkeypatch)
+        for stem in ("sweep-step", "sweep-flagship", "sweep-four-atom", "symmetrized-sweep"):
+            start = len(taken)
+            self._run(tmp_path, stem)
+            routes = {(m, b, route) for m, b, kind, route in taken[start:]}
+            assert all(kind == "f" for *_, kind, _ in taken[start:])
+            if stem == "sweep-step":
+                assert routes == {(512 - k, 2 * k, "band" if k == 1 else "shift_invert"
+                                   if k <= 43 else "lanczos") for k in range(1, 65)}
+            else:
+                fast = {(m, b) for m, b, route in routes if route != "band"}
+                assert fast == ({(511, 3)} if stem == "sweep-four-atom" else set())
+
+    def test_shift_refine_sections_keep_their_routes(self):
+        # the sections of the benchmark's shift_refine ops at seed 0: delta-
+        # difference (b = 1) at full size and on gcd chains take the band,
+        # the step sections (b = 582, 870) Lanczos
+        for m, b in ((1023, 1), (4095, 1), (3, 1), (6, 1)):
+            assert _section_routes(m, b, "f") == []
+        for m, b in ((733, 582), (1613, 870)):
+            assert _section_routes(m, b, "f")[0] is _lanczos_opnorm
+
+
+@pytest.fixture(scope="module")
+def sweep_step_sections():
+    """(c, m, dense sigma_1) of every section the sweep-step config's norms route."""
+    sections = []
+    with pytest.MonkeyPatch.context() as mp:
+        route = linalg._band_or_lanczos_opnorm
+        mp.setattr(linalg, "_band_or_lanczos_opnorm",
+                   lambda c, m: sections.append((c.copy(), m)) or route(c, m))
+        cfg = load_config(CONFIG_DIR / "sweep-step.json")
+        calculus.sweep(cfg.backend, cfg.measure, cfg.u_grid)
+    return [(c, m, np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
+            for c, m in sections]
+
+
+def _random_bands(kind):
+    """Twelve random sections, b = 4 ... 71 and m = 64 ... 600, of dtype kind."""
+    rng = np.random.default_rng(35 if kind == "f" else 36)
+    for _ in range(12):
+        m, b = int(rng.integers(64, 601)), int(rng.integers(4, 72))
+        c = rng.normal(size=b + 1)
+        if kind == "c":
+            c = c + 1j * rng.normal(size=b + 1)
+        yield c, m, np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - b - 1))), 2)
+
+
+class TestShiftInvertRoute:
+    """The witness of the shift-invert route against dense SVD, its shift
+    against sigma_1^2, and its two ways out."""
+
+    @staticmethod
+    def _spy_shifts(monkeypatch) -> list:
+        """The shift of every ARPACK call in shift-invert mode from now on:
+        each follows a successful banded Cholesky."""
+        shifts, real = [], linalg.eigsh
+
+        def spy(*args, **kwargs):
+            if "sigma" in kwargs:
+                shifts.append(kwargs["sigma"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", spy)
+        return shifts
+
+    def _check(self, monkeypatch, sections):
+        # the witness is a lower bound in exact arithmetic; here it and the
+        # dense sigma_1 each carry a few ulps of rounding, so "at or below
+        # sigma_1" holds up to 1e-14 relative, on either side
+        shifts = self._spy_shifts(monkeypatch)
+        for c, m, sigma1 in sections:
+            witness = _shift_invert_opnorm(c, m)
+            assert witness is not None and shifts
+            assert sigma1 * (1 - 1e-14) <= witness <= sigma1 * (1 + 1e-14)
+            assert shifts[-1] >= sigma1**2
+            shifts.clear()
+
+    def test_every_sweep_step_section(self, monkeypatch, sweep_step_sections):
+        assert len(sweep_step_sections) == 64
+        self._check(monkeypatch, sweep_step_sections)
+
+    @pytest.mark.parametrize("kind", ["f", "c"])
+    def test_random_bands(self, monkeypatch, kind):
+        self._check(monkeypatch, _random_bands(kind))
+
+    @staticmethod
+    def _section():
+        # step at n = 512, u = 16/512: m = 496, b = 32, shift-invert then Lanczos
+        op = func_calc(nilpotent_shift(512), NAMED_MEASURES["step"](), 16 / 512)
+        c = _shift_column(512, op.shift_weights).real
+        assert _section_routes(496, 32, "f") == [_shift_invert_opnorm, _lanczos_opnorm]
+        return c
+
+    def _without_shift_invert(self, monkeypatch, c):
+        """The norm by the routes after shift-invert, in a patch undone after."""
+        routes = linalg._section_routes
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_section_routes", lambda m, b, kind: [
+                route for route in routes(m, b, kind) if route is not _shift_invert_opnorm])
+            return banded_toeplitz_opnorm(c)
+
+    def test_failed_cholesky_falls_back(self, monkeypatch):
+        c = self._section()
+        expected = self._without_shift_invert(monkeypatch, c)
+        factored = []
+
+        def indefinite(ab, **kwargs):  # info > 0: a leading minor is not positive
+            factored.append(ab.shape)
+            return ab, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", indefinite)
+        shifts = self._spy_shifts(monkeypatch)
+        assert banded_toeplitz_opnorm(c) == expected
+        assert factored == [(33, 496)] and shifts == []
+
+    def test_unconverged_arpack_falls_back(self, monkeypatch):
+        c = self._section()
+        expected = self._without_shift_invert(monkeypatch, c)
+        real, calls = linalg.eigsh, []
+
+        def no_convergence(*args, **kwargs):
+            calls.append("sigma" in kwargs)
+            if "sigma" in kwargs:
+                raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        assert banded_toeplitz_opnorm(c) == expected
+        assert calls == [True, False]
+
+
+class TestLowerTriangularMatmul:
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (64, 48), (257, 2), (512, 96)])
+    def test_equals_the_general_product(self, n, k):
+        rng = np.random.default_rng(n)
+        L, Y = np.tril(rng.normal(size=(n, n))), rng.normal(size=(n, k))
+        got, want = lower_triangular_matmul(L, Y), L @ Y
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_copies_nothing_but_its_result(self):
+        # a transposed copy of L would cost 2 MiB here, of Y 0.75 MiB
+        rng = np.random.default_rng(1)
+        L, Y = np.tril(rng.normal(size=(512, 512))), rng.normal(size=(512, 192))
+        tracemalloc.start()
+        try:
+            got = lower_triangular_matmul(L, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * got.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 513])

@@ -269,9 +269,10 @@ class TestSeparationCertificate:
         rep, vertices = separation_certificate(cs, D12, u, 1, D12_RAY, D12_RADII)
         assert [margin > 0 for _, margin in rep.lam_margins] == [True, True, False]
         assert rep.winding_defect == pytest.approx(1.0)
-        # a vertex of the curve: distance 0, so its winding number is undefined
+        # a vertex of the curve: distance 0, so its winding number is undefined;
+        # not inside the curve, it counts as outside (defect 1, finite for JSON)
         rep, _ = separation_certificate(_Slice([vertices[1]], 10.0), D12, u, 1, D12_RAY, D12_RADII)
-        assert rep.min_distance == 0.0 and rep.winding_defect == math.inf
+        assert rep.min_distance == 0.0 and rep.winding_defect == 1.0
 
     @staticmethod
     def _slice(R_m):
