@@ -2,8 +2,9 @@
 
 F(-uA) = int T(u xi) dmu(xi) is assembled exactly for atoms, exactly on the
 piecewise-constant shift model, in closed form on diagonal models, and by
-fixed-order Gauss-Legendre quadrature elsewhere.  The lemma checks count
-the quadrature budget against their bounds.
+fixed-order Gauss-Legendre quadrature elsewhere.  The Lemma 2.7 check counts
+the quadrature budget against its bound; Lemma 2.4's F(-A) is exact on the
+shift.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .measures import (
     convolve,
     laplace,
     laplace_distribution,
+    poly_moment,
     require_mass_zero,
     tv_moment,
 )
@@ -118,27 +120,6 @@ class OperatorValue:
         return min(live), _shift_column(max(live) + 1, self.shift_weights, min(live))
 
 
-def _shift_piece_weights(backend: NilpotentShift, piece, u: float):
-    """Arrays (k, w): int p(t) T(ut) dt = sum_i w[i] S^k[i] on the shift model.
-
-    T(ut) is constant on each interval [t0, t1) of ``constancy_intervals`` at
-    scale u, so the piece integrates there in closed form: w is
-    sum_j c_j (t1^(j+1) - t0^(j+1)) / (j + 1), summed in the order and with the
-    powers (Python's float pow) of ``measures.poly_moment``, so each weight
-    is the one poly_moment gives for its interval.
-    """
-    t0, t1, k = backend.constancy_intervals(piece.a, piece.b, scale=u)
-    w = np.zeros(len(k), dtype=complex)
-    for p, c in enumerate(piece.coeffs, start=1):
-        if p == 1:
-            d = t1 - t0
-        else:
-            d = np.array([b**p - a**p for a, b in zip(t0.tolist(), t1.tolist())])
-        w.real += c.real * d / p
-        w.imag += c.imag * d / p
-    return k, w
-
-
 def _shift_column(n: int, weights: dict, start: int = 0) -> np.ndarray:
     """First column of sum_k w_k S^k on C^n, from row start on (no offset
     lies below it)."""
@@ -179,8 +160,10 @@ def func_calc(
             k = backend.offset(u * t)
             weights[k] = weights.get(k, 0.0) + w
         for piece in mu.pieces:
-            ks, ws = _shift_piece_weights(backend, piece, u)
-            for k, w in zip(ks.tolist(), ws.tolist()):
+            # T(ut) is constant on each interval of ``constancy_intervals``,
+            # so the piece integrates there in closed form
+            t0, t1, ks = backend.constancy_intervals(piece.a, piece.b, scale=u)
+            for k, w in zip(ks.tolist(), poly_moment(piece.coeffs, t0, t1).tolist()):
                 weights[k] = weights.get(k, 0.0) + w
         return OperatorValue(None, None, (), 0.0, shift_weights=weights, dim=backend.dim)
 

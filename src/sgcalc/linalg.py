@@ -8,25 +8,26 @@ result's dtype (complex, and the column's), so no other module calls scipy.
 ``lower_triangular_matmul`` is BLAS ``dtrmm``, for the real lower-triangular
 Riemann-Liouville T(t).
 
-Dense operator norms take power iteration on M*M.  Every norm of a
-lower-triangular Toeplitz matrix, given by its first column, goes through one
-front end (``_toeplitz_opnorm``: exact reductions, exact scaling) to the route
-that its public entry names: ``banded_toeplitz_opnorm`` for F(-uA) on the
-shift model, ``toeplitz_opnorm`` for full columns such as resolvents (power
-iteration).  A shift-model section takes the cheapest of three routes by a
-cost rule fitted to measured timings (``_section_routes``): the largest
-eigenvalue of its banded Gram matrix (LAPACK), ARPACK in shift-invert mode
-on a banded Cholesky factor, whose success also certifies the shift as an
-upper bound on the squared norm, or ARPACK Lanczos.  Both kinds scale the
-operand by ``_pow2_scaled``, the one real-or-complex decision: an operand
-with no nonzero imaginary part runs in float64, any other in complex.
+Dense operator norms take power iteration on M*M, with an SVD fallback.  Every
+norm of a lower-triangular Toeplitz matrix, given by its first column, goes
+through one loop (``_toeplitz_opnorm``): exact reductions and exact scaling,
+then the routes of one list, in order, until one answers; there is no dense
+fallback.  ``banded_toeplitz_opnorm``, for F(-uA) on the shift model, lists
+the routes of ``_section_routes``, cheapest first by a cost rule fitted to
+measured timings, up to the band, which always answers: the largest
+eigenvalue of the banded Gram matrix (LAPACK), ARPACK in shift-invert mode on
+a banded Cholesky factor, whose success also certifies the shift as an upper
+bound on the squared norm, or ARPACK Lanczos.  ``toeplitz_opnorm``, for full
+columns such as resolvents, puts power iteration before the same list.  Both
+scale the operand by ``_pow2_scaled``, the one real-or-complex decision: an
+operand with no nonzero imaginary part runs in float64, any other in complex.
 Lanczos, the witnesses of both ARPACK routes and power iteration share one
-Gram product, ``_toeplitz_gram``: direct
-convolution for narrow sections, an FFT of 2-3-5-smooth length for wide
-ones, whichever a cost rule fitted to measured timings (``_gram_fft_length``)
-finds cheaper; numpy's FFT, not scipy's, which would add to start-up.  A norm
-that feeds only a "<= tolerance" gate takes ``opnorm_bound`` instead, a
-proved upper bound that needs no iteration.
+Gram product, ``_toeplitz_gram``: direct convolution for narrow sections, an
+FFT of 2-3-5-smooth length for wide ones, whichever a cost rule fitted to
+measured timings (``_gram_fft_length``) finds cheaper; numpy's FFT, not
+scipy's, which would add to start-up.  A norm that feeds only a
+"<= tolerance" gate takes ``opnorm_bound`` instead, a proved upper bound that
+needs no iteration.
 """
 
 from __future__ import annotations
@@ -169,25 +170,29 @@ def lower_triangular_matmul(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def toeplitz_opnorm(c: np.ndarray) -> float:
     """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c,
-    for full columns (resolvents and their products): ``_toeplitz_power_opnorm``."""
-    return _toeplitz_opnorm(c, _toeplitz_power_opnorm)
+    for full columns (resolvents and their products): power iteration first,
+    then the routes of ``_section_routes``."""
+    return _toeplitz_opnorm(c, lambda m, b, kind: [_toeplitz_power_opnorm,
+                                                   *_section_routes(m, b, kind)])
 
 
 def banded_toeplitz_opnorm(c: np.ndarray) -> float:
     """Operator 2-norm of the lower-triangular Toeplitz matrix with first column c,
-    for F(-uA) = sum_k w_k S^k on the shift model: ``_band_or_lanczos_opnorm``."""
-    return _toeplitz_opnorm(c, _band_or_lanczos_opnorm)
+    for F(-uA) = sum_k w_k S^k on the shift model: the routes of ``_section_routes``."""
+    return _toeplitz_opnorm(c, _section_routes)
 
 
-def _toeplitz_opnorm(c: np.ndarray, route) -> float:
-    """||T|| for the lower-triangular Toeplitz T with first column c, by route.
+def _toeplitz_opnorm(c: np.ndarray, routes) -> float:
+    """||T|| for the lower-triangular Toeplitz T with first column c: the first
+    value that is not None of the routes that routes(m, b, kind) lists.
 
     Non-finite entries are refused; a zero column has norm 0.  The live
     offsets (c_k != 0) share a gcd g that splits T into g chains, and by
     interlacing the longest, c[::g], carries the norm.  With k0 its first
     live offset, T = S^k0 T' and the partial isometry S^k0 drops, leaving
-    the m x m section T' with first column c[k0:].  route(band, m) gets the
-    band of T' up to its last live offset, scaled by ``_pow2_scaled``.
+    the m x m section T' with first column c[k0:].  Each route(band, m) gets
+    the band of T' up to its last live offset, of half-bandwidth b and dtype
+    kind, scaled by ``_pow2_scaled``.
     """
     c = np.asarray(c)
     if not np.all(np.isfinite(c)):
@@ -199,15 +204,17 @@ def _toeplitz_opnorm(c: np.ndarray, route) -> float:
     c, live = c[::g], live // g
     k0, k1 = int(live[0]), int(live[-1])
     band, exp = _pow2_scaled(c[k0: k1 + 1])
-    return math.ldexp(route(band, len(c) - k0), exp)
+    m = len(c) - k0
+    for route in routes(m, k1 - k0, band.dtype.kind):
+        value = route(band, m)
+        if value is not None:
+            return math.ldexp(value, exp)
 
 
-def _toeplitz_power_opnorm(c: np.ndarray, m: int) -> float:
-    """Route of ``toeplitz_opnorm``: power iteration on ``_toeplitz_gram``;
-    the matrix is built only for the SVD fallback on non-convergence."""
+def _toeplitz_power_opnorm(c: np.ndarray, m: int) -> float | None:
+    """Power iteration on ``_toeplitz_gram``, or None when it does not converge."""
     res = _power_iteration(_toeplitz_gram(c, m), m, c.dtype)
-    return res.value if res.converged else float(
-        np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
+    return res.value if res.converged else None
 
 
 @functools.cache
@@ -284,36 +291,20 @@ def _toeplitz_gram(c: np.ndarray, m: int):
     return gram
 
 
-def _band_or_lanczos_opnorm(c: np.ndarray, m: int) -> float:
-    """Route of ``banded_toeplitz_opnorm``: the routes of ``_section_routes``
-    in their order, until one returns a value.
-
-    Three routes, each on the m x m section T' with first column c:
-    ``_band_opnorm``, sqrt(lambda_max) of the banded Gram matrix T'^H T' by
-    LAPACK (neither side of ||T'||, never fails); ``_shift_invert_opnorm``
-    and ``_lanczos_opnorm``, ARPACK on T'^H T', each returning the witness
-    ||T'x|| / ||x|| of its Ritz vector, a lower bound, or None when ARPACK
-    does not converge.  Shift-invert runs only after a banded Cholesky of
-    sigma I - T'^H T' has succeeded, which certifies sigma, up to the
-    factorization's backward error, as an upper bound on ||T'||^2; it too
-    returns None without it.
-    """
-    for route in _section_routes(m, len(c) - 1, c.dtype.kind):
-        value = route(c, m)
-        if value is not None:
-            return value
-    return _band_opnorm(c, m)
-
-
 def _section_routes(m: int, b: int, kind: str) -> list:
-    """The ARPACK routes that cost less than the band for an m x m section of
-    half-bandwidth b and dtype kind, cheapest first, by the fitted costs
-    _BAND_NS, _SI_NS and _LANCZOS_COST; the band follows them.
+    """The routes of an m x m section T' of half-bandwidth b and dtype kind,
+    cheapest first by the fitted costs _BAND_NS, _SI_NS and _LANCZOS_COST, up
+    to and including the band, which always answers.
 
-    The band costs O(m^2 b) (tridiagonal reduction; none for b = 1);
-    shift-invert O(m b^2) once for the Cholesky, then O(m b) per step and a
-    few steps; Lanczos a number of Gram products that grows with m / (b + 1)
-    on these sections, each O(m b) or O(N log N) (``_gram_cost``).
+    ``_band_opnorm``, sqrt(lambda_max) of the banded Gram matrix T'^H T' by
+    LAPACK (neither side of ||T'||), costs O(m^2 b) (tridiagonal reduction;
+    none for b = 1).  ``_shift_invert_opnorm`` and ``_lanczos_opnorm`` run
+    ARPACK on T'^H T' (``_eigsh_witness``): shift-invert O(m b^2) once for a
+    banded Cholesky of sigma I - T'^H T', whose success certifies sigma, up
+    to the factorization's backward error, as an upper bound on ||T'||^2,
+    then O(m b) per step and a few steps; Lanczos a number of Gram products
+    that grows with m / (b + 1) on these sections, each O(m b) or
+    O(N log N) (``_gram_cost``).
     """
     b0, b1, b2 = _BAND_NS[kind]
     s0, s1, s2 = _SI_NS[kind]
@@ -322,7 +313,7 @@ def _section_routes(m: int, b: int, kind: str) -> list:
              (s0 + s1 * m + s2 * m * b, _shift_invert_opnorm),
              ((l0 + l1 * m / (b + 1)) * (_gram_cost(m, b, kind)[0] + l2), _lanczos_opnorm)]
     routes = [route for _, route in sorted(costs, key=lambda cost: cost[0])]
-    return routes[: routes.index(_band_opnorm)]
+    return routes[: routes.index(_band_opnorm) + 1]
 
 
 def _gram_band(c: np.ndarray, m: int) -> np.ndarray:
@@ -362,7 +353,6 @@ def _shift_invert_opnorm(c: np.ndarray, m: int) -> float | None:
     the factorization's backward error, and then one triangular band solve
     per step (O(m b)) drives ARPACK to the eigenvalue nearest sigma, the
     largest.  None when the Cholesky fails or ARPACK does not converge.
-    The value is the witness of the Ritz vector, as in ``_lanczos_opnorm``.
     """
     real = c.dtype.kind == "f"
     N = _smooth_length(8 * m)
@@ -380,39 +370,34 @@ def _shift_invert_opnorm(c: np.ndarray, m: int) -> float | None:
     def shifted_inverse(x):  # (T'^H T' - sigma I)^-1 x
         return -solve(chol, x, lower=1)[0]
 
-    gram = _toeplitz_gram(c, m)
-    op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
-    opinv = LinearOperator((m, m), matvec=shifted_inverse, dtype=c.dtype)
-    v0 = np.random.default_rng(_SEED).normal(size=m)
-    try:
-        _, vec = eigsh(op, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=v0,
-                       ncv=min(_SI_NCV, m), maxiter=_SI_MAX_ITER, tol=0)
-    except ArpackNoConvergence:
-        return None
-    return _witness(gram, vec[:, 0])
+    return _eigsh_witness(c, m, sigma=sigma, which="LM", ncv=min(_SI_NCV, m),
+                          maxiter=_SI_MAX_ITER,
+                          OPinv=LinearOperator((m, m), matvec=shifted_inverse, dtype=c.dtype))
 
 
 def _lanczos_opnorm(c: np.ndarray, m: int) -> float | None:
-    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', or None if ARPACK
-    does not converge.
+    """Lower bound on ||T'|| by ARPACK Lanczos on T'^H T', or None."""
+    return _eigsh_witness(c, m, which="LA", ncv=min(_LANCZOS_NCV, m))
+
+
+def _eigsh_witness(c: np.ndarray, m: int, **mode) -> float | None:
+    """Lower bound on ||T'|| by ARPACK (``eigsh`` in the given mode) on T'^H T'
+    for the m x m section T' with first column c, or None if ARPACK does not
+    converge.
 
     Each matvec is a ``_toeplitz_gram`` product.  The value returned is the
-    witness ||T'x|| / ||x|| of the Ritz vector x, from the same kernel, a
-    lower bound on ||T'|| whatever ARPACK converged to.  The start vector is
-    fixed, so the result does not depend on earlier calls.
+    witness ||T'x|| / ||x|| of the Ritz vector x, by the forward product of
+    the same kernel, a lower bound on ||T'|| whatever ARPACK converged to.
+    The start vector is fixed, so the result does not depend on earlier calls.
     """
     gram = _toeplitz_gram(c, m)
     op = LinearOperator((m, m), matvec=gram, dtype=c.dtype)
     v0 = np.random.default_rng(_SEED).normal(size=m)
     try:
-        _, vec = eigsh(op, k=1, which="LA", v0=v0, ncv=min(_LANCZOS_NCV, m), tol=0)
+        _, vec = eigsh(op, k=1, v0=v0, tol=0, **mode)
     except ArpackNoConvergence:
         return None
-    return _witness(gram, vec[:, 0])
-
-
-def _witness(gram, x: np.ndarray) -> float:
-    """||T'x|| / ||x||, by the forward product of ``_toeplitz_gram``."""
+    x = vec[:, 0]
     return float(np.linalg.norm(gram.forward(x)) / np.linalg.norm(x))
 
 

@@ -302,12 +302,15 @@ def _piece_laplace(p: Piece, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_moment(coeffs, a: float, b: float, j: int = 0) -> complex:
-    """Exact integral over [a, b] of t^j p(t), p with ascending coeffs."""
+def poly_moment(coeffs, a, b, j: int = 0):
+    """Exact integral over [a, b] of t^j p(t), p with ascending coeffs; a and b
+    may be arrays of interval ends, for one integral per interval.  Each term
+    is ck ((b^n - a^n) / n) by numpy's power, so an interval gives the same
+    bits alone and in an array."""
     total = 0.0 + 0.0j
     for k, ck in enumerate(coeffs):
         n = j + k + 1
-        total += ck * (b**n - a**n) / n
+        total += ck * ((np.power(b, n) - np.power(a, n)) / n)
     return total
 
 

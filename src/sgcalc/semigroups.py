@@ -22,6 +22,14 @@ from .errors import ConfigError, NotQuasinilpotentError
 from .linalg import _lower_toeplitz, expm, lower_triangular_matmul, op_norm
 
 
+def _time(t: float) -> float:
+    """t as a float, refused with ValueError when negative or NaN."""
+    t = float(t)
+    if not t >= 0.0:
+        raise ValueError(f"a semigroup needs t >= 0, got t = {t:g}")
+    return t
+
+
 class SemigroupBackend(ABC):
     """Finite-dimensional model of a strongly continuous semigroup (T(t))_{t>0}.
 
@@ -45,7 +53,8 @@ class SemigroupBackend(ABC):
         ...
 
     def materialize(self, t: float) -> np.ndarray:
-        return self._materialize(float(t))
+        """T(t) as a matrix, refused for a negative or NaN t."""
+        return self._materialize(_time(t))
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         """T(t) vec for a vector or a block of columns."""
@@ -120,8 +129,6 @@ class RiemannLiouville(SemigroupBackend):
         n = self.dim
         if t == 0.0:
             return np.eye(n)
-        if t < 0.0:
-            raise ValueError("fractional integration needs t >= 0")
         h = 1.0 / n
         j = np.arange(n + 1, dtype=float)
         # h^t (j+1)^t - j^t over Gamma(t+1), in log space for stability
@@ -189,7 +196,7 @@ class DiagonalSemigroup(SemigroupBackend):
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
-        d = self.diagonal(t)
+        d = self.diagonal(_time(t))
         return (d[:, None] if vec.ndim == 2 else d) * vec
 
 

@@ -212,11 +212,32 @@ class TestToeplitzOpNorm:
             assert not np.any(c.imag)
             assert banded_toeplitz_opnorm(c.real) == banded_toeplitz_opnorm(c)
 
-    def test_unconverged_falls_back_to_dense_svd(self, lemma24_columns, monkeypatch):
+    def test_unconverged_falls_back_to_the_section_routes(self, lemma24_columns, monkeypatch):
         c = lemma24_columns[1]  # lhs at lam = -1.3i, norm 0.77
+        sigma1 = np.linalg.norm(_lower_toeplitz(c), 2)
         monkeypatch.setattr(linalg, "_POWER_MAX_ITER", 1)
         assert not _power_iteration(_toeplitz_gram(c, len(c)), len(c)).converged
-        assert toeplitz_opnorm(c) == np.linalg.norm(_lower_toeplitz(c), 2)
+        assert toeplitz_opnorm(c) == banded_toeplitz_opnorm(c)
+        assert abs(toeplitz_opnorm(c) - sigma1) <= 1e-14
+
+    def test_no_norm_builds_the_dense_matrix(self, lemma24_columns, sweep_step_sections,
+                                             monkeypatch):
+        # every lemma24 column and sweep-step section against dense sigma_1,
+        # with power iteration capped so that full columns take the section
+        # routes, and the dense matrix refused
+        refs = [np.linalg.norm(_lower_toeplitz(c), 2) for c in lemma24_columns]
+        monkeypatch.setattr(linalg, "_POWER_MAX_ITER", 1)
+
+        def refused(col):
+            raise AssertionError("a Toeplitz norm built the dense matrix")
+
+        monkeypatch.setattr(linalg, "_lower_toeplitz", refused)
+        for c, sigma1 in zip(lemma24_columns, refs):
+            assert abs(toeplitz_opnorm(c) - sigma1) <= 1e-14 * max(sigma1, 1.0)
+        for c, m, sigma1 in sweep_step_sections:
+            full = np.pad(c, (0, m - len(c)))
+            for norm in (toeplitz_opnorm, banded_toeplitz_opnorm):
+                assert abs(norm(full) - sigma1) <= 1e-14 * sigma1
 
 
 def _force_kernel(monkeypatch, kernel):
@@ -246,14 +267,13 @@ _ROUTE_NAMES = {"_band_opnorm": "band", "_shift_invert_opnorm": "shift_invert",
 
 def _spy_routes(monkeypatch) -> list:
     """(m, b, kind, route) of every section ``banded_toeplitz_opnorm`` routes from
-    now on; route names the first route tried ("band" when no ARPACK route
-    costs less)."""
+    now on; route names the first route tried."""
     taken = []
     routes_for = linalg._section_routes
 
     def spy(m, b, kind):
         routes = routes_for(m, b, kind)
-        taken.append((m, b, kind, _ROUTE_NAMES[(routes or [_band_opnorm])[0].__name__]))
+        taken.append((m, b, kind, _ROUTE_NAMES[routes[0].__name__]))
         return routes
 
     monkeypatch.setattr(linalg, "_section_routes", spy)
@@ -364,11 +384,12 @@ class TestKernelChoiceOnShippedConfigs:
     def test_shift_refine_sections_keep_their_routes(self):
         # the sections of the benchmark's shift_refine ops at seed 0: delta-
         # difference (b = 1) at full size and on gcd chains take the band,
-        # the step sections (b = 582, 870) Lanczos
+        # the step sections (b = 582, 870) Lanczos; every list ends with the band
         for m, b in ((1023, 1), (4095, 1), (3, 1), (6, 1)):
-            assert _section_routes(m, b, "f") == []
+            assert _section_routes(m, b, "f") == [_band_opnorm]
         for m, b in ((733, 582), (1613, 870)):
-            assert _section_routes(m, b, "f")[0] is _lanczos_opnorm
+            routes = _section_routes(m, b, "f")
+            assert routes[0] is _lanczos_opnorm and routes[-1] is _band_opnorm
 
 
 @pytest.fixture(scope="module")
@@ -376,9 +397,10 @@ def sweep_step_sections():
     """(c, m, dense sigma_1) of every section the sweep-step config's norms route."""
     sections = []
     with pytest.MonkeyPatch.context() as mp:
-        route = linalg._band_or_lanczos_opnorm
-        mp.setattr(linalg, "_band_or_lanczos_opnorm",
-                   lambda c, m: sections.append((c.copy(), m)) or route(c, m))
+        routes = linalg._section_routes
+        # a first route that records the section and answers None
+        mp.setattr(linalg, "_section_routes", lambda m, b, kind: [
+            lambda c, m: sections.append((c.copy(), m)), *routes(m, b, kind)])
         cfg = load_config(CONFIG_DIR / "sweep-step.json")
         calculus.sweep(cfg.backend, cfg.measure, cfg.u_grid)
     return [(c, m, np.linalg.norm(_lower_toeplitz(np.pad(c, (0, m - len(c)))), 2))
@@ -439,7 +461,8 @@ class TestShiftInvertRoute:
         # step at n = 512, u = 16/512: m = 496, b = 32, shift-invert then Lanczos
         op = func_calc(nilpotent_shift(512), NAMED_MEASURES["step"](), 16 / 512)
         c = _shift_column(512, op.shift_weights).real
-        assert _section_routes(496, 32, "f") == [_shift_invert_opnorm, _lanczos_opnorm]
+        assert _section_routes(496, 32, "f") == [_shift_invert_opnorm, _lanczos_opnorm,
+                                                 _band_opnorm]
         return c
 
     def _without_shift_invert(self, monkeypatch, c):

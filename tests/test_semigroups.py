@@ -213,6 +213,25 @@ def test_backend_sizes_rejected():
         diagonal_semigroup(np.arange(1.0, 5002.0)).generator
 
 
+@pytest.mark.parametrize("make", [
+    lambda: nilpotent_shift(4),
+    lambda: riemann_liouville(4),
+    lambda: matrix_semigroup(-np.eye(4)),
+    lambda: diagonal_semigroup([0.5, 1.0, 2.0, 3.0]),
+    lambda: multiplication_c0(10),
+], ids=["shift", "riemann-liouville", "matrix", "diagonal", "multiplication"])
+def test_negative_time_is_refused(make):
+    # the shift used to give the upper shift S*^2 at t = -0.5, its adjoint
+    sg = make()
+    vec = np.ones(sg.dim)
+    for t in (-0.5, math.nan):
+        for call in (lambda: sg.materialize(t), lambda: sg.apply(t, vec)):
+            with pytest.raises(ValueError, match="t >= 0"):
+                call()
+    assert np.array_equal(sg.materialize(-0.0), sg.materialize(0.0))
+    assert np.array_equal(sg.apply(0.0, vec), vec)
+
+
 class TestDiagonalSemigroup:
     def test_entrywise(self):
         lam = np.array([1.0, 2.0 + 3.0j, 0.0])

@@ -4,9 +4,10 @@ Both run in child interpreters under a stdlib line tracer, which a
 ``sitecustomize`` module put first on PYTHONPATH installs; the interpreters
 that they start (the CLI tests run ``python -m sgcalc.cli``) are traced the
 same way.  A compound statement counts as reached when any line inside it
-ran.  Every statement that nothing reached is listed; the exit status is 1
-when one of them has no ``# unreached: <reason>`` comment on its first line,
-or when a traced run failed.
+ran.  Hits are mapped onto each file's text as read before the runs.  Every
+statement that nothing reached is listed; the exit status is 1 when one of
+them has no ``# unreached: <reason>`` comment on its first line, when a traced
+run failed, or when a file of the package changed during the runs.
 
     python tools/reach.py [extra pytest arguments]
 """
@@ -71,10 +72,14 @@ def statements(tree):
         yield first, node.end_lineno
 
 
-def unreached(path: Path, lines_hit: set[int]):
-    """(first line, text) of each statement of path that no hit falls in,
+def read_package() -> dict[Path, bytes]:
+    """The bytes of each module of the package."""
+    return {path: path.read_bytes() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def unreached(source: str, lines_hit: set[int]):
+    """(first line, text) of each statement of source that no hit falls in,
     outermost first, skipping statements nested in one already listed."""
-    source = path.read_text()
     text = source.splitlines()
     found, covered = [], set()
     for first, last in sorted(statements(ast.parse(source)), key=lambda s: (s[0], -s[1])):
@@ -86,6 +91,7 @@ def unreached(path: Path, lines_hit: set[int]):
 
 
 def main(pytest_args) -> int:
+    sources = read_package()
     with tempfile.TemporaryDirectory() as tmp:
         site, hits = Path(tmp, "site"), Path(tmp, "hits")
         site.mkdir()
@@ -106,16 +112,21 @@ def main(pytest_args) -> int:
                 name, lineno = line.split("\t")
                 by_file.setdefault(name, set()).add(int(lineno))
 
+    now = read_package()
+    changed = sorted(path for path in sources.keys() | now.keys()
+                     if sources.get(path) != now.get(path))
     bare = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        for lineno, text in unreached(path, by_file.get(str(path), set())):
+    for path, source in sources.items():
+        for lineno, text in unreached(source.decode(), by_file.get(str(path), set())):
             marked = MARK in text
             bare += not marked
             print(f"{path.relative_to(ROOT)}:{lineno}: {'' if marked else 'UNMARKED '}{text}")
     for run in failed:
         print("traced run failed:", " ".join(run[1:]))
+    for path in changed:
+        print(f"changed during the runs: {path.relative_to(ROOT)}")
     print(f"{bare} unreached statement(s) without '{MARK} <reason>'")
-    return int(bool(bare or failed))
+    return int(bool(bare or failed or changed))
 
 
 if __name__ == "__main__":
